@@ -21,15 +21,16 @@ int main(int argc, char** argv) {
   }
 
   std::printf("== Traditional mirror (paper Fig. 1) ==\n");
-  TraditionalArrangement traditional(n);
-  std::printf("%s\n", render_arrays(traditional).c_str());
+  const auto traditional = make_arrangement("traditional", n).take();
+  std::printf("%s\n", render_arrays(*traditional).c_str());
   std::printf("properties: %s\n\n",
-              evaluate_properties(traditional).to_string().c_str());
+              evaluate_properties(*traditional).to_string().c_str());
 
   std::printf("== Shifted mirror (paper Fig. 3) ==\n");
-  ShiftedArrangement shifted(n);
-  std::printf("%s\n", render_arrays(shifted).c_str());
-  std::printf("properties: %s\n", evaluate_properties(shifted).to_string().c_str());
+  const auto shifted = make_arrangement("shifted", n).take();
+  std::printf("%s\n", render_arrays(*shifted).c_str());
+  std::printf("properties: %s\n",
+              evaluate_properties(*shifted).to_string().c_str());
   std::printf("formula check: replica of a(i,j) sits at b(<i+j>%%%d, i)\n\n",
               n);
 

@@ -16,7 +16,7 @@ int main() {
   // simulated Savvio 10K.3 disks.
   core::VolumeConfig cfg;
   cfg.n = 5;
-  cfg.shifted = true;
+  cfg.arrangement = "shifted";
   cfg.with_parity = false;
   cfg.content_bytes = 4096;
   auto created = core::MirroredVolume::create(cfg);

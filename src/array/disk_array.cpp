@@ -57,8 +57,6 @@ DiskArray::DiskArray(ArrayConfig cfg)
   if (cfg_.drl_region_stripes > 0)
     drl_ = integrity::DirtyRegionLog(cfg_.stripes, cfg_.drl_region_stripes);
   if (cfg_.checksums) sums_ = integrity::ChecksumStore(physical_count(), slots);
-  backoff_base_ = cfg_.retry_backoff_base_s > 0.0 ? cfg_.retry_backoff_base_s
-                                                  : cfg_.retry_backoff_s;
   retry_jitter_state_ = cfg_.seed ^ 0xa0761d6478bd642fULL;
   splitmix64(retry_jitter_state_);
   // Only the array-wide profile arms a crash: a power loss takes out the
@@ -505,7 +503,7 @@ void DiskArray::lose_write(const Op& op) {
 
 double DiskArray::retry_delay(int attempt) {
   const int exp = std::min(attempt - 1, 62);
-  double delay = backoff_base_ * static_cast<double>(1ULL << exp);
+  double delay = cfg_.retry_backoff_base_s * static_cast<double>(1ULL << exp);
   if (cfg_.retry_backoff_cap_s > 0.0)
     delay = std::min(delay, cfg_.retry_backoff_cap_s);
   if (cfg_.retry_backoff_jitter > 0.0) {
@@ -605,7 +603,7 @@ BatchStats DiskArray::execute(std::span<const Op> ops, double start_time) {
         // backs off (capped exponential, seeded jitter) after the
         // failed attempt drains. The guard keeps the default (0) path
         // bit-identical.
-        if (backoff_base_ > 0.0)
+        if (cfg_.retry_backoff_base_s > 0.0)
           earliest = d.busy_until() + retry_delay(attempts);
         if (observer_ != nullptr) {
           obs::TraceEvent ev;
@@ -711,7 +709,7 @@ BatchStats DiskArray::execute_batched(std::span<const Op> ops,
         if (transient && attempts < cfg_.io_max_retries) {
           ++attempts;
           ++stats.retried_ops;
-          if (backoff_base_ > 0.0)
+          if (cfg_.retry_backoff_base_s > 0.0)
             earliest = d.busy_until() + retry_delay(attempts);
           continue;
         }

@@ -59,12 +59,6 @@ struct ArrayConfig {
   /// seeded jitter (below). The default 0 is inert: retries re-submit
   /// immediately, reproducing the original timing bit for bit.
   double retry_backoff_base_s = 0.0;
-  /// Deprecated alias for retry_backoff_base_s, kept one release: when
-  /// the base is 0 this field supplies it. The first two attempts of
-  /// the exponential schedule (1x, 2x — the whole default
-  /// io_max_retries budget) coincide with the historical linear
-  /// schedule, so existing configs keep their timing.
-  double retry_backoff_s = 0.0;
   /// Ceiling on a single retry delay (0 = uncapped).
   double retry_backoff_cap_s = 0.0;
   /// Jitter fraction in [0, 1): each delay is scaled by a factor drawn
@@ -289,9 +283,8 @@ class DiskArray {
   std::int64_t writes_seen_ = 0;
   Rng crash_rng_{0};
 
-  // Retry backoff: the resolved base (new field or deprecated alias)
-  // and the jitter stream's state (advanced once per jittered delay).
-  double backoff_base_ = 0.0;
+  // Retry backoff jitter stream's state (advanced once per jittered
+  // delay).
   std::uint64_t retry_jitter_state_ = 0;
 
   /// Delay before attempt `attempt` (1-based retry number) re-submits:

@@ -14,20 +14,13 @@ Result<MirroredVolume> MirroredVolume::create(const VolumeConfig& cfg) {
   if (cfg.content_bytes == 0 || cfg.logical_element_bytes == 0)
     return invalid_argument("element sizes must be positive");
 
+  auto arch = cfg.with_parity
+                  ? layout::Architecture::mirror_with_parity_named(
+                        cfg.n, cfg.arrangement)
+                  : layout::Architecture::mirror_named(cfg.n, cfg.arrangement);
+  if (!arch.is_ok()) return arch.status();
   array::ArrayConfig ac;
-  if (cfg.arrangement.empty()) {
-    ac.arch = cfg.with_parity
-                  ? layout::Architecture::mirror_with_parity(cfg.n, cfg.shifted)
-                  : layout::Architecture::mirror(cfg.n, cfg.shifted);
-  } else {
-    auto arch =
-        cfg.with_parity
-            ? layout::Architecture::mirror_with_parity_named(cfg.n,
-                                                             cfg.arrangement)
-            : layout::Architecture::mirror_named(cfg.n, cfg.arrangement);
-    if (!arch.is_ok()) return arch.status();
-    ac.arch = std::move(arch).take();
-  }
+  ac.arch = std::move(arch).take();
   ac.stripes = cfg.stacks * ac.arch.total_disks();
   ac.rotate = cfg.rotate;
   ac.spec = cfg.spec;

@@ -5,7 +5,7 @@
 //
 // Quickstart:
 //   sma::core::VolumeConfig cfg;
-//   cfg.n = 5; cfg.shifted = true; cfg.with_parity = true;
+//   cfg.n = 5; cfg.arrangement = "shifted"; cfg.with_parity = true;
 //   auto vol = sma::core::MirroredVolume::create(cfg).take();
 //   vol.fail_disk(2);
 //   auto report = vol.rebuild();            // verified rebuild
@@ -28,12 +28,10 @@ struct VolumeConfig {
   int n = 3;
   /// Add the parity disk (fault tolerance 2, paper Section V).
   bool with_parity = false;
-  /// Use the paper's shifted arrangement (false = traditional RAID-1).
-  bool shifted = true;
-  /// Layout-registry spec ("lrc:groups=2", "zigzag", ...). When
-  /// non-empty it overrides `shifted` and resolves through
-  /// layout::AlgorithmRegistry::global().
-  std::string arrangement;
+  /// Layout-registry spec: "shifted" (the paper's arrangement),
+  /// "traditional" (RAID-1), "lrc:groups=2", "zigzag", ... Resolves
+  /// through layout::AlgorithmRegistry::global().
+  std::string arrangement = "shifted";
   /// Stacks of stripes; each stack holds total_disks stripes so the
   /// rotation covers every logical-to-physical assignment.
   int stacks = 1;

@@ -16,25 +16,6 @@
 
 namespace sma::fleet {
 
-const char* to_string(ArrangementMix mix) {
-  switch (mix) {
-    case ArrangementMix::kShifted:
-      return "shifted";
-    case ArrangementMix::kTraditional:
-      return "traditional";
-    case ArrangementMix::kAlternating:
-      return "alternating";
-  }
-  return "unknown";
-}
-
-Result<ArrangementMix> arrangement_mix_from(std::string_view name) {
-  if (name == "shifted") return ArrangementMix::kShifted;
-  if (name == "traditional") return ArrangementMix::kTraditional;
-  if (name == "alternating") return ArrangementMix::kAlternating;
-  return invalid_argument("unknown arrangement mix: " + std::string(name));
-}
-
 namespace {
 
 /// Outcome of one array's serving simulation (one MultiKernel case).
@@ -43,32 +24,28 @@ struct ArrayOutcome {
   Status status = Status::ok();
 };
 
-/// The per-array architecture cycle: the explicit `layout` spec list
-/// when given, else the enum mix ([shifted], [traditional], or
-/// [shifted, traditional] — array a uses entry a % size, so the
+/// The per-array architecture cycle: the `layout` spec list when given,
+/// else the enum mix as one ("shifted", "traditional", or
+/// "shifted,traditional" — array a uses entry a % size, so the
 /// alternating mix keeps its even-arrays-shifted meaning).
 Result<std::vector<layout::Architecture>> resolve_layout_cycle(
     const FleetConfig& cfg) {
-  std::vector<layout::Architecture> archs;
-  if (cfg.layout.empty()) {
-    const bool first_shifted = cfg.arrangement != ArrangementMix::kTraditional;
-    archs.push_back(cfg.parity
-                        ? layout::Architecture::mirror_with_parity(
-                              cfg.n, first_shifted)
-                        : layout::Architecture::mirror(cfg.n, first_shifted));
-    if (cfg.arrangement == ArrangementMix::kAlternating)
-      archs.push_back(cfg.parity ? layout::Architecture::mirror_with_parity(
-                                       cfg.n, false)
-                                 : layout::Architecture::mirror(cfg.n, false));
-    return archs;
+  std::string layouts = cfg.layout;
+  if (layouts.empty()) {
+    switch (cfg.arrangement) {
+      case ArrangementMix::kShifted: layouts = "shifted"; break;
+      case ArrangementMix::kTraditional: layouts = "traditional"; break;
+      case ArrangementMix::kAlternating: layouts = "shifted,traditional"; break;
+    }
   }
-  std::string_view rest = cfg.layout;
+  std::vector<layout::Architecture> archs;
+  std::string_view rest = layouts;
   while (true) {
     const std::size_t comma = rest.find(',');
     const std::string spec(rest.substr(0, comma));
     if (spec.empty())
       return invalid_argument("fleet layout list has an empty entry: '" +
-                              cfg.layout + "'");
+                              layouts + "'");
     auto arch = cfg.parity
                     ? layout::Architecture::mirror_with_parity_named(cfg.n, spec)
                     : layout::Architecture::mirror_named(cfg.n, spec);
@@ -315,14 +292,8 @@ Result<FleetReport> run_fleet(const FleetConfig& cfg) {
   if (cfg.run_timeline) {
     // The timeline models one shared architecture; a mixed fleet uses
     // the first cycle entry (its repair_hours already reflect the mixed
-    // mean). The pre-registry enum path keeps its historical choice of
-    // a plain shifted mirror for non-traditional mixes.
-    auto tl = run_failure_timeline(
-        !cfg.layout.empty() ? archs[0]
-        : cfg.arrangement == ArrangementMix::kTraditional
-            ? arch_of(1)
-            : layout::Architecture::mirror(cfg.n, true),
-        tc);
+    // mean).
+    auto tl = run_failure_timeline(archs[0], tc);
     if (!tl.is_ok()) return tl.status();
     report.timeline = std::move(tl).take();
   }

@@ -37,18 +37,16 @@
 
 namespace sma::fleet {
 
-/// Which element arrangement the fleet's arrays use. kAlternating
-/// builds a mixed fleet (even arrays shifted, odd traditional).
-/// Deprecated spelling kept one release: FleetConfig::layout accepts
-/// any registry spec list and supersedes this enum.
+/// Which element arrangement the fleet's arrays use: shorthand for the
+/// `layout` spec lists "shifted", "traditional" and
+/// "shifted,traditional" (kAlternating: even arrays shifted, odd
+/// traditional). FleetConfig::layout accepts any registry spec list
+/// and supersedes this enum.
 enum class ArrangementMix : std::uint8_t {
   kShifted,
   kTraditional,
   kAlternating,
 };
-
-const char* to_string(ArrangementMix mix);
-Result<ArrangementMix> arrangement_mix_from(std::string_view name);
 
 struct FleetConfig {
   /// Arrays in the pool.

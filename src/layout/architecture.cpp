@@ -4,57 +4,30 @@
 #include <utility>
 
 #include "ec/prime.hpp"
-#include "layout/registry.hpp"
 
 namespace sma::layout {
 
 Architecture Architecture::mirror(int n, bool shifted) {
-  assert(n >= 1);
-  Architecture a;
-  a.kind_ = shifted ? ArchKind::kMirrorShifted : ArchKind::kMirrorTraditional;
-  a.n_ = n;
-  a.rows_ = n;
-  a.total_disks_ = 2 * n;
-  a.layout_spec_ = shifted ? "shifted" : "traditional";
-  if (shifted)
-    a.arrangement_ = std::make_shared<ShiftedArrangement>(n);
-  else
-    a.arrangement_ = std::make_shared<TraditionalArrangement>(n);
-  return a;
+  return mirror_named(n, shifted ? "shifted" : "traditional").take();
 }
 
 Architecture Architecture::mirror_with_parity(int n, bool shifted) {
-  Architecture a = mirror(n, shifted);
-  a.kind_ = shifted ? ArchKind::kMirrorParityShifted
-                    : ArchKind::kMirrorParityTraditional;
-  a.total_disks_ = 2 * n + 1;
-  return a;
+  return mirror_with_parity_named(n, shifted ? "shifted" : "traditional")
+      .take();
 }
 
 Result<Architecture> Architecture::mirror_named(int n,
                                                 const std::string& layout) {
   if (n < 1) return invalid_argument("mirror architecture needs n >= 1");
-  const auto& registry = AlgorithmRegistry::global();
-  auto spec = parse_layout_spec(layout);
-  if (!spec.is_ok()) return spec.status();
-  auto canonical = registry.canonical(spec.value().name);
-  if (!canonical.is_ok()) return canonical.status();
-  // The classic kinds keep their direct-class arrangements so every
-  // pre-registry name and result stays bit-identical.
-  if (spec.value().params.empty()) {
-    if (canonical.value() == "traditional") return mirror(n, false);
-    if (canonical.value() == "shifted") return mirror(n, true);
-  }
-  auto arr = registry.make(spec.value(), n);
+  auto arr = AlgorithmRegistry::global().make(layout, n);
   if (!arr.is_ok()) return arr.status();
   Architecture a;
-  a.kind_ = ArchKind::kMirrorCustom;
+  a.kind_ = ArchKind::kMirror;
   a.n_ = n;
   a.rows_ = n;
   a.total_disks_ = 2 * n;
   a.layout_spec_ = layout;
-  a.arrangement_ = std::shared_ptr<const MirrorArrangement>(
-      std::move(arr).take());
+  a.arrangement_ = std::move(arr).take();
   return a;
 }
 
@@ -63,19 +36,11 @@ Result<Architecture> Architecture::mirror_with_parity_named(
   auto base = mirror_named(n, layout);
   if (!base.is_ok()) return base.status();
   Architecture a = std::move(base).take();
-  if (a.kind_ == ArchKind::kMirrorCustom) {
-    const auto* reg =
-        dynamic_cast<const RegistryArrangement*>(a.arrangement_.get());
-    if (reg != nullptr && !reg->descriptor().supports_second_failure)
-      return failed_precondition("layout '" + a.arrangement_->name() +
-                                 "' does not support the second-failure "
-                                 "(mirror + parity) machinery");
-    a.kind_ = ArchKind::kMirrorParityCustom;
-  } else {
-    a.kind_ = a.kind_ == ArchKind::kMirrorShifted
-                  ? ArchKind::kMirrorParityShifted
-                  : ArchKind::kMirrorParityTraditional;
-  }
+  if (!a.arrangement_->descriptor().supports_second_failure)
+    return failed_precondition("layout '" + a.arrangement_->name() +
+                               "' does not support the second-failure "
+                               "(mirror + parity) machinery");
+  a.kind_ = ArchKind::kMirrorParity;
   a.total_disks_ = 2 * n + 1;
   return a;
 }
@@ -105,19 +70,7 @@ Architecture Architecture::raid6(int n) {
 }
 
 int Architecture::fault_tolerance() const {
-  switch (kind_) {
-    case ArchKind::kMirrorTraditional:
-    case ArchKind::kMirrorShifted:
-    case ArchKind::kMirrorCustom:
-    case ArchKind::kRaid5:
-      return 1;
-    case ArchKind::kMirrorParityTraditional:
-    case ArchKind::kMirrorParityShifted:
-    case ArchKind::kMirrorParityCustom:
-    case ArchKind::kRaid6:
-      return 2;
-  }
-  return 0;
+  return kind_ == ArchKind::kMirrorParity || kind_ == ArchKind::kRaid6 ? 2 : 1;
 }
 
 double Architecture::storage_efficiency() const {
@@ -126,46 +79,26 @@ double Architecture::storage_efficiency() const {
 }
 
 bool Architecture::is_mirror() const {
-  return kind_ != ArchKind::kRaid5 && kind_ != ArchKind::kRaid6;
+  return kind_ == ArchKind::kMirror || kind_ == ArchKind::kMirrorParity;
 }
 
-bool Architecture::is_shifted() const {
-  return kind_ == ArchKind::kMirrorShifted ||
-         kind_ == ArchKind::kMirrorParityShifted;
-}
-
-bool Architecture::has_parity() const {
-  return kind_ == ArchKind::kMirrorParityTraditional ||
-         kind_ == ArchKind::kMirrorParityShifted ||
-         kind_ == ArchKind::kMirrorParityCustom ||
-         kind_ == ArchKind::kRaid5 || kind_ == ArchKind::kRaid6;
-}
+bool Architecture::has_parity() const { return kind_ != ArchKind::kMirror; }
 
 int Architecture::parity_disks() const {
   switch (kind_) {
-    case ArchKind::kMirrorTraditional:
-    case ArchKind::kMirrorShifted:
-    case ArchKind::kMirrorCustom:
-      return 0;
-    case ArchKind::kMirrorParityTraditional:
-    case ArchKind::kMirrorParityShifted:
-    case ArchKind::kMirrorParityCustom:
-    case ArchKind::kRaid5:
-      return 1;
-    case ArchKind::kRaid6:
-      return 2;
+    case ArchKind::kMirror: return 0;
+    case ArchKind::kMirrorParity:
+    case ArchKind::kRaid5: return 1;
+    case ArchKind::kRaid6: return 2;
   }
   return 0;
 }
 
 std::string Architecture::name() const {
   switch (kind_) {
-    case ArchKind::kMirrorTraditional: return "mirror-traditional";
-    case ArchKind::kMirrorShifted: return "mirror-shifted";
-    case ArchKind::kMirrorParityTraditional: return "mirror-parity-traditional";
-    case ArchKind::kMirrorParityShifted: return "mirror-parity-shifted";
-    case ArchKind::kMirrorCustom: return "mirror-" + arrangement_->name();
-    case ArchKind::kMirrorParityCustom:
+    case ArchKind::kMirror:
+      return "mirror-" + arrangement_->name();
+    case ArchKind::kMirrorParity:
       return "mirror-parity-" + arrangement_->name();
     case ArchKind::kRaid5: return "raid5";
     case ArchKind::kRaid6: return "raid6-shortened";

@@ -14,21 +14,16 @@
 #include <memory>
 #include <string>
 
-#include "layout/arrangement.hpp"
+#include "layout/registry.hpp"
 
 namespace sma::layout {
 
+/// Disk population of one stripe. A mirror kind's element placement is
+/// its layout-registry arrangement; the kind itself only says whether
+/// the parity disk is present.
 enum class ArchKind {
-  kMirrorTraditional,
-  kMirrorShifted,
-  kMirrorParityTraditional,
-  kMirrorParityShifted,
-  // Mirror organization whose arrangement came from the layout registry
-  // and is neither traditional nor shifted (lrc, pyramid, zigzag,
-  // iterated:k, ...). Same disk population and planner behaviour as the
-  // classic mirror kinds; only the element placement differs.
-  kMirrorCustom,
-  kMirrorParityCustom,
+  kMirror,
+  kMirrorParity,
   kRaid5,
   kRaid6,
 };
@@ -37,7 +32,8 @@ enum class DiskRole { kData, kMirror, kParity };
 
 class Architecture {
  public:
-  /// RAID-1 style: n data disks + n mirror disks, n rows per stripe.
+  /// RAID-1 style: n data disks + n mirror disks, n rows per stripe,
+  /// with the "shifted" or "traditional" registry layout.
   static Architecture mirror(int n, bool shifted);
 
   /// Fault-tolerance-2 variant: adds one parity disk with
@@ -45,10 +41,7 @@ class Architecture {
   static Architecture mirror_with_parity(int n, bool shifted);
 
   /// Mirror built from a layout-registry spec ("shifted", "lrc:groups=2",
-  /// "iterated:3", ...). Resolves through AlgorithmRegistry::global();
-  /// traditional/shifted specs collapse to the classic kinds (so names
-  /// and downstream results stay bit-identical), anything else becomes
-  /// ArchKind::kMirrorCustom.
+  /// "iterated:3", ...). Resolves through AlgorithmRegistry::global().
   static Result<Architecture> mirror_named(int n, const std::string& layout);
 
   /// Parity-protected variant of mirror_named. Refuses layouts whose
@@ -71,17 +64,15 @@ class Architecture {
   std::string name() const;
 
   bool is_mirror() const;
-  bool is_shifted() const;
   bool has_parity() const;
   int parity_disks() const;
 
-  /// Registry spec that (re)builds this architecture's arrangement —
-  /// "traditional"/"shifted" for the classic kinds, the originating
-  /// spec for custom ones. Empty for RAID-5/6.
+  /// Registry spec that (re)builds this architecture's arrangement.
+  /// Empty for RAID-5/6.
   const std::string& layout_spec() const { return layout_spec_; }
 
   /// Arrangement of the mirror array; nullptr for RAID-5/6.
-  const MirrorArrangement* arrangement() const { return arrangement_.get(); }
+  const RegistryArrangement* arrangement() const { return arrangement_.get(); }
 
   // --- global disk index helpers -------------------------------------
   int data_disk(int i) const;
@@ -101,12 +92,12 @@ class Architecture {
  private:
   Architecture() = default;
 
-  ArchKind kind_ = ArchKind::kMirrorTraditional;
+  ArchKind kind_ = ArchKind::kMirror;
   int n_ = 0;
   int rows_ = 0;
   int total_disks_ = 0;
   std::string layout_spec_;
-  std::shared_ptr<const MirrorArrangement> arrangement_;
+  std::shared_ptr<const RegistryArrangement> arrangement_;
 };
 
 }  // namespace sma::layout

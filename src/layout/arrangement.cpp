@@ -52,34 +52,6 @@ bool MirrorArrangement::is_bijection() const {
   return true;
 }
 
-TraditionalArrangement::TraditionalArrangement(int n) : n_(n) {
-  assert(n >= 1);
-}
-
-Pos TraditionalArrangement::mirror_of(int data_disk, int data_row) const {
-  assert(data_disk >= 0 && data_disk < n_ && data_row >= 0 && data_row < n_);
-  return {data_disk, data_row};
-}
-
-Pos TraditionalArrangement::data_of(int mirror_disk, int mirror_row) const {
-  return {mirror_disk, mirror_row};
-}
-
-ShiftedArrangement::ShiftedArrangement(int n) : n_(n) { assert(n >= 1); }
-
-Pos ShiftedArrangement::mirror_of(int data_disk, int data_row) const {
-  assert(data_disk >= 0 && data_disk < n_ && data_row >= 0 && data_row < n_);
-  // a(i, j) -> b(<i+j>_n, i)
-  return {mod(data_disk + data_row, n_), data_disk};
-}
-
-Pos ShiftedArrangement::data_of(int mirror_disk, int mirror_row) const {
-  assert(mirror_disk >= 0 && mirror_disk < n_ && mirror_row >= 0 &&
-         mirror_row < n_);
-  // b(i, j) = a(j, <i-j>_n)
-  return {mirror_row, mod(mirror_disk - mirror_row, n_)};
-}
-
 TableArrangement::TableArrangement(std::string name,
                                    std::vector<std::vector<Pos>> table)
     : name_(std::move(name)), table_(std::move(table)) {
@@ -132,7 +104,12 @@ ArrangementPtr apply_shift_transform(const MirrorArrangement& prev) {
 
 ArrangementPtr make_iterated(int n, int iterations) {
   assert(iterations >= 0);
-  ArrangementPtr current = std::make_unique<TraditionalArrangement>(n);
+  std::vector<std::vector<Pos>> identity(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j)
+      identity[static_cast<std::size_t>(i)].push_back({i, j});
+  ArrangementPtr current =
+      std::make_unique<TableArrangement>("identity", std::move(identity));
   for (int step = 0; step < iterations; ++step)
     current = apply_shift_transform(*current);
   // Give the composite a concise name.
@@ -149,7 +126,9 @@ ArrangementPtr make_iterated(int n, int iterations) {
 
 Result<ArrangementPtr> make_arrangement(const std::string& kind, int n) {
   if (n < 1) return invalid_argument("arrangement needs n >= 1");
-  return AlgorithmRegistry::global().make(kind, n);
+  auto arr = AlgorithmRegistry::global().make(kind, n);
+  if (!arr.is_ok()) return arr.status();
+  return ArrangementPtr(std::move(arr).take());
 }
 
 namespace {

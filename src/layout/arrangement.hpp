@@ -9,7 +9,9 @@
 // i.e. data-disk columns become mirror rows, each loop-shifted by its
 // data-disk index (paper Section IV-A). The traditional mirror is the
 // identity map. Iterating the paper's transformation function (Section
-// VI-E, Fig. 8) yields a family of further arrangements.
+// VI-E, Fig. 8) yields a family of further arrangements. Every concrete
+// arrangement, the paper's two included, is a layout-registry
+// descriptor (layout/registry.hpp).
 #pragma once
 
 #include <memory>
@@ -56,35 +58,10 @@ class MirrorArrangement {
 
 using ArrangementPtr = std::unique_ptr<MirrorArrangement>;
 
-/// RAID-1 identity arrangement: b(i, j) = a(i, j).
-class TraditionalArrangement final : public MirrorArrangement {
- public:
-  explicit TraditionalArrangement(int n);
-  std::string name() const override { return "traditional"; }
-  int n() const override { return n_; }
-  Pos mirror_of(int data_disk, int data_row) const override;
-  Pos data_of(int mirror_disk, int mirror_row) const override;
-
- private:
-  int n_;
-};
-
-/// The paper's shifted arrangement: b(<i+j>_n, i) = a(i, j).
-class ShiftedArrangement final : public MirrorArrangement {
- public:
-  explicit ShiftedArrangement(int n);
-  std::string name() const override { return "shifted"; }
-  int n() const override { return n_; }
-  Pos mirror_of(int data_disk, int data_row) const override;
-  Pos data_of(int mirror_disk, int mirror_row) const override;
-
- private:
-  int n_;
-};
-
 /// Arrangement given by an explicit n x n table (mirror position per
-/// data element); used for the iterated transformation family and for
-/// experimenting with custom layouts.
+/// data element); the table-backed reference for the iterated
+/// transformation family and a base for experimenting with custom
+/// layouts.
 class TableArrangement final : public MirrorArrangement {
  public:
   /// table[i][j] = mirror position of a(i, j); must be a bijection.

@@ -322,12 +322,6 @@ AlgorithmRegistry& AlgorithmRegistry::global() {
       };
       (void)r->add(std::move(d));
     }
-
-    // Pre-registry spellings, kept one release (ArchKind-derived names
-    // and the identity's common alias).
-    (void)r->add_alias("mirror-traditional", "traditional");
-    (void)r->add_alias("mirror-shifted", "shifted");
-    (void)r->add_alias("identity", "traditional");
     return r;
   }();
   return *registry;
@@ -384,15 +378,15 @@ Result<std::string> AlgorithmRegistry::canonical(std::string_view name) const {
 
 std::vector<std::string> AlgorithmRegistry::names() const { return order_; }
 
-Result<ArrangementPtr> AlgorithmRegistry::make(std::string_view spec,
-                                               int n) const {
+Result<RegistryArrangementPtr> AlgorithmRegistry::make(std::string_view spec,
+                                                       int n) const {
   auto parsed = parse_layout_spec(spec);
   if (!parsed.is_ok()) return parsed.status();
   return make(parsed.value(), n);
 }
 
-Result<ArrangementPtr> AlgorithmRegistry::make(const LayoutSpec& spec,
-                                               int n) const {
+Result<RegistryArrangementPtr> AlgorithmRegistry::make(const LayoutSpec& spec,
+                                                       int n) const {
   auto found = find(spec.name);
   if (!found.is_ok()) return found.status();
   const LayoutDescriptor* desc = found.value();
@@ -429,7 +423,7 @@ Result<ArrangementPtr> AlgorithmRegistry::make(const LayoutSpec& spec,
     return failed_precondition("layout '" + arr->name() +
                                "' is not a bijection at n = " +
                                std::to_string(n));
-  return ArrangementPtr(std::move(arr));
+  return arr;
 }
 
 std::vector<Pos> rebuild_reads(const RegistryArrangement& arr,

@@ -18,14 +18,13 @@
 //     data disk — layouts with rebuild locality, like LRC, enumerate
 //     it without scanning the map).
 //
-// Built-in descriptors: the four pre-registry arrangements
-// (traditional, shifted, table-backed iterated, and the iterated
-// transformation family in closed form) plus three exotic layouts from
-// the related-work line-up — an LRC-style local-group layout, a
-// pyramid/RAID-7-style two-level layout, and a zigzag rebuild-optimal
-// layout ("On Codes for Optimal Rebuilding Access"). Adding a layout
-// is <50 LoC: write the map (and ideally its inverse), register a
-// descriptor — see docs/LAYOUTS.md.
+// Built-in descriptors: the paper's two arrangements (traditional and
+// shifted), the iterated transformation family in closed form, plus
+// three exotic layouts from the related-work line-up — an LRC-style
+// local-group layout, a pyramid/RAID-7-style two-level layout, and a
+// zigzag rebuild-optimal layout ("On Codes for Optimal Rebuilding
+// Access"). Adding a layout is <50 LoC: write the map (and ideally its
+// inverse), register a descriptor — see docs/LAYOUTS.md.
 #pragma once
 
 #include <functional>
@@ -131,10 +130,12 @@ class RegistryArrangement final : public MirrorArrangement {
   std::string display_;
 };
 
+using RegistryArrangementPtr = std::unique_ptr<RegistryArrangement>;
+
 class AlgorithmRegistry {
  public:
-  /// The process-wide registry, populated with the built-in layouts
-  /// (and their pre-registry alias spellings) on first use.
+  /// The process-wide registry, populated with the built-in layouts on
+  /// first use.
   static AlgorithmRegistry& global();
 
   /// Empty registry for tests and experiments.
@@ -144,8 +145,7 @@ class AlgorithmRegistry {
   /// kInvalidArgument when the descriptor is malformed (empty name, no
   /// map).
   Status add(LayoutDescriptor desc);
-  /// Alternative spelling for an existing layout ("mirror-shifted" ->
-  /// "shifted" — the pre-registry enum names, kept one release).
+  /// Alternative spelling for an existing layout.
   Status add_alias(const std::string& alias, const std::string& target);
 
   /// Descriptor by name or alias; kNotFound with the known names when
@@ -158,9 +158,9 @@ class AlgorithmRegistry {
 
   /// Resolve a spec ("lrc:groups=2"), run the configure hook, check the
   /// map is a bijection of the n x n grid, and build the arrangement.
-  Result<ArrangementPtr> make(std::string_view spec, int n) const;
+  Result<RegistryArrangementPtr> make(std::string_view spec, int n) const;
   /// Same, from an already-parsed spec.
-  Result<ArrangementPtr> make(const LayoutSpec& spec, int n) const;
+  Result<RegistryArrangementPtr> make(const LayoutSpec& spec, int n) const;
 
  private:
   std::vector<std::string> order_;                 // canonical names

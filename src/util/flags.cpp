@@ -1,6 +1,5 @@
 #include "util/flags.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 
 namespace sma {
@@ -39,16 +38,19 @@ void Flags::parse(const std::vector<std::string>& args) {
 }
 
 bool Flags::has(const std::string& name) const {
+  read_.insert(name);
   return values_.count(name) > 0;
 }
 
 std::string Flags::get(const std::string& name,
                        const std::string& fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : it->second;
 }
 
 int Flags::get_int(const std::string& name, int fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
@@ -61,6 +63,7 @@ int Flags::get_int(const std::string& name, int fallback) const {
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
@@ -73,6 +76,7 @@ double Flags::get_double(const std::string& name, double fallback) const {
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const std::string& v = it->second;
@@ -83,6 +87,7 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
 }
 
 std::vector<int> Flags::get_int_list(const std::string& name) const {
+  read_.insert(name);
   std::vector<int> out;
   const auto it = values_.find(name);
   if (it == values_.end()) return out;
@@ -105,13 +110,11 @@ std::vector<int> Flags::get_int_list(const std::string& name) const {
   return out;
 }
 
-std::vector<std::string> Flags::unknown(
-    const std::vector<std::string>& allowed) const {
+std::vector<std::string> Flags::unread() const {
   std::vector<std::string> out;
   for (const auto& [name, value] : values_) {
     (void)value;
-    if (std::find(allowed.begin(), allowed.end(), name) == allowed.end())
-      out.push_back(name);
+    if (read_.count(name) == 0) out.push_back(name);
   }
   return out;
 }

@@ -1,11 +1,13 @@
 // Minimal command-line flag parsing for the tools/ binaries.
 //
 // Supports --name=value, --name value, bare boolean --name, and
-// positional arguments. Unknown-flag detection is the caller's choice
-// via known().
+// positional arguments. Every has()/get*() call records the name it
+// asked for, so after a command ran, unread() lists the flags it never
+// looked at (typos, or spellings the command does not take).
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -34,8 +36,9 @@ class Flags {
   /// Comma-separated integer list ("0,6,12").
   std::vector<int> get_int_list(const std::string& name) const;
 
-  /// Flags present on the command line that are not in `allowed`.
-  std::vector<std::string> unknown(const std::vector<std::string>& allowed) const;
+  /// Flags present on the command line that no has()/get*() call has
+  /// asked for so far, in name order.
+  std::vector<std::string> unread() const;
 
   /// Malformed values seen by the typed getters so far.
   const std::vector<std::string>& errors() const { return errors_; }
@@ -47,6 +50,7 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
   mutable std::vector<std::string> errors_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace sma

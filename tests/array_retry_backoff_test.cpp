@@ -73,7 +73,7 @@ TEST(RetryBackoff, BackoffPushesTheRetryPastTheEpisode) {
   cfg.fault.transient_from_s = 0.0;
   cfg.fault.transient_until_s = 2.5 * service;
   cfg.fault.seed = 3;
-  cfg.retry_backoff_s = 2.5 * service;  // first retry waits out the episode
+  cfg.retry_backoff_base_s = 2.5 * service;  // first retry outlasts it
   DiskArray arr(cfg);
   arr.initialize();
   const Op read{0, 0, 0, disk::IoKind::kRead};
@@ -93,13 +93,12 @@ TEST(RetryBackoff, BackoffPushesTheRetryPastTheEpisode) {
 // shrunk by the deterministic jitter factor when configured.
 
 BatchStats run_backoff(double base, double cap, double jitter,
-                       double alias = 0.0, std::uint64_t seed = 7) {
+                       std::uint64_t seed = 7) {
   auto cfg = base_cfg();
   cfg.seed = seed;
   cfg.fault_overrides[0].transient_write_error_p = 1.0;
   cfg.io_max_retries = 3;
   cfg.retry_backoff_base_s = base;
-  cfg.retry_backoff_s = alias;
   cfg.retry_backoff_cap_s = cap;
   cfg.retry_backoff_jitter = jitter;
   DiskArray arr(cfg);
@@ -135,17 +134,8 @@ TEST(RetryBackoff, JitterIsBoundedAndSeedDeterministic) {
   const auto replay = run_backoff(0.5, 0.0, 0.5);
   EXPECT_DOUBLE_EQ(jittered.end_s, replay.end_s);
   // A different seed draws a different jitter factor.
-  const auto other = run_backoff(0.5, 0.0, 0.5, 0.0, 8);
+  const auto other = run_backoff(0.5, 0.0, 0.5, 8);
   EXPECT_NE(jittered.end_s, other.end_s);
-}
-
-TEST(RetryBackoff, DeprecatedAliasSuppliesTheBase) {
-  const auto via_base = run_backoff(0.5, 0.0, 0.0);
-  const auto via_alias = run_backoff(0.0, 0.0, 0.0, 0.5);
-  EXPECT_DOUBLE_EQ(via_alias.end_s, via_base.end_s);
-  // When both are set the new field wins.
-  const auto both = run_backoff(0.5, 0.0, 0.0, 123.0);
-  EXPECT_DOUBLE_EQ(both.end_s, via_base.end_s);
 }
 
 TEST(RetryBackoff, MaxRetryDepthReportsTheWorstOpInTheBatch) {

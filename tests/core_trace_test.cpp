@@ -13,7 +13,7 @@ core::MirroredVolume make_volume() {
   core::VolumeConfig cfg;
   cfg.n = 3;
   cfg.with_parity = true;
-  cfg.shifted = true;
+  cfg.arrangement = "shifted";
   cfg.content_bytes = 64;
   auto vol = core::MirroredVolume::create(cfg);
   EXPECT_TRUE(vol.is_ok());

@@ -12,7 +12,7 @@ MirroredVolume make_volume(int n, bool parity) {
   VolumeConfig cfg;
   cfg.n = n;
   cfg.with_parity = parity;
-  cfg.shifted = true;
+  cfg.arrangement = "shifted";
   cfg.content_bytes = 64;
   cfg.seed = 21;
   auto vol = MirroredVolume::create(cfg);

@@ -11,7 +11,7 @@ VolumeConfig small(int n, bool parity, bool shifted) {
   VolumeConfig cfg;
   cfg.n = n;
   cfg.with_parity = parity;
-  cfg.shifted = shifted;
+  cfg.arrangement = shifted ? "shifted" : "traditional";
   cfg.content_bytes = 64;
   cfg.seed = 9;
   return cfg;

@@ -128,15 +128,33 @@ TEST(FleetReport, RejectsBadConfigs) {
   EXPECT_EQ(run_fleet(cfg).status().code(), ErrorCode::kInvalidArgument);
 }
 
-TEST(FleetReport, ArrangementMixNamesRoundTrip) {
-  for (const auto m :
-       {ArrangementMix::kShifted, ArrangementMix::kTraditional,
-        ArrangementMix::kAlternating}) {
-    const auto back = arrangement_mix_from(to_string(m));
-    ASSERT_TRUE(back.is_ok());
-    EXPECT_EQ(back.value(), m);
+TEST(FleetReport, ArrangementMixMatchesItsLayoutSpecs) {
+  // The enum mix is shorthand for a layout spec list: both spellings
+  // build the same architectures — parity included, down to the
+  // failure timeline — so every report digest agrees.
+  const struct {
+    ArrangementMix mix;
+    const char* layout;
+  } cases[] = {{ArrangementMix::kShifted, "shifted"},
+               {ArrangementMix::kTraditional, "traditional"},
+               {ArrangementMix::kAlternating, "shifted,traditional"}};
+  for (const bool parity : {false, true}) {
+    for (const auto& c : cases) {
+      FleetConfig by_enum = small_fleet();
+      by_enum.parity = parity;
+      by_enum.arrangement = c.mix;
+      FleetConfig by_spec = small_fleet();
+      by_spec.parity = parity;
+      by_spec.layout = c.layout;
+      const auto a = run_fleet(by_enum);
+      const auto b = run_fleet(by_spec);
+      ASSERT_TRUE(a.is_ok() && b.is_ok()) << c.layout;
+      EXPECT_EQ(a.value().digest, b.value().digest)
+          << c.layout << " parity=" << parity;
+      EXPECT_EQ(a.value().timeline.digest, b.value().timeline.digest)
+          << c.layout << " parity=" << parity;
+    }
   }
-  EXPECT_FALSE(arrangement_mix_from("striped").is_ok());
 }
 
 // The fleet layer leans on two online-simulator behaviors added for it:

@@ -29,7 +29,7 @@ TEST_P(VolumeFuzz, RandomOpsMatchShadowModel) {
   VolumeConfig cfg;
   cfg.n = p.n;
   cfg.with_parity = p.parity;
-  cfg.shifted = p.shifted;
+  cfg.arrangement = p.shifted ? "shifted" : "traditional";
   cfg.content_bytes = 32;
   cfg.seed = p.seed;
   auto volr = MirroredVolume::create(cfg);
@@ -128,7 +128,7 @@ TEST_P(DegradedFuzz, DegradedOpsThenRebuildMatchShadow) {
   VolumeConfig cfg;
   cfg.n = p.n;
   cfg.with_parity = p.parity;
-  cfg.shifted = p.shifted;
+  cfg.arrangement = p.shifted ? "shifted" : "traditional";
   cfg.content_bytes = 32;
   cfg.seed = p.seed;
   auto vol = MirroredVolume::create(cfg).take();

@@ -82,7 +82,7 @@ TEST(Integration, WriteThenFailThenRebuild) {
   core::VolumeConfig vc;
   vc.n = 4;
   vc.with_parity = true;
-  vc.shifted = true;
+  vc.arrangement = "shifted";
   vc.content_bytes = 64;
   auto volr = core::MirroredVolume::create(vc);
   ASSERT_TRUE(volr.is_ok());

@@ -7,14 +7,13 @@ namespace {
 
 TEST(Architecture, MirrorShape) {
   const auto a = Architecture::mirror(5, /*shifted=*/true);
-  EXPECT_EQ(a.kind(), ArchKind::kMirrorShifted);
+  EXPECT_EQ(a.kind(), ArchKind::kMirror);
   EXPECT_EQ(a.n(), 5);
   EXPECT_EQ(a.rows(), 5);
   EXPECT_EQ(a.total_disks(), 10);
   EXPECT_EQ(a.fault_tolerance(), 1);
   EXPECT_EQ(a.parity_disks(), 0);
   EXPECT_TRUE(a.is_mirror());
-  EXPECT_TRUE(a.is_shifted());
   EXPECT_FALSE(a.has_parity());
   EXPECT_DOUBLE_EQ(a.storage_efficiency(), 0.5);
   ASSERT_NE(a.arrangement(), nullptr);
@@ -23,15 +22,14 @@ TEST(Architecture, MirrorShape) {
 
 TEST(Architecture, MirrorTraditionalUsesIdentityArrangement) {
   const auto a = Architecture::mirror(3, /*shifted=*/false);
-  EXPECT_EQ(a.kind(), ArchKind::kMirrorTraditional);
-  EXPECT_FALSE(a.is_shifted());
+  EXPECT_EQ(a.kind(), ArchKind::kMirror);
   EXPECT_EQ(a.arrangement()->name(), "traditional");
   EXPECT_EQ(a.replica_of(1, 2), (Pos{a.mirror_disk(1), 2}));
 }
 
 TEST(Architecture, MirrorWithParityShape) {
   const auto a = Architecture::mirror_with_parity(4, true);
-  EXPECT_EQ(a.kind(), ArchKind::kMirrorParityShifted);
+  EXPECT_EQ(a.kind(), ArchKind::kMirrorParity);
   EXPECT_EQ(a.total_disks(), 9);
   EXPECT_EQ(a.fault_tolerance(), 2);
   EXPECT_EQ(a.parity_disks(), 1);

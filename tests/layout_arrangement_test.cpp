@@ -5,23 +5,28 @@
 namespace sma::layout {
 namespace {
 
+/// The registry's arrangement for `spec` at order n.
+ArrangementPtr layout_of(const std::string& spec, int n) {
+  return make_arrangement(spec, n).take();
+}
+
 TEST(Traditional, IsIdentity) {
-  TraditionalArrangement arr(4);
+  const auto arr = layout_of("traditional", 4);
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 4; ++j) {
-      EXPECT_EQ(arr.mirror_of(i, j), (Pos{i, j}));
-      EXPECT_EQ(arr.data_of(i, j), (Pos{i, j}));
+      EXPECT_EQ(arr->mirror_of(i, j), (Pos{i, j}));
+      EXPECT_EQ(arr->data_of(i, j), (Pos{i, j}));
     }
-  EXPECT_TRUE(arr.is_bijection());
+  EXPECT_TRUE(arr->is_bijection());
 }
 
 TEST(Shifted, MatchesPaperFormula) {
   // a(i, j) = b(<i+j>_n, i)  (paper Section IV-A)
   for (int n : {1, 2, 3, 5, 8}) {
-    ShiftedArrangement arr(n);
+    const auto arr = layout_of("shifted", n);
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < n; ++j)
-        EXPECT_EQ(arr.mirror_of(i, j), (Pos{(i + j) % n, i}))
+        EXPECT_EQ(arr->mirror_of(i, j), (Pos{(i + j) % n, i}))
             << "n=" << n << " i=" << i << " j=" << j;
   }
 }
@@ -29,74 +34,73 @@ TEST(Shifted, MatchesPaperFormula) {
 TEST(Shifted, InverseMatchesPaperFormula) {
   // b(i, j) = a(j, <i-j>_n)
   for (int n : {2, 3, 5, 7}) {
-    ShiftedArrangement arr(n);
+    const auto arr = layout_of("shifted", n);
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < n; ++j)
-        EXPECT_EQ(arr.data_of(i, j), (Pos{j, ((i - j) % n + n) % n}));
+        EXPECT_EQ(arr->data_of(i, j), (Pos{j, ((i - j) % n + n) % n}));
   }
 }
 
 TEST(Shifted, MirrorAndDataAreInverse) {
-  ShiftedArrangement arr(6);
+  const auto arr = layout_of("shifted", 6);
   for (int i = 0; i < 6; ++i)
     for (int j = 0; j < 6; ++j) {
-      const Pos p = arr.mirror_of(i, j);
-      EXPECT_EQ(arr.data_of(p.disk, p.row), (Pos{i, j}));
+      const Pos p = arr->mirror_of(i, j);
+      EXPECT_EQ(arr->data_of(p.disk, p.row), (Pos{i, j}));
     }
 }
 
 TEST(Shifted, IsBijection) {
   for (int n = 1; n <= 10; ++n)
-    EXPECT_TRUE(ShiftedArrangement(n).is_bijection()) << n;
+    EXPECT_TRUE(layout_of("shifted", n)->is_bijection()) << n;
 }
 
 TEST(Shifted, Figure3Example) {
   // Paper Fig. 3 with n = 3, elements labeled 1..9 row-major: data disk
   // 0 holds {1, 4, 7}. Their replicas land on mirror disks 0, 1, 2
   // respectively, all in mirror row 0.
-  ShiftedArrangement arr(3);
-  EXPECT_EQ(arr.mirror_of(0, 0), (Pos{0, 0}));  // element 1
-  EXPECT_EQ(arr.mirror_of(0, 1), (Pos{1, 0}));  // element 4
-  EXPECT_EQ(arr.mirror_of(0, 2), (Pos{2, 0}));  // element 7
+  const auto arr = layout_of("shifted", 3);
+  EXPECT_EQ(arr->mirror_of(0, 0), (Pos{0, 0}));  // element 1
+  EXPECT_EQ(arr->mirror_of(0, 1), (Pos{1, 0}));  // element 4
+  EXPECT_EQ(arr->mirror_of(0, 2), (Pos{2, 0}));  // element 7
   // Data disk 1 = {2, 5, 8} -> mirror disks 1, 2, 0, mirror row 1.
-  EXPECT_EQ(arr.mirror_of(1, 0), (Pos{1, 1}));
-  EXPECT_EQ(arr.mirror_of(1, 1), (Pos{2, 1}));
-  EXPECT_EQ(arr.mirror_of(1, 2), (Pos{0, 1}));
+  EXPECT_EQ(arr->mirror_of(1, 0), (Pos{1, 1}));
+  EXPECT_EQ(arr->mirror_of(1, 1), (Pos{2, 1}));
+  EXPECT_EQ(arr->mirror_of(1, 2), (Pos{0, 1}));
 }
 
 TEST(Shifted, FirstRowOnMainDiagonal) {
   // Paper Fig. 5: the first element of each data disk (row 0) lands on
   // the main diagonal of the mirror array: b(i, i) = a(i, 0).
   for (int n : {3, 4, 7}) {
-    ShiftedArrangement arr(n);
-    for (int i = 0; i < n; ++i) EXPECT_EQ(arr.mirror_of(i, 0), (Pos{i, i}));
+    const auto arr = layout_of("shifted", n);
+    for (int i = 0; i < n; ++i) EXPECT_EQ(arr->mirror_of(i, 0), (Pos{i, i}));
   }
 }
 
 TEST(TableArrangement, RoundTripsExplicitTable) {
   // Hand-build the shifted table for n=3 and check equivalence.
-  ShiftedArrangement shifted(3);
+  const auto shifted = layout_of("shifted", 3);
   std::vector<std::vector<Pos>> table(3, std::vector<Pos>(3));
   for (int i = 0; i < 3; ++i)
-    for (int j = 0; j < 3; ++j) table[i][j] = shifted.mirror_of(i, j);
+    for (int j = 0; j < 3; ++j) table[i][j] = shifted->mirror_of(i, j);
   TableArrangement arr("custom", std::move(table));
   EXPECT_EQ(arr.n(), 3);
   EXPECT_EQ(arr.name(), "custom");
   for (int i = 0; i < 3; ++i)
     for (int j = 0; j < 3; ++j) {
-      EXPECT_EQ(arr.mirror_of(i, j), shifted.mirror_of(i, j));
-      EXPECT_EQ(arr.data_of(i, j), shifted.data_of(i, j));
+      EXPECT_EQ(arr.mirror_of(i, j), shifted->mirror_of(i, j));
+      EXPECT_EQ(arr.data_of(i, j), shifted->data_of(i, j));
     }
 }
 
 TEST(ShiftTransform, OnceFromIdentityGivesShifted) {
   for (int n : {2, 3, 5}) {
-    TraditionalArrangement identity(n);
-    auto once = apply_shift_transform(identity);
-    ShiftedArrangement shifted(n);
+    auto once = apply_shift_transform(*make_iterated(n, 0));
+    const auto shifted = layout_of("shifted", n);
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < n; ++j)
-        EXPECT_EQ(once->mirror_of(i, j), shifted.mirror_of(i, j))
+        EXPECT_EQ(once->mirror_of(i, j), shifted->mirror_of(i, j))
             << "n=" << n;
   }
 }
@@ -158,8 +162,7 @@ TEST(Factory, RejectsUnknownKindAndBadN) {
 }
 
 TEST(Render, ShowsBothArrays) {
-  ShiftedArrangement arr(3);
-  const std::string out = render_arrays(arr);
+  const std::string out = render_arrays(*layout_of("shifted", 3));
   EXPECT_NE(out.find("data disk array"), std::string::npos);
   EXPECT_NE(out.find("mirror disk array (shifted)"), std::string::npos);
   // 3 data rows below the header.

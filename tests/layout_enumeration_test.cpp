@@ -97,12 +97,12 @@ TEST(LatinDerived, ShiftedArrangementIsLatinDerived) {
       square[static_cast<std::size_t>(i) * n + j] = (i + j) % n;
   auto arr = arrangement_from_latin_square(square, n);
   EXPECT_TRUE(evaluate_properties(*arr).all());
-  // Same disk assignment as ShiftedArrangement (rows may differ — the
-  // canonical representative assigns rows in scan order).
-  ShiftedArrangement shifted(n);
+  // Same disk assignment as the shifted arrangement (rows may differ —
+  // the canonical representative assigns rows in scan order).
+  const auto shifted = make_arrangement("shifted", n).take();
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < n; ++j)
-      EXPECT_EQ(arr->mirror_of(i, j).disk, shifted.mirror_of(i, j).disk);
+      EXPECT_EQ(arr->mirror_of(i, j).disk, shifted->mirror_of(i, j).disk);
 }
 
 }  // namespace

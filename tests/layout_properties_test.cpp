@@ -5,15 +5,20 @@
 namespace sma::layout {
 namespace {
 
+/// The registry's arrangement for `spec` at order n.
+ArrangementPtr layout_of(const std::string& spec, int n) {
+  return make_arrangement(spec, n).take();
+}
+
 class ShiftedProps : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShiftedProps, ShiftedSatisfiesAllThreeProperties) {
   const int n = GetParam();
-  ShiftedArrangement arr(n);
-  EXPECT_TRUE(check_property1(arr).is_ok()) << "n=" << n;
-  EXPECT_TRUE(check_property2(arr).is_ok()) << "n=" << n;
-  EXPECT_TRUE(check_property3(arr).is_ok()) << "n=" << n;
-  EXPECT_TRUE(evaluate_properties(arr).all());
+  const auto arr = layout_of("shifted", n);
+  EXPECT_TRUE(check_property1(*arr).is_ok()) << "n=" << n;
+  EXPECT_TRUE(check_property2(*arr).is_ok()) << "n=" << n;
+  EXPECT_TRUE(check_property3(*arr).is_ok()) << "n=" << n;
+  EXPECT_TRUE(evaluate_properties(*arr).all());
 }
 
 INSTANTIATE_TEST_SUITE_P(N, ShiftedProps,
@@ -22,11 +27,11 @@ INSTANTIATE_TEST_SUITE_P(N, ShiftedProps,
 TEST(Traditional, ViolatesP1P2ButSatisfiesP3) {
   // The identity arrangement keeps a data disk's replicas on one mirror
   // disk (breaking P1/P2 for n > 1) but each row is spread (P3 holds).
-  TraditionalArrangement arr(4);
-  EXPECT_FALSE(check_property1(arr).is_ok());
-  EXPECT_FALSE(check_property2(arr).is_ok());
-  EXPECT_TRUE(check_property3(arr).is_ok());
-  const auto report = evaluate_properties(arr);
+  const auto arr = layout_of("traditional", 4);
+  EXPECT_FALSE(check_property1(*arr).is_ok());
+  EXPECT_FALSE(check_property2(*arr).is_ok());
+  EXPECT_TRUE(check_property3(*arr).is_ok());
+  const auto report = evaluate_properties(*arr);
   EXPECT_TRUE(report.bijective);
   EXPECT_FALSE(report.p1);
   EXPECT_FALSE(report.p2);
@@ -35,25 +40,24 @@ TEST(Traditional, ViolatesP1P2ButSatisfiesP3) {
 }
 
 TEST(Traditional, TrivialForNEqualsOne) {
-  TraditionalArrangement arr(1);
-  EXPECT_TRUE(evaluate_properties(arr).all());
+  EXPECT_TRUE(evaluate_properties(*layout_of("traditional", 1)).all());
 }
 
 TEST(PropertyViolation, MessagesNameTheDisk) {
-  TraditionalArrangement arr(3);
-  const Status p1 = check_property1(arr);
+  const auto arr = layout_of("traditional", 3);
+  const Status p1 = check_property1(*arr);
   ASSERT_FALSE(p1.is_ok());
   EXPECT_NE(p1.message().find("P1 violated"), std::string::npos);
-  const Status p2 = check_property2(arr);
+  const Status p2 = check_property2(*arr);
   ASSERT_FALSE(p2.is_ok());
   EXPECT_NE(p2.message().find("P2 violated"), std::string::npos);
 }
 
 TEST(PropertyReport, ToStringReflectsFlags) {
-  ShiftedArrangement shifted(3);
-  EXPECT_EQ(evaluate_properties(shifted).to_string(), "bijective P1 P2 P3");
-  TraditionalArrangement trad(3);
-  EXPECT_EQ(evaluate_properties(trad).to_string(), "bijective !P1 !P2 P3");
+  EXPECT_EQ(evaluate_properties(*layout_of("shifted", 3)).to_string(),
+            "bijective P1 P2 P3");
+  EXPECT_EQ(evaluate_properties(*layout_of("traditional", 3)).to_string(),
+            "bijective !P1 !P2 P3");
 }
 
 TEST(IteratedFamily, P1P2FollowTheFibonacciLaw) {

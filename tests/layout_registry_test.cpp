@@ -83,24 +83,27 @@ TEST(LayoutRegistry, UnknownNameIsNotFound) {
 }
 
 TEST(LayoutRegistry, AliasesResolveToCanonicalNames) {
-  const auto& reg = AlgorithmRegistry::global();
-  for (const auto& [alias, target] :
-       {std::pair<const char*, const char*>{"mirror-traditional",
-                                            "traditional"},
-        {"mirror-shifted", "shifted"},
-        {"identity", "traditional"}}) {
-    auto canon = reg.canonical(alias);
-    ASSERT_TRUE(canon.is_ok()) << alias;
-    EXPECT_EQ(canon.value(), target);
-    auto direct = reg.find(alias);
-    ASSERT_TRUE(direct.is_ok());
-    EXPECT_EQ(direct.value()->name, target);
-  }
+  AlgorithmRegistry reg;
+  ASSERT_TRUE(reg.add(minimal_descriptor("base")).is_ok());
+  ASSERT_TRUE(reg.add_alias("alt", "base").is_ok());
+  auto canon = reg.canonical("alt");
+  ASSERT_TRUE(canon.is_ok());
+  EXPECT_EQ(canon.value(), "base");
+  auto direct = reg.find("alt");
+  ASSERT_TRUE(direct.is_ok());
+  EXPECT_EQ(direct.value()->name, "base");
   // names() lists canonical names only, in registration order.
-  const auto names = reg.names();
-  ASSERT_GE(names.size(), 6u);
-  EXPECT_EQ(names.front(), "traditional");
-  for (const auto& n : names) EXPECT_NE(n, "mirror-shifted");
+  EXPECT_EQ(reg.names(), std::vector<std::string>{"base"});
+
+  // The built-in registry carries no alias spellings: every layout is
+  // spelled by its canonical name.
+  const auto& global = AlgorithmRegistry::global();
+  ASSERT_GE(global.names().size(), 6u);
+  EXPECT_EQ(global.names().front(), "traditional");
+  for (const char* retired :
+       {"mirror-traditional", "mirror-shifted", "identity"})
+    EXPECT_EQ(global.find(retired).status().code(), ErrorCode::kNotFound)
+        << retired;
 }
 
 TEST(LayoutRegistry, ConfigureValidation) {
@@ -159,30 +162,58 @@ TEST(LayoutRegistry, EveryBuiltinIsABijectionWithConsistentInverse) {
   }
 }
 
-TEST(LayoutRegistry, MatchesPreRegistryArrangementsBitForBit) {
-  const auto& reg = AlgorithmRegistry::global();
-  for (int n : {3, 5, 6}) {
-    const TraditionalArrangement trad(n);
-    const ShiftedArrangement shift(n);
-    const ArrangementPtr iter = make_iterated(n, 3);
-    const struct {
-      const char* spec;
-      const MirrorArrangement* classic;
-    } cases[] = {{"traditional", &trad}, {"shifted", &shift},
-                 {"iterated:3", iter.get()}};
-    for (const auto& c : cases) {
-      auto arr = reg.make(c.spec, n);
-      ASSERT_TRUE(arr.is_ok()) << c.spec;
-      for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j) {
-          EXPECT_EQ(arr.value()->mirror_of(i, j), c.classic->mirror_of(i, j))
-              << c.spec << " n=" << n;
-          EXPECT_EQ(arr.value()->data_of(i, j), c.classic->data_of(i, j))
-              << c.spec << " n=" << n;
-        }
+/// Mirror array of an n = 3 arrangement in the paper's figure notation:
+/// row r lists the labels held by mirror disks 0..2, where data element
+/// a(i, j) carries label 3j + i + 1 (1..9 row-major in the data array).
+std::vector<std::vector<int>> mirror_labels(const MirrorArrangement& arr) {
+  std::vector<std::vector<int>> rows(3, std::vector<int>(3, 0));
+  for (int i = 0; i < 3; ++i)
+    for (int j = 0; j < 3; ++j) {
+      const Pos m = arr.mirror_of(i, j);
+      rows[static_cast<std::size_t>(m.row)][static_cast<std::size_t>(m.disk)] =
+          3 * j + i + 1;
     }
-    // The iterated family keeps the table-backed family's display name.
-    EXPECT_EQ(reg.make("iterated:3", n).value()->name(), iter->name());
+  return rows;
+}
+
+TEST(LayoutRegistry, MatchesThePapersFiguresAndFormulas) {
+  const auto& reg = AlgorithmRegistry::global();
+  // Fig. 1: the traditional mirror array repeats the data array.
+  EXPECT_EQ(mirror_labels(*reg.make("traditional", 3).value()),
+            (std::vector<std::vector<int>>{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}));
+  // Fig. 3: data disk 0's column {1, 4, 7} becomes mirror row 0, data
+  // disk 1's column {2, 5, 8} mirror row 1 shifted by one, and so on.
+  EXPECT_EQ(mirror_labels(*reg.make("shifted", 3).value()),
+            (std::vector<std::vector<int>>{{1, 4, 7}, {8, 2, 5}, {6, 9, 3}}));
+
+  for (int n : {1, 2, 3, 5, 6}) {
+    auto trad = reg.make("traditional", n);
+    auto shift = reg.make("shifted", n);
+    ASSERT_TRUE(trad.is_ok() && shift.is_ok()) << n;
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) {
+        // Identity: b(i, j) = a(i, j).
+        EXPECT_EQ(trad.value()->mirror_of(i, j), (Pos{i, j})) << n;
+        EXPECT_EQ(trad.value()->data_of(i, j), (Pos{i, j})) << n;
+        // Shifted: b(<i+j>_n, i) = a(i, j), inverse b(i, j) = a(j, <i-j>_n).
+        EXPECT_EQ(shift.value()->mirror_of(i, j), (Pos{(i + j) % n, i})) << n;
+        EXPECT_EQ(shift.value()->data_of(i, j), (Pos{j, (i - j + n) % n}))
+            << n;
+      }
+  }
+
+  // The iterated family's closed form matches the table built by
+  // applying the Fig. 8 transform step by step to the identity.
+  for (int n : {3, 5, 6}) {
+    const ArrangementPtr iter = make_iterated(n, 3);
+    auto arr = reg.make("iterated:3", n);
+    ASSERT_TRUE(arr.is_ok()) << n;
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) {
+        EXPECT_EQ(arr.value()->mirror_of(i, j), iter->mirror_of(i, j)) << n;
+        EXPECT_EQ(arr.value()->data_of(i, j), iter->data_of(i, j)) << n;
+      }
+    EXPECT_EQ(arr.value()->name(), iter->name());
   }
 }
 
@@ -196,10 +227,8 @@ TEST(LayoutRegistry, RebuildReadAccessesMatchTheLayoutsStory) {
   for (const auto& c : cases) {
     auto arr = reg.make(c.spec, 6);
     ASSERT_TRUE(arr.is_ok()) << c.spec;
-    auto* regarr = dynamic_cast<const RegistryArrangement*>(arr.value().get());
-    ASSERT_NE(regarr, nullptr) << c.spec;
-    EXPECT_EQ(rebuild_read_accesses(*regarr, 0), c.expected) << c.spec;
-    EXPECT_EQ(rebuild_reads(*regarr, 0).size(), 6u) << c.spec;
+    EXPECT_EQ(rebuild_read_accesses(*arr.value(), 0), c.expected) << c.spec;
+    EXPECT_EQ(rebuild_reads(*arr.value(), 0).size(), 6u) << c.spec;
   }
 }
 
@@ -207,13 +236,11 @@ TEST(LayoutRegistry, LrcRebuildReadSetStaysInsideTheGroup) {
   const auto& reg = AlgorithmRegistry::global();
   auto arr = reg.make("lrc:groups=2", 6);
   ASSERT_TRUE(arr.is_ok());
-  const auto* regarr =
-      dynamic_cast<const RegistryArrangement*>(arr.value().get());
-  ASSERT_NE(regarr, nullptr);
-  ASSERT_TRUE(regarr->descriptor().rebuild_read_set != nullptr);
+  const RegistryArrangement& regarr = *arr.value();
+  ASSERT_TRUE(regarr.descriptor().rebuild_read_set != nullptr);
   // Failed data disk 1 lives in group 0 (disks 0..2): every read must
   // come from that group's mirror columns.
-  for (const Pos& read : rebuild_reads(*regarr, 1)) {
+  for (const Pos& read : rebuild_reads(regarr, 1)) {
     EXPECT_GE(read.disk, 0);
     EXPECT_LT(read.disk, 3);
   }
@@ -263,38 +290,81 @@ TEST(LayoutRegistry, CapabilityFlagsGateTheParityWrapper) {
   if (added.is_ok()) {  // another test in this process may have added it
     auto plain = Architecture::mirror_named(4, "test-frail");
     ASSERT_TRUE(plain.is_ok());
-    EXPECT_EQ(plain.value().kind(), ArchKind::kMirrorCustom);
+    EXPECT_EQ(plain.value().kind(), ArchKind::kMirror);
     auto parity = Architecture::mirror_with_parity_named(4, "test-frail");
     ASSERT_FALSE(parity.is_ok());
     EXPECT_EQ(parity.status().code(), ErrorCode::kFailedPrecondition);
   }
 }
 
-TEST(LayoutRegistry, MirrorNamedCollapsesClassicSpellings) {
-  // Param-less traditional/shifted specs (and their aliases) collapse
-  // to the classic architecture kinds so every downstream name, CSV
-  // column and drift-gated result stays bit-identical.
-  for (const char* spec : {"traditional", "mirror-traditional", "identity"}) {
-    auto arch = Architecture::mirror_named(5, spec);
-    ASSERT_TRUE(arch.is_ok()) << spec;
-    EXPECT_EQ(arch.value().kind(), ArchKind::kMirrorTraditional) << spec;
-    EXPECT_EQ(arch.value().name(), "mirror-traditional") << spec;
+TEST(LayoutRegistry, ArchitectureLabelsArePinned) {
+  // Architecture names are the row labels of the committed reference
+  // CSVs; every mirror is kMirror/kMirrorParity plus its registry spec.
+  struct Row {
+    Architecture arch;
+    const char* name;
+    ArchKind kind;
+    int fault_tolerance;
+    const char* spec;
+  };
+  const auto named = [](const char* spec, bool parity) {
+    return (parity ? Architecture::mirror_with_parity_named(6, spec)
+                   : Architecture::mirror_named(6, spec))
+        .take();
+  };
+  const Row rows[] = {
+      {Architecture::mirror(6, false), "mirror-traditional", ArchKind::kMirror,
+       1, "traditional"},
+      {Architecture::mirror(6, true), "mirror-shifted", ArchKind::kMirror, 1,
+       "shifted"},
+      {Architecture::mirror_with_parity(6, false), "mirror-parity-traditional",
+       ArchKind::kMirrorParity, 2, "traditional"},
+      {Architecture::mirror_with_parity(6, true), "mirror-parity-shifted",
+       ArchKind::kMirrorParity, 2, "shifted"},
+      {named("traditional", false), "mirror-traditional", ArchKind::kMirror, 1,
+       "traditional"},
+      {named("shifted", false), "mirror-shifted", ArchKind::kMirror, 1,
+       "shifted"},
+      {named("iterated", false), "mirror-iterated(1)", ArchKind::kMirror, 1,
+       "iterated"},
+      {named("iterated:3", false), "mirror-iterated(3)", ArchKind::kMirror, 1,
+       "iterated:3"},
+      {named("lrc", false), "mirror-lrc(groups=2)", ArchKind::kMirror, 1,
+       "lrc"},
+      {named("pyramid:groups=3", false), "mirror-pyramid(groups=3)",
+       ArchKind::kMirror, 1, "pyramid:groups=3"},
+      {named("zigzag", false), "mirror-zigzag", ArchKind::kMirror, 1,
+       "zigzag"},
+      {named("traditional", true), "mirror-parity-traditional",
+       ArchKind::kMirrorParity, 2, "traditional"},
+      {named("shifted", true), "mirror-parity-shifted", ArchKind::kMirrorParity,
+       2, "shifted"},
+      {named("iterated", true), "mirror-parity-iterated(1)",
+       ArchKind::kMirrorParity, 2, "iterated"},
+      {named("iterated:3", true), "mirror-parity-iterated(3)",
+       ArchKind::kMirrorParity, 2, "iterated:3"},
+      {named("lrc", true), "mirror-parity-lrc(groups=2)",
+       ArchKind::kMirrorParity, 2, "lrc"},
+      {named("pyramid:groups=3", true), "mirror-parity-pyramid(groups=3)",
+       ArchKind::kMirrorParity, 2, "pyramid:groups=3"},
+      {named("zigzag", true), "mirror-parity-zigzag", ArchKind::kMirrorParity,
+       2, "zigzag"},
+  };
+  for (const Row& r : rows) {
+    EXPECT_EQ(r.arch.name(), r.name);
+    EXPECT_EQ(r.arch.kind(), r.kind) << r.name;
+    EXPECT_EQ(r.arch.fault_tolerance(), r.fault_tolerance) << r.name;
+    EXPECT_EQ(r.arch.layout_spec(), r.spec) << r.name;
   }
-  auto shifted = Architecture::mirror_named(5, "shifted");
-  ASSERT_TRUE(shifted.is_ok());
-  EXPECT_EQ(shifted.value().kind(), ArchKind::kMirrorShifted);
-  EXPECT_EQ(shifted.value().name(), "mirror-shifted");
-
-  auto zig = Architecture::mirror_named(5, "zigzag");
-  ASSERT_TRUE(zig.is_ok());
-  EXPECT_EQ(zig.value().kind(), ArchKind::kMirrorCustom);
-  EXPECT_EQ(zig.value().name(), "mirror-zigzag");
-
-  auto parity = Architecture::mirror_with_parity_named(6, "lrc");
-  ASSERT_TRUE(parity.is_ok());
-  EXPECT_EQ(parity.value().kind(), ArchKind::kMirrorParityCustom);
-  EXPECT_EQ(parity.value().name(), "mirror-parity-lrc(groups=2)");
-  EXPECT_EQ(parity.value().fault_tolerance(), 2);
+  // Every built-in layout appears above (layouts tests register at run
+  // time are named "test-...").
+  for (const std::string& layout : AlgorithmRegistry::global().names()) {
+    if (layout.rfind("test-", 0) == 0) continue;
+    bool covered = false;
+    for (const Row& r : rows)
+      covered = covered || std::string(r.spec).rfind(layout, 0) == 0;
+    EXPECT_TRUE(covered) << layout;
+  }
 }
 
 }  // namespace

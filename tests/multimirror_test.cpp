@@ -52,11 +52,11 @@ TEST(MultiMirror, ShapeAndNames) {
 TEST(MultiMirror, ReplicaArrayOneMatchesPaperShiftedArrangement) {
   // c_1 = 1: array 1 must reproduce the paper's shifted arrangement.
   const auto m = make(4, 2, true);
-  layout::ShiftedArrangement paper(4);
+  const auto paper = layout::make_arrangement("shifted", 4).take();
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 4; ++j) {
       const layout::Pos mp = m.replica_of(1, i, j);
-      const layout::Pos pp = paper.mirror_of(i, j);
+      const layout::Pos pp = paper->mirror_of(i, j);
       EXPECT_EQ(mp.disk - 4, pp.disk);  // array 1 global offset = n
       EXPECT_EQ(mp.row, pp.row);
     }

@@ -220,15 +220,15 @@ TEST(ReconFaults, ExecuteReportsTheDeepestRetryChain) {
 
 TEST(ReconFaults, RetryBackoffDelaysResubmissionLinearly) {
   // The first two attempts of the exponential schedule wait backoff * 1
-  // and backoff * 2 after the failed attempt drains — identical to the
-  // historical linear schedule this deprecated alias configured — so an
-  // op that exhausts two retries finishes exactly backoff * (1 + 2)
-  // later than with the default immediate retry.
+  // and backoff * 2 after the failed attempt drains — identical to a
+  // linear schedule — so an op that exhausts two retries finishes
+  // exactly backoff * (1 + 2) later than with the default immediate
+  // retry.
   auto run = [](double backoff) {
     auto cfg = base_cfg(layout::Architecture::mirror(2, true));
     cfg.fault_overrides[0].transient_write_error_p = 1.0;
     cfg.io_max_retries = 2;
-    cfg.retry_backoff_s = backoff;
+    cfg.retry_backoff_base_s = backoff;
     array::DiskArray arr(cfg);
     std::vector<array::Op> ops{{0, 0, 0, disk::IoKind::kWrite}};
     return arr.execute(ops, 0.0);

@@ -61,10 +61,28 @@ TEST(Flags, MalformedValuesRecorded) {
 }
 
 TEST(Flags, UnknownDetection) {
+  // Whatever no getter asked for is unknown to the caller.
   const auto f = make({"--n=3", "--bogus=1"});
-  const auto unknown = f.unknown({"n", "parity"});
-  ASSERT_EQ(unknown.size(), 1u);
-  EXPECT_EQ(unknown[0], "bogus");
+  EXPECT_EQ(f.get_int("n", 0), 3);
+  EXPECT_TRUE(f.get_bool("parity", true));  // absent, still recorded
+  EXPECT_EQ(f.unread(), (std::vector<std::string>{"bogus"}));
+}
+
+TEST(Flags, EveryGetterMarksItsFlagRead) {
+  const auto f = make({"--a=1", "--b=2", "--c=x", "--d", "--e=1,2", "--f=3",
+                       "--g=4"});
+  EXPECT_EQ(f.unread(),
+            (std::vector<std::string>{"a", "b", "c", "d", "e", "f", "g"}));
+  f.get_int("a", 0);
+  f.get_double("b", 0);
+  f.get("c", "");
+  f.get_bool("d", false);
+  f.get_int_list("e");
+  EXPECT_TRUE(f.has("f"));
+  // A malformed value still counts as read: errors() reports it.
+  EXPECT_EQ(f.unread(), (std::vector<std::string>{"g"}));
+  f.get_int("g", 0);
+  EXPECT_TRUE(f.unread().empty());
 }
 
 TEST(Flags, ArgcArgvConstructor) {

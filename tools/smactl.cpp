@@ -13,12 +13,13 @@
 //   --arrangement=<spec>   layout registry spec: "shifted",
 //                          "traditional", "iterated:3", "lrc:groups=2",
 //                          "pyramid:groups=2", "zigzag", ... — see
-//                          `smactl layouts`. Deprecated aliases, kept
-//                          one release: --kind=<spec>, --traditional.
+//                          `smactl layouts`.
 //   --seed=<s>             RNG seed (per-command default)
 //   --stacks=<k>           stripes = stacks * total disks
 //   --jsonl=<f> --chrome=<f> --timeline-csv=<f> --interval=<s>
 //                          observer sinks (online / qos / trace)
+//
+// A flag the subcommand never reads is a usage error (exit 2).
 //
 //   smactl layouts
 //   smactl layout    --n=3 [--arrangement=shifted] [--iterations=K]
@@ -145,8 +146,7 @@ int usage_stream(std::FILE* out, const char* error) {
                "                 --placement=round_robin|random|declustered\n"
                "                 --volumes --segments --spread --failed=<f>\n"
                "                 --requests --rate --threads --horizon-h\n"
-               "                 --mttf-h; --mix=shifted|traditional|\n"
-               "                 alternating is a deprecated alias)\n"
+               "                 --mttf-h)\n"
                "  chaos         compound fault scenario through the chaos\n"
                "                engine + invariant oracle: --scenario=<spec>\n"
                "                replays a spec (pair with the --seed=<u64> a\n"
@@ -155,9 +155,8 @@ int usage_stream(std::FILE* out, const char* error) {
                "                (--hedge --soak=<N> --threads=<k>\n"
                "                 --sabotage=none|skip-resync|leak-corruption)\n"
                "common flags: --n=<disks> --parity --arrangement=<spec>\n"
-               "              (see 'smactl layouts'; --kind=<spec> and\n"
-               "              --traditional are deprecated aliases)\n"
-               "              --seed=<s> --stacks=<k>\n"
+               "              (see 'smactl layouts') --seed=<s> --stacks=<k>\n"
+               "unknown flags are usage errors\n"
                "observer flags (online/qos/trace): --jsonl=<f> --chrome=<f>\n"
                "              --timeline-csv=<f> --interval=<s>\n"
                "exit codes: 0 success, 1 runtime failure, 2 usage error;\n"
@@ -191,15 +190,7 @@ CommonOptions common_from(const Flags& flags, const CommonDefaults& d = {}) {
   CommonOptions c;
   c.n = flags.get_int("n", d.n);
   c.parity = flags.get_bool("parity", false);
-  if (flags.has("arrangement")) {
-    c.arrangement = flags.get("arrangement", "shifted");
-  } else if (flags.has("kind")) {
-    // Deprecated alias spelling, kept one release.
-    c.arrangement = flags.get("kind", "shifted");
-  } else if (flags.get_bool("traditional", false)) {
-    // Deprecated boolean spelling, kept one release.
-    c.arrangement = "traditional";
-  }
+  c.arrangement = flags.get("arrangement", c.arrangement);
   c.seed = static_cast<std::uint64_t>(flags.get_int("seed", d.seed));
   c.stacks = flags.get_int("stacks", d.stacks);
   return c;
@@ -304,8 +295,7 @@ int cmd_layout(const Flags& flags) {
   std::string spec = c.arrangement;
   // --iterations=K without an explicit layout spelling means the
   // iterated family (the historical spelling of --arrangement=iterated:K).
-  if (flags.has("iterations") && !flags.has("arrangement") &&
-      !flags.has("kind"))
+  if (flags.has("iterations") && !flags.has("arrangement"))
     spec = "iterated:" + std::to_string(flags.get_int("iterations", 1));
   auto made = layout::make_arrangement(spec, c.n);
   if (!made.is_ok()) return usage(made.status().to_string().c_str());
@@ -799,7 +789,6 @@ int cmd_three_mirror(const Flags& flags) {
   mm::MultiArrayConfig cfg;
   cfg.layout.n = c.n;
   cfg.layout.replica_arrays = flags.get_int("replicas", 2);
-  cfg.layout.shifted = c.arrangement != "traditional";
   cfg.layout.arrangement = c.arrangement;
   cfg.content_bytes = 128;
   auto arrr = mm::MultiMirrorArray::create(cfg);
@@ -1003,7 +992,6 @@ int cmd_replay(const Flags& flags) {
   core::VolumeConfig vcfg;
   vcfg.n = c.n;
   vcfg.with_parity = c.parity;
-  vcfg.shifted = c.arrangement != "traditional";
   vcfg.arrangement = c.arrangement;
   vcfg.stacks = c.stacks;
   vcfg.content_bytes =
@@ -1230,23 +1218,9 @@ int cmd_fleet(const Flags& flags) {
   cfg.n = c.n;
   cfg.parity = c.parity;
   cfg.stacks = c.stacks;
-  // Layout resolution, newest spelling first: --layout=<spec[,spec]>
-  // (registry specs cycled across arrays), --arrangement=<spec> (one
-  // registry spec fleet-wide), then the deprecated enum spellings
-  // --mix=shifted|traditional|alternating / --traditional.
-  if (flags.has("layout")) {
-    cfg.layout = flags.get("layout", "");
-  } else if (flags.has("arrangement")) {
-    cfg.layout = c.arrangement;
-  } else {
-    const std::string mix =
-        flags.get("mix", flags.get_bool("traditional", false) ? "traditional"
-                                                              : "shifted");
-    auto arrangement = fleet::arrangement_mix_from(mix);
-    if (!arrangement.is_ok())
-      return usage("--mix must be shifted|traditional|alternating");
-    cfg.arrangement = arrangement.value();
-  }
+  // --layout=<spec[,spec]> cycles registry specs across arrays;
+  // otherwise --arrangement=<spec> applies fleet-wide.
+  cfg.layout = flags.get("layout", c.arrangement);
   auto policy =
       fleet::placement_policy_from(flags.get("placement", "declustered"));
   if (!policy.is_ok())
@@ -1265,20 +1239,9 @@ int cmd_fleet(const Flags& flags) {
   const auto res = fleet::run_fleet(cfg);
   if (!res.is_ok()) return usage(res.status().to_string().c_str());
   const fleet::FleetReport& r = res.value();
-
-  const std::string layout_desc =
-      !cfg.layout.empty()
-          ? cfg.layout
-          : (cfg.parity ? layout::Architecture::mirror_with_parity(
-                              cfg.n, cfg.arrangement !=
-                                         fleet::ArrangementMix::kTraditional)
-                        : layout::Architecture::mirror(
-                              cfg.n, cfg.arrangement !=
-                                         fleet::ArrangementMix::kTraditional))
-                .name();
   std::printf("fleet: %d arrays of %s, %s placement (%d volumes x %d "
               "segments, spread %d)\n",
-              r.arrays, layout_desc.c_str(),
+              r.arrays, cfg.layout.c_str(),
               fleet::to_string(cfg.placement.policy), cfg.placement.volumes,
               cfg.placement.segments_per_volume, cfg.placement.spread);
   std::printf("serving: %llu requests routed, %llu completed, %llu degraded "
@@ -1313,7 +1276,8 @@ int cmd_fleet(const Flags& flags) {
 }
 
 int cmd_chaos(const Flags& flags) {
-  const CommonOptions c = common_from(flags, {/*n=*/4, /*seed=*/1});
+  CommonOptions c = common_from(flags, {/*n=*/4, /*seed=*/1});
+  c.parity = flags.get_bool("parity", true);
   // Replay seeds come from oracle violation messages and use the full
   // 64-bit range; the shared int-typed --seed would truncate them.
   std::uint64_t seed = 20120901;
@@ -1327,10 +1291,18 @@ int cmd_chaos(const Flags& flags) {
     seeded = true;
   }
 
+  // The chaos engine builds the paper's two arrangements only.
+  auto archr = arch_from(c);
+  if (!archr.is_ok()) return usage(archr.status().to_string().c_str());
+  const layout::Architecture arch = std::move(archr).take();
+  const std::string arrangement = arch.arrangement()->name();
+  if (arrangement != "shifted" && arrangement != "traditional")
+    return usage("chaos needs --arrangement=shifted|traditional");
+
   chaos::ChaosConfig cfg;
   cfg.n = c.n;
-  cfg.parity = flags.get_bool("parity", true);
-  cfg.shifted = c.arrangement != "traditional";
+  cfg.parity = c.parity;
+  cfg.shifted = arrangement == "shifted";
   cfg.hedge.enabled = flags.get_bool("hedge", false);
   const std::string sabotage = flags.get("sabotage", "none");
   if (sabotage == "skip-resync")
@@ -1365,10 +1337,7 @@ int cmd_chaos(const Flags& flags) {
   // Single scenario: --scenario replays a spec verbatim (pair it with
   // the --seed a violation names), --seed alone composes one, neither
   // runs the drift-gated reference compound.
-  const int disks =
-      (cfg.parity ? layout::Architecture::mirror_with_parity(c.n, cfg.shifted)
-                  : layout::Architecture::mirror(c.n, cfg.shifted))
-          .total_disks();
+  const int disks = arch.total_disks();
   if (flags.has("scenario")) {
     auto parsed = chaos::parse_scenario(flags.get("scenario", ""), seed);
     if (!parsed.is_ok()) return usage(parsed.status().to_string().c_str());
@@ -1382,7 +1351,7 @@ int cmd_chaos(const Flags& flags) {
   std::printf("scenario: %s (seed %llu, %s, n=%d%s%s)\n",
               cfg.scenario.spec().c_str(),
               static_cast<unsigned long long>(cfg.scenario.seed),
-              cfg.shifted ? "shifted" : "traditional", cfg.n,
+              arrangement.c_str(), cfg.n,
               cfg.parity ? ", parity" : "",
               cfg.hedge.enabled ? ", hedged" : "");
   const auto r = chaos::run_scenario(cfg);
@@ -1465,6 +1434,15 @@ int main(int argc, char** argv) {
   if (!flags.errors().empty()) {
     for (const auto& e : flags.errors())
       std::fprintf(stderr, "error: %s\n", e.c_str());
+    return 2;
+  }
+  // A flag no getter read would otherwise be silently ignored (a typo,
+  // or a spelling this command does not take). A command that already
+  // stopped on a usage error may not have reached its flags.
+  if (rc != 2 && !flags.unread().empty()) {
+    for (const auto& name : flags.unread())
+      std::fprintf(stderr, "error: unknown flag --%s for '%s'\n",
+                   name.c_str(), cmd.c_str());
     return 2;
   }
   return rc;
