@@ -1,8 +1,9 @@
 #include "recon/plan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <set>
+#include <cstdint>
 
 namespace sma::recon {
 
@@ -21,11 +22,55 @@ bool contains(const std::vector<int>& v, int x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
 
+// The (disk, row) cells of one stripe as a bitset, bit disk * rows + row,
+// so ascending bit order is ascending (logical_disk, row) order. Each
+// plan_mirror call owns its set: MultiKernel threads plan concurrently.
+class CellSet {
+ public:
+  CellSet(int disks, int rows)
+      : rows_(static_cast<std::size_t>(rows)),
+        words_((static_cast<std::size_t>(disks) * rows_ + 63) / 64) {}
+
+  void insert(int disk, int row) {
+    const std::size_t b = bit(disk, row);
+    words_[b / 64] |= std::uint64_t{1} << (b % 64);
+  }
+
+  bool contains(int disk, int row) const {
+    const std::size_t b = bit(disk, row);
+    return (words_[b / 64] >> (b % 64)) & 1;
+  }
+
+  /// Every cell, in ascending (logical_disk, row) order.
+  std::vector<ElementRead> reads() const {
+    std::size_t count = 0;
+    for (const std::uint64_t word : words_) count += std::popcount(word);
+    std::vector<ElementRead> out;
+    out.reserve(count);
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      for (std::uint64_t word = words_[w]; word != 0; word &= word - 1) {
+        const std::size_t b =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+        out.push_back({static_cast<int>(b / rows_),
+                       static_cast<int>(b % rows_)});
+      }
+    return out;
+  }
+
+ private:
+  std::size_t bit(int disk, int row) const {
+    return static_cast<std::size_t>(disk) * rows_ +
+           static_cast<std::size_t>(row);
+  }
+
+  std::size_t rows_;
+  std::vector<std::uint64_t> words_;
+};
+
 Result<StripePlan> plan_mirror(const layout::Architecture& arch,
                                const std::vector<int>& failed) {
   const int n = arch.n();
-  std::set<ElementRead> availability;
-  std::set<ElementRead> parity_extra;
+  CellSet availability(arch.total_disks(), arch.rows());
   bool parity_failed = false;
   std::vector<int> failed_data;    // data-disk indices (0..n-1)
   std::vector<int> failed_mirror;  // mirror-disk indices (0..n-1)
@@ -49,7 +94,7 @@ Result<StripePlan> plan_mirror(const layout::Architecture& arch,
     for (int j = 0; j < arch.rows(); ++j) {
       const layout::Pos replica = arch.replica_of(x, j);
       if (!contains(failed, replica.disk)) {
-        availability.insert({replica.disk, replica.row});
+        availability.insert(replica.disk, replica.row);
         continue;
       }
       // Replica lost too (F3 overlap element): recover via the parity
@@ -61,9 +106,9 @@ Result<StripePlan> plan_mirror(const layout::Architecture& arch,
         if (i == x) continue;
         assert(!contains(failed, arch.data_disk(i)) &&
                "double data failure cannot also lose a replica");
-        availability.insert({arch.data_disk(i), j});
+        availability.insert(arch.data_disk(i), j);
       }
-      availability.insert({arch.parity_disk(), j});
+      availability.insert(arch.parity_disk(), j);
     }
   }
 
@@ -74,25 +119,27 @@ Result<StripePlan> plan_mirror(const layout::Architecture& arch,
     for (int j = 0; j < arch.rows(); ++j) {
       const layout::Pos src = arch.replicated_by(y, j);
       if (!contains(failed, arch.data_disk(src.disk)))
-        availability.insert({arch.data_disk(src.disk), src.row});
-    }
-  }
-
-  // A lost parity disk is recomputed from the full data array; only the
-  // reads not already issued for availability are extra.
-  if (parity_failed) {
-    for (int i = 0; i < n; ++i) {
-      if (contains(failed, arch.data_disk(i))) continue;
-      for (int j = 0; j < arch.rows(); ++j) {
-        const ElementRead read{arch.data_disk(i), j};
-        if (!availability.count(read)) parity_extra.insert(read);
-      }
+        availability.insert(arch.data_disk(src.disk), src.row);
     }
   }
 
   StripePlan plan;
-  plan.availability_reads.assign(availability.begin(), availability.end());
-  plan.parity_rebuild_reads.assign(parity_extra.begin(), parity_extra.end());
+  plan.availability_reads = availability.reads();
+
+  // A lost parity disk is recomputed from the full data array; only the
+  // reads not already issued for availability are extra. Data disks come
+  // first in global numbering, so these too are in (disk, row) order.
+  if (parity_failed) {
+    plan.parity_rebuild_reads.reserve(
+        (static_cast<std::size_t>(n) - failed_data.size()) *
+        static_cast<std::size_t>(arch.rows()));
+    for (int i = 0; i < n; ++i) {
+      if (contains(failed, arch.data_disk(i))) continue;
+      for (int j = 0; j < arch.rows(); ++j)
+        if (!availability.contains(arch.data_disk(i), j))
+          plan.parity_rebuild_reads.push_back({arch.data_disk(i), j});
+    }
+  }
   return plan;
 }
 
@@ -107,6 +154,13 @@ Result<StripePlan> plan_raid(const layout::Architecture& arch,
     if (arch.role_of(disk) == layout::DiskRole::kData) data_lost = true;
 
   StripePlan plan;
+  const auto rows = static_cast<std::size_t>(arch.rows());
+  if (data_lost)
+    plan.availability_reads.reserve(
+        (static_cast<std::size_t>(arch.total_disks()) - failed.size()) * rows);
+  else
+    plan.parity_rebuild_reads.reserve(static_cast<std::size_t>(arch.n()) *
+                                      rows);
   for (int disk = 0; disk < arch.total_disks(); ++disk) {
     if (contains(failed, disk)) continue;
     for (int j = 0; j < arch.rows(); ++j) {

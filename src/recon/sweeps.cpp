@@ -104,6 +104,7 @@ Result<Table> reliability_sweep(const std::vector<int>& ns, double data_gb,
 
 Result<Table1Result> table1_sweep(int n_lo, int n_hi,
                                   const SweepOptions& opt) {
+  if (n_lo < 1) return invalid_argument("table1_sweep: n_lo < 1");
   if (n_lo > n_hi) return invalid_argument("table1_sweep: n_lo > n_hi");
   struct PerN {
     std::vector<std::vector<std::string>> rows;

@@ -48,7 +48,8 @@ struct Table1Result {
 };
 
 /// bench_table1: exhaustive double-failure enumeration of the shifted
-/// mirror method with parity for n in [n_lo, n_hi].
+/// mirror method with parity for n in [n_lo, n_hi]. kInvalidArgument
+/// unless 1 <= n_lo <= n_hi.
 Result<Table1Result> table1_sweep(int n_lo, int n_hi,
                                   const SweepOptions& opt);
 

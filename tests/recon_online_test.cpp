@@ -422,7 +422,9 @@ TEST(Online, ServiceSpansAreOrderedPerDisk) {
     ASSERT_GE(ev.disk, 0);
     EXPECT_GT(ev.dur_s, 0.0);
     auto [it, fresh] = last_end.try_emplace(ev.disk, 0.0);
-    if (!fresh) EXPECT_GE(ev.t_s, it->second);
+    if (!fresh) {
+      EXPECT_GE(ev.t_s, it->second);
+    }
     it->second = ev.t_s + ev.dur_s;
   }
   EXPECT_GT(spans, 0u);

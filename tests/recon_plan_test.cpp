@@ -2,10 +2,50 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "recon/failure.hpp"
 
 namespace sma::recon {
 namespace {
+
+// Every built-in layout spec as mirror and as mirror+parity for
+// n = 2..9 (lrc and pyramid default to two groups, so odd n use one),
+// plus RAID-5 and RAID-6 at the same n.
+std::vector<layout::Architecture> planner_grid() {
+  std::vector<layout::Architecture> archs;
+  for (int n = 2; n <= 9; ++n) {
+    const std::string groups = n % 2 == 0 ? "" : ":groups=1";
+    for (const std::string& spec :
+         {std::string("traditional"), std::string("shifted"),
+          std::string("iterated:2"), std::string("iterated:3"),
+          "lrc" + groups, "pyramid" + groups, std::string("zigzag")}) {
+      auto mirror = layout::Architecture::mirror_named(n, spec);
+      auto parity = layout::Architecture::mirror_with_parity_named(n, spec);
+      EXPECT_TRUE(mirror.is_ok()) << spec << " n=" << n;
+      EXPECT_TRUE(parity.is_ok()) << spec << " n=" << n;
+      if (!mirror.is_ok() || !parity.is_ok()) continue;
+      archs.push_back(std::move(mirror).take());
+      archs.push_back(std::move(parity).take());
+    }
+    archs.push_back(layout::Architecture::raid5(n));
+    archs.push_back(layout::Architecture::raid6(n));
+  }
+  return archs;
+}
+
+// All single and double failures of `arch`, tolerated or not.
+std::vector<std::vector<int>> planner_failure_sets(
+    const layout::Architecture& arch) {
+  auto sets = enumerate_single_failures(arch);
+  for (auto& pair : enumerate_double_failures(arch)) sets.push_back(pair);
+  return sets;
+}
 
 class PlanN : public ::testing::TestWithParam<int> {};
 
@@ -212,19 +252,65 @@ TEST(Plan, ReadsNeverTargetFailedDisks) {
 }
 
 TEST(Plan, ReadsAreDeduplicated) {
-  // No (disk, row) appears twice within a plan's availability reads.
-  for (const bool shifted : {false, true}) {
-    const auto arch = layout::Architecture::mirror_with_parity(5, shifted);
-    for (const auto& failed : enumerate_double_failures(arch)) {
+  // Output-order contract: each read list is strictly ascending in
+  // (logical_disk, row), so no read repeats, and the parity-rebuild
+  // reads never repeat an availability read. The online engine stamps
+  // reads into its per-disk rebuild queues in this order.
+  for (const auto& arch : planner_grid()) {
+    for (const auto& failed : planner_failure_sets(arch)) {
       auto plan = plan_reconstruction(arch, failed);
-      ASSERT_TRUE(plan.is_ok());
-      auto reads = plan.value().availability_reads;
-      std::sort(reads.begin(), reads.end());
-      EXPECT_TRUE(std::adjacent_find(reads.begin(), reads.end()) ==
-                  reads.end())
-          << "duplicate read, failed " << failed[0] << "," << failed[1];
+      const std::string where =
+          arch.name() + " n=" + std::to_string(arch.n()) + " failed " +
+          std::to_string(failed[0]) +
+          (failed.size() > 1 ? "," + std::to_string(failed[1]) : "");
+      const bool tolerated =
+          static_cast<int>(failed.size()) <= arch.fault_tolerance();
+      ASSERT_EQ(plan.is_ok(), tolerated) << where;
+      if (!tolerated) continue;
+      const auto& avail = plan.value().availability_reads;
+      const auto& parity = plan.value().parity_rebuild_reads;
+      EXPECT_TRUE(std::adjacent_find(avail.begin(), avail.end(),
+                                     std::greater_equal<>()) == avail.end())
+          << "availability reads not strictly ascending: " << where;
+      EXPECT_TRUE(std::adjacent_find(parity.begin(), parity.end(),
+                                     std::greater_equal<>()) == parity.end())
+          << "parity-rebuild reads not strictly ascending: " << where;
+      std::vector<ElementRead> both;
+      std::set_intersection(avail.begin(), avail.end(), parity.begin(),
+                            parity.end(), std::back_inserter(both));
+      EXPECT_TRUE(both.empty()) << "read lists overlap: " << where;
     }
   }
+}
+
+TEST(Plan, GoldenDigestOverLayoutGrid) {
+  // Every plan over planner_grid(), read for read and in order, folded
+  // into one value. Recorded from the earlier std::set-based planner, so
+  // it pins the bitset planner to it plan for plan; any change to a
+  // single read, its order, or a plan's status moves it.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto fold = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  std::size_t plans = 0;
+  for (const auto& arch : planner_grid()) {
+    for (const auto& failed : planner_failure_sets(arch)) {
+      auto plan = plan_reconstruction(arch, failed);
+      ++plans;
+      fold(failed.size());
+      for (const int d : failed) fold(static_cast<std::uint64_t>(d));
+      fold(static_cast<std::uint64_t>(plan.status().code()));
+      if (!plan.is_ok()) continue;
+      for (const auto* reads : {&plan.value().availability_reads,
+                                &plan.value().parity_rebuild_reads}) {
+        fold(reads->size());
+        for (const auto& read : *reads) {
+          fold(static_cast<std::uint64_t>(read.logical_disk));
+          fold(static_cast<std::uint64_t>(read.row));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(plans, 9732u);
+  EXPECT_EQ(h, 0xb4a71523e178ac91ull) << std::hex << h;
 }
 
 TEST(Plan, ShiftedLoadIsBalanced) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace sma::recon {
 namespace {
@@ -56,6 +57,18 @@ TEST(SweepDeterminism, ScrubParallelMatchesSerial) {
   ASSERT_TRUE(serial.is_ok()) << serial.status().to_string();
   ASSERT_TRUE(parallel.is_ok()) << parallel.status().to_string();
   EXPECT_EQ(serial.value().render(), parallel.value().render());
+}
+
+// A bad range must come back as a Status before any n < 1 reaches
+// Architecture::mirror_with_parity, which asserts on it.
+TEST(Table1Sweep, RejectsNonPositiveOrEmptyRange) {
+  for (const auto& [lo, hi] : {std::pair{0, 3}, std::pair{-2, 2},
+                               std::pair{5, 4}}) {
+    auto result = table1_sweep(lo, hi, small(1));
+    ASSERT_FALSE(result.is_ok()) << lo << ".." << hi;
+    EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument)
+        << lo << ".." << hi;
+  }
 }
 
 // Running the same sweep twice at the same thread count must also be

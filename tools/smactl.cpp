@@ -752,6 +752,8 @@ int cmd_write(const Flags& flags) {
 int cmd_table1(const Flags& flags) {
   const int lo = flags.get_int("n-min", 3);
   const int hi = flags.get_int("n-max", 7);
+  if (lo < 1) return usage("--n-min must be >= 1");
+  if (lo > hi) return usage("--n-min must not exceed --n-max");
   Table table("Table I");
   table.set_header(
       {"n", "class", "cases", "read accesses", "avg", "4n/(2n+1)"});
