@@ -17,16 +17,51 @@ The bench also rewrites sma_fleet.csv (deterministic counts, simulated
 times, and digests only; the CI drift gate requires it bit-identical to
 the committed copy when run at default scale).
 
+The output carries a `host` block with the same keys as the repository
+benchmark's results (benchmark/results/*.json): the bench reports nproc,
+compiler, build type, GF tier, sim queue backend and MultiKernel
+threads; this script adds the CPU model, the git commit and the date.
+
 Usage:
   scripts/bench_fleet.py [--build-dir build] [--out BENCH_fleet.json]
                          [--arrays N] [--requests R] [--threads T]
 """
 
 import argparse
+import datetime
 import json
 import pathlib
 import subprocess
 import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def host_context(binary_host: dict) -> dict:
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    commit = "unknown"
+    p = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                       stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                       text=True)
+    if p.returncode == 0:
+        commit = p.stdout.strip()
+        # Tracked files edited since that commit: the bench did not run
+        # the committed code.
+        dirty = subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet",
+                                "HEAD"], stderr=subprocess.DEVNULL)
+        if dirty.returncode == 1:
+            commit += "-dirty"
+    return {**binary_host, "cpu_model": cpu, "git_commit": commit,
+            "date": datetime.datetime.now(datetime.timezone.utc)
+            .isoformat(timespec="seconds")}
 
 
 def main() -> None:
@@ -71,6 +106,7 @@ def main() -> None:
         sys.stderr.write(out.stderr)
         sys.exit(out.returncode)
     result = json.loads(out.stdout)
+    result["host"] = host_context(result["host"])
 
     args.out.write_text(json.dumps(result, indent=2) + "\n")
 

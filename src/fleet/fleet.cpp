@@ -186,9 +186,11 @@ Result<FleetReport> run_fleet(const FleetConfig& cfg) {
     if (!outcomes[a].status.is_ok()) return outcomes[a].status;
 
   // --- aggregate (serial, array order — deterministic) ----------------
-  SampleSet all_latencies;
-  all_latencies.reserve(static_cast<std::size_t>(report.requests_routed));
-  std::vector<SampleSet> volume_latencies(
+  // Gather every completed latency, fleet-wide and per volume, then
+  // sort each set once (SampleSet's vector constructor).
+  std::vector<double> all_samples;
+  all_samples.reserve(static_cast<std::size_t>(report.requests_routed));
+  std::vector<std::vector<double>> volume_samples(
       static_cast<std::size_t>(pc.volumes));
   RunningStat rebuilds;
   std::uint64_t digest = kDigestSeed;
@@ -202,8 +204,9 @@ Result<FleetReport> run_fleet(const FleetConfig& cfg) {
     for (std::size_t i = 0; i < rep.latencies.size(); ++i) {
       const double lat = rep.latencies[i];
       if (lat < 0.0) continue;  // the request died without completing
-      all_latencies.add(lat);
-      volume_latencies[static_cast<std::size_t>(trace_volume[a][i])].add(lat);
+      all_samples.push_back(lat);
+      volume_samples[static_cast<std::size_t>(trace_volume[a][i])].push_back(
+          lat);
     }
     report.requests_completed += rep.requests_completed;
     report.degraded_reads += rep.degraded_reads;
@@ -220,6 +223,7 @@ Result<FleetReport> run_fleet(const FleetConfig& cfg) {
     digest = mix(digest, rep.p99_latency_s);
   }
 
+  const SampleSet all_latencies(std::move(all_samples));
   if (!all_latencies.empty()) {
     report.mean_latency_s = all_latencies.mean();
     report.p99_latency_s = all_latencies.percentile(99.0);
@@ -241,7 +245,8 @@ Result<FleetReport> run_fleet(const FleetConfig& cfg) {
         break;
       }
     }
-    const SampleSet& lat = volume_latencies[static_cast<std::size_t>(v)];
+    const SampleSet lat(
+        std::move(volume_samples[static_cast<std::size_t>(v)]));
     vs.requests = lat.count();
     if (!lat.empty()) {
       vs.mean_latency_s = lat.mean();

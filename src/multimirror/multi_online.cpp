@@ -116,7 +116,7 @@ Result<MmOnlineReport> run_online_reconstruction(MultiMirrorArray& arr,
   std::vector<double> window;  // adaptive: latencies since the last tick
 
   MmOnlineReport report;
-  SampleSet latencies;
+  std::vector<double> samples;  // completed user-read latencies
   std::size_t rebuild_remaining = rebuild_jobs;
   std::vector<int> user_load(static_cast<std::size_t>(arr.total_disks()), 0);
 
@@ -153,7 +153,7 @@ Result<MmOnlineReport> run_online_reconstruction(MultiMirrorArray& arr,
       queues[static_cast<std::size_t>(disk)].busy = false;
       if (job.is_user) {
         const double latency = sim.now() - job.arrival;
-        latencies.add(latency);
+        samples.push_back(latency);
         ++report.requests_completed;
         if (slo_target > 0.0 && latency > slo_target) ++report.slo_violations;
         if (throttle.adaptive()) window.push_back(latency);
@@ -237,9 +237,9 @@ Result<MmOnlineReport> run_online_reconstruction(MultiMirrorArray& arr,
     if (rebuild_remaining == 0) return;
     double window_p99 = -1.0;
     if (!window.empty()) {
-      SampleSet s;
-      for (const double v : window) s.add(v);
-      window_p99 = s.percentile(99);
+      // Copied, not moved: `window` keeps its capacity for the next
+      // interval.
+      window_p99 = SampleSet(window).percentile(99);
       window.clear();
     }
     const int delta = throttle.control(window_p99);
@@ -273,6 +273,7 @@ Result<MmOnlineReport> run_online_reconstruction(MultiMirrorArray& arr,
 
   if (rebuild_remaining != 0)
     return internal_error("rebuild jobs left undispatched");
+  const SampleSet latencies(std::move(samples));
   if (!latencies.empty()) {
     report.mean_latency_s = latencies.mean();
     report.p50_latency_s = latencies.percentile(50);

@@ -898,9 +898,9 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
     if (rebuild_remaining == 0) return;
     double window_p99 = -1.0;
     if (!window.empty()) {
-      SampleSet s;
-      for (const double v : window) s.add(v);
-      window_p99 = s.percentile(99);
+      // Copied, not moved: `window` keeps its capacity for the next
+      // interval.
+      window_p99 = SampleSet(window).percentile(99);
       window.clear();
     }
     const int delta = throttle.control(window_p99);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 namespace sma {
 
@@ -44,6 +45,13 @@ double RunningStat::variance() const {
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
+
+SampleSet::SampleSet(std::vector<double> samples)
+    : samples_(std::move(samples)) {
+  assert(std::none_of(samples_.begin(), samples_.end(),
+                      [](double x) { return std::isnan(x); }));
+  std::sort(samples_.begin(), samples_.end());
+}
 
 void SampleSet::add(double x) {
   samples_.insert(std::upper_bound(samples_.begin(), samples_.end(), x), x);

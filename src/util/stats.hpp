@@ -31,13 +31,23 @@ class RunningStat {
   double max_ = 0.0;
 };
 
-/// Order statistics over a retained sample set. Samples are kept sorted
-/// on insertion, so every accessor is genuinely const — concurrent
+/// Order statistics over a retained sample set. Samples are always
+/// kept sorted, so every accessor is genuinely const — concurrent
 /// reads of a no-longer-mutated set are safe. (The previous lazy
 /// sort-on-read mutated state under `const`, a data race when two
 /// threads called percentile() on a shared set.)
 class SampleSet {
  public:
+  SampleSet() = default;
+  /// Takes ownership of `samples` and sorts them once: O(n log n).
+  /// Requires no NaN. Equals, bit for bit, the set that adding the
+  /// same values one by one in any order builds — except that -0.0
+  /// and +0.0 (equal under <) may swap places.
+  explicit SampleSet(std::vector<double> samples);
+
+  /// Sorted insert, for incremental use: O(count()) per call, so
+  /// filling a set of n samples this way costs O(n²). Use the vector
+  /// constructor when every sample is known up front.
   void add(double x);
   void reserve(std::size_t n) { samples_.reserve(n); }
   std::size_t count() const { return samples_.size(); }

@@ -157,6 +157,41 @@ TEST(FleetReport, ArrangementMixMatchesItsLayoutSpecs) {
   }
 }
 
+// Golden pins: a 16-array fleet (8 stacks, 5,000 routed requests, 2
+// rebuilding arrays), digests recorded with the one-add-at-a-time
+// aggregation that the vector-built SampleSets replaced. Any change in
+// a latency statistic, per array or fleet-wide, moves the digest.
+TEST(FleetGolden, SmallFleetDigestsArePinned) {
+  const struct {
+    bool parity;
+    std::uint64_t digest;
+    double p99;
+    double worst_degraded_p99;
+  } cases[] = {{false, 0xe7bf0540b0fbb052ull, 0.22927687235316596,
+                0.29285985392017749},
+               {true, 0xc8cf0dde90acf85cull, 0.2140285961830084,
+                0.25783870715997192}};
+  for (const auto& c : cases) {
+    for (const std::size_t threads : {1u, 4u}) {
+      FleetConfig cfg;
+      cfg.arrays = 16;
+      cfg.stacks = 8;
+      cfg.parity = c.parity;
+      cfg.arrival.rate_hz = 400.0;
+      cfg.arrival.max_requests = 5000;
+      cfg.failed_arrays = 2;
+      cfg.threads = threads;
+      const auto r = run_fleet(cfg);
+      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+      EXPECT_EQ(r.value().requests_completed, 5000u);
+      EXPECT_EQ(r.value().digest, c.digest)
+          << "parity=" << c.parity << " threads=" << threads;
+      EXPECT_EQ(r.value().p99_latency_s, c.p99);
+      EXPECT_EQ(r.value().worst_degraded_volume_p99_s, c.worst_degraded_p99);
+    }
+  }
+}
+
 // The fleet layer leans on two online-simulator behaviors added for it:
 // healthy (zero-failure) runs, and per-request latency recording that
 // leaves the rest of the report bit-identical.

@@ -409,6 +409,48 @@ TEST(MultiOnline, ShiftedRebuildCompletesSoonerThanTraditional) {
   EXPECT_LT(done[1], done[0]);
 }
 
+// Golden pins for the latency fields of the R = 3 (two replica arrays)
+// engine under the adaptive throttle, recorded with the one-add-at-a-
+// time statistics that the vector-built SampleSets replaced.
+TEST(MultiOnline, AdaptiveLatenciesArePinned) {
+  const struct {
+    bool shifted;
+    double mean, p50, p95, p99, p999, slo_violation_pct;
+  } cases[] = {{true, 0.099210908378111723, 0.080392700729927213,
+                0.1652348788130969, 0.22141155562953241, 0.28303853021048708,
+                9.1666666666666661},
+               {false, 0.097627707644307851, 0.080392700729927213,
+                0.15897838202364273, 0.21181354050041329, 0.2530968946882004,
+                8.5}};
+  for (const auto& c : cases) {
+    MultiArrayConfig acfg = array_cfg(4, 2, c.shifted);
+    acfg.stripes = 2 * 12;  // two stacks of the 12-disk array
+    auto arrr = MultiMirrorArray::create(acfg);
+    ASSERT_TRUE(arrr.is_ok());
+    auto& arr = arrr.value();
+    arr.initialize();
+    arr.fail_physical(0);
+    MmOnlineConfig cfg;
+    cfg.arrival.rate_hz = 40.0;
+    cfg.arrival.max_requests = 600;
+    cfg.arrival.seed = 2012;
+    cfg.qos.policy = workload::RebuildPolicy::kAdaptive;
+    cfg.qos.p99_target_s = 0.150;
+    const auto r = run_online_reconstruction(arr, cfg);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    const MmOnlineReport& rep = r.value();
+    SCOPED_TRACE(testing::Message() << "shifted=" << c.shifted);
+    EXPECT_EQ(rep.requests_completed, 600u);
+    EXPECT_GT(rep.throttle_adjustments, 0);
+    EXPECT_EQ(rep.mean_latency_s, c.mean);
+    EXPECT_EQ(rep.p50_latency_s, c.p50);
+    EXPECT_EQ(rep.p95_latency_s, c.p95);
+    EXPECT_EQ(rep.p99_latency_s, c.p99);
+    EXPECT_EQ(rep.p999_latency_s, c.p999);
+    EXPECT_EQ(rep.slo_violation_pct, c.slo_violation_pct);
+  }
+}
+
 TEST(MultiArray, NoFailureTrivialReport) {
   auto arrr = MultiMirrorArray::create(array_cfg(3, 2, true));
   ASSERT_TRUE(arrr.is_ok());

@@ -520,5 +520,58 @@ TEST(Online, BatchGateDisablesUnderThrottleAndSecondFailure) {
   EXPECT_EQ(a.final_rebuild_budget, b.final_rebuild_budget);
 }
 
+// Golden pins for every latency field of the report: 30 % writes under
+// the adaptive throttle (which also exercises the control-tick window
+// p99), recorded while every set was still filled one add at a time;
+// the window's set is now built from a vector. record_latencies must
+// not matter.
+TEST(OnlineGolden, AdaptiveWriteMixLatenciesArePinned) {
+  const struct {
+    bool shifted;
+    double mean, p50, p95, p99, p999, max, mean_degraded, mean_write,
+        p99_write, slo_violation_pct;
+  } cases[] = {
+      {true, 0.087170455500386379, 0.080392700729927213,
+       0.13384661625058669, 0.15506495960860944, 0.19433213535979449,
+       0.21398595119704789, 0.088314019689154033, 0.050527688196371962,
+       0.12848717071760882, 7.1428571428571432},
+      {false, 0.091794835546620268, 0.080392700729927213,
+       0.15258127301088464, 0.21213635206504086, 0.23464829443856675,
+       0.24378468113124718, 0.11263859046421977, 0.051300101716331238,
+       0.13499646187346029, 11.576354679802956}};
+  for (const auto& c : cases) {
+    for (const bool record : {false, true}) {
+      array::DiskArray arr(cfg_for(layout::Architecture::mirror(5, c.shifted)));
+      arr.initialize();
+      arr.fail_physical(0);
+      OnlineConfig cfg;
+      cfg.arrival.rate_hz = 20.0;
+      cfg.arrival.max_requests = 600;
+      cfg.arrival.seed = 2012;
+      cfg.mix.write_fraction = 0.3;
+      cfg.qos.policy = workload::RebuildPolicy::kAdaptive;
+      cfg.qos.p99_target_s = 0.120;
+      cfg.record_latencies = record;
+      const auto r = run_online_reconstruction(arr, cfg);
+      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+      const OnlineReport& rep = r.value();
+      SCOPED_TRACE(testing::Message()
+                   << "shifted=" << c.shifted << " record=" << record);
+      EXPECT_EQ(rep.requests_completed, 600u);
+      EXPECT_GT(rep.throttle_adjustments, 0);
+      EXPECT_EQ(rep.mean_latency_s, c.mean);
+      EXPECT_EQ(rep.p50_latency_s, c.p50);
+      EXPECT_EQ(rep.p95_latency_s, c.p95);
+      EXPECT_EQ(rep.p99_latency_s, c.p99);
+      EXPECT_EQ(rep.p999_latency_s, c.p999);
+      EXPECT_EQ(rep.max_latency_s, c.max);
+      EXPECT_EQ(rep.mean_degraded_latency_s, c.mean_degraded);
+      EXPECT_EQ(rep.mean_write_latency_s, c.mean_write);
+      EXPECT_EQ(rep.p99_write_latency_s, c.p99_write);
+      EXPECT_EQ(rep.slo_violation_pct, c.slo_violation_pct);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sma::recon

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -107,6 +109,66 @@ TEST(SampleSet, SamplesAreAscendingRegardlessOfInsertionOrder) {
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
   EXPECT_DOUBLE_EQ(v.front(), 0.5);
   EXPECT_DOUBLE_EQ(v.back(), 3.0);
+}
+
+// The vector constructor sorts once; it must agree bit for bit with a
+// set grown one add() at a time from the same values, whatever order
+// they arrive in.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bitwise_equal(const SampleSet& a, const SampleSet& b) {
+  ASSERT_EQ(a.count(), b.count());
+  for (std::size_t i = 0; i < a.count(); ++i)
+    ASSERT_EQ(bits(a.samples()[i]), bits(b.samples()[i])) << "index " << i;
+  EXPECT_EQ(bits(a.mean()), bits(b.mean()));
+  EXPECT_EQ(bits(a.min()), bits(b.min()));
+  EXPECT_EQ(bits(a.max()), bits(b.max()));
+  for (const double p : {0.0, 50.0, 99.0, 99.9, 100.0})
+    EXPECT_EQ(bits(a.percentile(p)), bits(b.percentile(p))) << "p" << p;
+}
+
+TEST(SampleSet, VectorConstructorMatchesAddInAnyOrder) {
+  Rng rng(2012);
+  for (const std::size_t n : {1u, 2u, 3u, 17u, 100u, 1000u, 4096u}) {
+    // Latency-like values with many duplicates (a five-value grid) and
+    // exact zeros (a request served at its arrival time).
+    std::vector<double> values;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t pick = rng.next_below(8);
+      if (pick == 0)
+        values.push_back(0.0);
+      else if (pick < 4)
+        values.push_back(static_cast<double>(rng.next_below(5)) * 0.0125);
+      else
+        values.push_back(rng.next_exponential(0.08));
+    }
+    for (int order = 0; order < 3; ++order) {
+      SampleSet by_add;
+      for (const double x : values) by_add.add(x);
+      const SampleSet by_vector(values);
+      expect_bitwise_equal(by_add, by_vector);
+      EXPECT_TRUE(std::is_sorted(by_vector.samples().begin(),
+                                 by_vector.samples().end()));
+      rng.shuffle(values);
+    }
+  }
+}
+
+TEST(SampleSet, VectorConstructorSingleSample) {
+  for (const double x : {0.0, 3.14, 1e-300}) {
+    SampleSet by_add;
+    by_add.add(x);
+    const SampleSet by_vector(std::vector<double>{x});
+    expect_bitwise_equal(by_add, by_vector);
+    EXPECT_EQ(by_vector.percentile(99.9), x);
+  }
+}
+
+TEST(SampleSet, VectorConstructorFromEmptyIsEmpty) {
+  const SampleSet s(std::vector<double>{});
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.count(), 0u);
+  EXPECT_EQ(s.mean(), 0.0);
 }
 
 // Regression: percentile()/min()/max() used to sort lazily under a

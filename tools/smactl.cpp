@@ -219,11 +219,26 @@ Result<array::ArrayConfig> array_cfg_from(const Flags& flags,
   return cfg;
 }
 
+// --fail=<d> (default 0) for the single-failure online commands. An
+// out-of-range disk is a usage error (false), never an assert abort.
+bool fail_one_disk(const Flags& flags, array::DiskArray& arr) {
+  const int d = flags.get_int("fail", 0);
+  if (d < 0 || d >= arr.total_disks()) return false;
+  arr.fail_physical(d);
+  return true;
+}
+
 // Shared observer option table: --jsonl=<f> --chrome=<f>
 // --timeline-csv=<f> [--interval=<s>] attach trace/metrics sinks to
 // any simulating subcommand the same way; finish() writes the files.
 class ObserverScope {
  public:
+  /// A negative (or NaN) --interval is a usage error: check it before
+  /// building a scope, whose metrics registry asserts on it.
+  static bool interval_ok(const Flags& flags) {
+    return flags.get_double("interval", 0.0) >= 0.0;
+  }
+
   ObserverScope(const Flags& flags, bool force_trace, bool force_metrics,
                 double default_interval)
       : jsonl_(flags.get("jsonl", "")),
@@ -404,7 +419,9 @@ int cmd_online(const Flags& flags) {
   auto cfg = std::move(cfgr).take();
   array::DiskArray arr(cfg);
   arr.initialize();
-  arr.fail_physical(flags.get_int("fail", 0));
+  if (!fail_one_disk(flags, arr)) return usage("--fail out of range");
+  if (!ObserverScope::interval_ok(flags))
+    return usage("--interval must be >= 0");
   ObserverScope scope(flags, /*force_trace=*/false, /*force_metrics=*/false,
                       /*default_interval=*/0.5);
   recon::OnlineConfig ocfg;
@@ -433,7 +450,7 @@ int cmd_qos(const Flags& flags) {
   auto cfg = std::move(cfgr).take();
   array::DiskArray arr(cfg);
   arr.initialize();
-  arr.fail_physical(flags.get_int("fail", 0));
+  if (!fail_one_disk(flags, arr)) return usage("--fail out of range");
 
   recon::OnlineConfig ocfg;
   auto kind = workload::arrival_kind_from(flags.get("arrival", "poisson"));
@@ -461,6 +478,8 @@ int cmd_qos(const Flags& flags) {
   ocfg.qos.rebuild_budget = flags.get_int("budget", 0);
   ocfg.qos.p99_target_s = flags.get_double("p99-ms", 120.0) / 1e3;
   ocfg.qos.control_interval_s = flags.get_double("interval", 0.25);
+  if (!ObserverScope::interval_ok(flags))
+    return usage("--interval must be >= 0");
 
   ObserverScope scope(flags, /*force_trace=*/true, /*force_metrics=*/false,
                       /*default_interval=*/0.25);
@@ -508,7 +527,9 @@ int cmd_trace(const Flags& flags) {
   auto cfg = std::move(cfgr).take();
   array::DiskArray arr(cfg);
   arr.initialize();
-  arr.fail_physical(flags.get_int("fail", 0));
+  if (!fail_one_disk(flags, arr)) return usage("--fail out of range");
+  if (!ObserverScope::interval_ok(flags))
+    return usage("--interval must be >= 0");
 
   ObserverScope scope(flags, /*force_trace=*/true, /*force_metrics=*/true,
                       /*default_interval=*/0.5);
@@ -1027,7 +1048,7 @@ int cmd_degraded(const Flags& flags) {
   auto cfg = std::move(cfgr).take();
   array::DiskArray arr(cfg);
   arr.initialize();
-  arr.fail_physical(flags.get_int("fail", 0));
+  if (!fail_one_disk(flags, arr)) return usage("--fail out of range");
   workload::DegradedReadConfig dcfg;
   dcfg.arrival.max_requests = flags.get_int("reads", 2000);
   dcfg.arrival.seed = cfg.seed;
