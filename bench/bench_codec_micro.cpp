@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "ec/evenodd.hpp"
 #include "ec/raid5.hpp"
 #include "ec/rdp.hpp"
@@ -215,6 +216,8 @@ int main(int argc, char** argv) {
   register_region_benches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The host block of BENCH_gf_kernels.json (scripts/bench_gf_kernels.py).
+  benchmark::AddCustomContext("sma_host", sma::bench::host_json(0));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

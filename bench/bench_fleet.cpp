@@ -31,13 +31,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
 #include "fleet/fleet.hpp"
-#include "gf/region.hpp"
-#include "sim/simulation.hpp"
 #include "util/flags.hpp"
 
 namespace {
@@ -55,34 +52,6 @@ double now_wall() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// The build and run-time keys of the `host` block, named as in the
-/// repository benchmark's results (benchmark/results/*.json).
-std::string host_json(std::size_t threads) {
-#if defined(__clang__)
-  const std::string compiler = "clang " __clang_version__;
-#elif defined(__GNUC__)
-  const std::string compiler = "gcc " __VERSION__;
-#else
-  const std::string compiler = "unknown";
-#endif
-  const char* backend = "calendar";
-  if (sim::default_queue_backend() == sim::QueueBackend::kHeap)
-    backend = "heap";
-  else if (sim::default_queue_backend() == sim::QueueBackend::kLegacy)
-    backend = "legacy";
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\"nproc\": %u, \"compiler\": \"%s\", "
-                "\"build_type\": \"%s\", \"gf_tier\": \"%s\", "
-                "\"sim_queue_backend\": \"%s\", "
-                "\"multikernel_threads\": %zu}",
-                std::thread::hardware_concurrency(), compiler.c_str(),
-                SMA_BUILD_TYPE,
-                std::string(gf::to_string(gf::active_tier())).c_str(),
-                backend, threads);
-  return buf;
 }
 
 struct Cell {
@@ -234,7 +203,7 @@ int main(int argc, char** argv) {
     std::printf("{\n  \"arrays_per_cell\": %d,\n  \"requests_per_cell\": %d,\n",
                 arrays, requests);
     std::printf("  \"threads\": %zu,\n  \"host\": %s,\n  \"cells\": {\n",
-                threads, host_json(threads).c_str());
+                threads, bench::host_json(threads).c_str());
     for (int c = 0; c < 4; ++c) {
       const fleet::FleetReport& r = cells[c].report;
       std::printf("    \"%s\": {\"wall_s\": %.6f, \"p99_s\": %.6f, "

@@ -353,8 +353,9 @@ int main(int argc, char** argv) {
 
   if (json) {
     table.write_csv("sma_sim_kernel.csv");
-    std::printf("{\n  \"fleet\": {\n    \"disks\": %d,\n    \"events\": %llu",
-                kFleetDisks,
+    std::printf("{\n  \"host\": %s,\n  \"fleet\": {\n    \"disks\": %d,\n"
+                "    \"events\": %llu",
+                bench::host_json(thread_counts[3]).c_str(), kFleetDisks,
                 static_cast<unsigned long long>(fleet[0].events));
     for (int b = 0; b < 3; ++b)
       std::printf(",\n    \"%s\": {\"wall_s\": %.6f, \"events_per_s\": %.0f, "

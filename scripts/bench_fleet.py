@@ -17,10 +17,8 @@ The bench also rewrites sma_fleet.csv (deterministic counts, simulated
 times, and digests only; the CI drift gate requires it bit-identical to
 the committed copy when run at default scale).
 
-The output carries a `host` block with the same keys as the repository
-benchmark's results (benchmark/results/*.json): the bench reports nproc,
-compiler, build type, GF tier, sim queue backend and MultiKernel
-threads; this script adds the CPU model, the git commit and the date.
+The output carries the `host` block of every BENCH_*.json
+(scripts/bench_host.py).
 
 Usage:
   scripts/bench_fleet.py [--build-dir build] [--out BENCH_fleet.json]
@@ -28,40 +26,12 @@ Usage:
 """
 
 import argparse
-import datetime
 import json
 import pathlib
 import subprocess
 import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def host_context(binary_host: dict) -> dict:
-    cpu = "unknown"
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    cpu = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    commit = "unknown"
-    p = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
-                       stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                       text=True)
-    if p.returncode == 0:
-        commit = p.stdout.strip()
-        # Tracked files edited since that commit: the bench did not run
-        # the committed code.
-        dirty = subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet",
-                                "HEAD"], stderr=subprocess.DEVNULL)
-        if dirty.returncode == 1:
-            commit += "-dirty"
-    return {**binary_host, "cpu_model": cpu, "git_commit": commit,
-            "date": datetime.datetime.now(datetime.timezone.utc)
-            .isoformat(timespec="seconds")}
+from bench_host import host_context
 
 
 def main() -> None:

@@ -5,8 +5,10 @@ Drives build/bench/bench_codec_micro with --benchmark_format=json,
 keeps the per-tier region benchmarks (BM_Region*, BM_EncodeDot), and
 writes BENCH_gf_kernels.json: throughput in GB/s for every (kernel,
 tier, size) plus the scalar-vs-best-SIMD speedup per kernel at 64 KiB —
-the number the ISSUE's acceptance bar (>= 4x for region_mul_xor) is
-checked against.
+the number the acceptance bar (>= 4x for region_mul_xor) is checked
+against — and the `host` block of every BENCH_*.json
+(scripts/bench_host.py), whose build keys the binary reports in its
+benchmark context.
 
 Usage:
   scripts/bench_gf_kernels.py [--build-dir build] [--out BENCH_gf_kernels.json]
@@ -18,6 +20,8 @@ import json
 import pathlib
 import subprocess
 import sys
+
+from bench_host import host_context
 
 # Benchmark name -> kernel key in the output JSON.
 KERNELS = {
@@ -79,6 +83,7 @@ def summarize(raw: dict) -> dict:
         }
 
     return {
+        "host": host_context(json.loads(raw["context"]["sma_host"])),
         "context": {
             k: raw.get("context", {}).get(k)
             for k in ("date", "host_name", "num_cpus", "mhz_per_cpu")

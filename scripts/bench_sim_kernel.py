@@ -20,7 +20,9 @@ Drives build/bench/bench_sim_kernel --json, which measures
                        what this run actually had.
 
 The bench also rewrites sma_sim_kernel.csv (deterministic digests; the
-CI drift gate requires it bit-identical to the committed copy).
+CI drift gate requires it bit-identical to the committed copy). The
+output carries the `host` block of every BENCH_*.json
+(scripts/bench_host.py).
 
 Usage:
   scripts/bench_sim_kernel.py [--build-dir build] [--out BENCH_sim_kernel.json]
@@ -31,6 +33,8 @@ import json
 import pathlib
 import subprocess
 import sys
+
+from bench_host import host_context
 
 
 def main() -> None:
@@ -57,6 +61,7 @@ def main() -> None:
         sys.stderr.write(out.stderr)
         sys.exit(out.returncode)
     result = json.loads(out.stdout)
+    result["host"] = host_context(result["host"])
 
     args.out.write_text(json.dumps(result, indent=2) + "\n")
 

@@ -39,7 +39,10 @@ struct ArrayConfig {
   /// Per-physical-disk spec overrides (heterogeneous arrays /
   /// straggler experiments); disks absent from the map use `spec`.
   std::map<int, disk::DiskSpec> spec_overrides;
-  /// Stored bytes per element (content correctness checks).
+  /// Stored bytes per element (content correctness checks). A disk
+  /// allocates its slots x content_bytes store on its first mutable
+  /// content access (initialize(), a restore, any non-const content()),
+  /// so a timing-only array holds one element per disk.
   std::size_t content_bytes = 4096;
   /// Timed bytes per element (the paper uses 4 MB).
   std::uint64_t logical_element_bytes = 4ull * 1024 * 1024;
@@ -148,7 +151,9 @@ class DiskArray {
   disk::SimDisk& physical(int disk);
   const disk::SimDisk& physical(int disk) const;
 
-  /// Content of the element at (logical disk, stripe, row).
+  /// Content of the element at (logical disk, stripe, row). The
+  /// non-const overload materializes the disk's element store (see
+  /// SimDisk::content); the const one never allocates.
   std::span<std::uint8_t> content(int logical, int stripe, int row);
   std::span<const std::uint8_t> content(int logical, int stripe, int row) const;
 

@@ -54,9 +54,8 @@ std::uint64_t fold_report(const ChaosReport& r) {
   return d;
 }
 
-}  // namespace
-
-Result<ChaosReport> run_scenario(const ChaosConfig& cfg) {
+/// run_scenario's phases; `ctx` names the phase running when one fails.
+Result<ChaosReport> run_phases(const ChaosConfig& cfg, OracleContext& ctx) {
   if (cfg.n < 2) return invalid_argument("chaos: n must be >= 2");
   if (cfg.stacks <= 0) return invalid_argument("chaos: stacks must be > 0");
   if (cfg.requests <= 0 || cfg.arrival_rate_hz <= 0.0)
@@ -74,7 +73,7 @@ Result<ChaosReport> run_scenario(const ChaosConfig& cfg) {
                               std::to_string(disks));
 
   ChaosReport report;
-  OracleContext ctx{cfg.scenario.seed, cfg.scenario.spec(), "serving"};
+  ctx.phase = "serving";
   const ChaosStep* primary = cfg.scenario.find(ChaosAction::kFailStop);
   const ChaosStep* second = cfg.scenario.find(ChaosAction::kSecond);
 
@@ -132,8 +131,12 @@ Result<ChaosReport> run_scenario(const ChaosConfig& cfg) {
     report.degraded_p99_s = report.serving.p99_latency_s;
 
     ++report.oracle_checks;
-    if (report.serving.requests_completed > report.serving.requests_issued)
-      return oracle_violation(ctx, "more requests completed than issued");
+    if (report.serving.requests_completed != report.serving.requests_issued)
+      return oracle_violation(
+          ctx, "serving completed " +
+                   std::to_string(report.serving.requests_completed) +
+                   " of " + std::to_string(report.serving.requests_issued) +
+                   " issued requests");
     ++report.oracle_checks;
     if (report.serving.requests_completed > 0 &&
         !(report.serving.p50_latency_s <= report.serving.p95_latency_s &&
@@ -305,6 +308,15 @@ Result<ChaosReport> run_scenario(const ChaosConfig& cfg) {
   return report;
 }
 
+}  // namespace
+
+Result<ChaosReport> run_scenario(const ChaosConfig& cfg) {
+  OracleContext ctx{cfg.scenario.seed, cfg.scenario.spec(), "setup"};
+  Result<ChaosReport> r = run_phases(cfg, ctx);
+  if (!r.is_ok()) return replay_stamped(ctx, r.status());
+  return r;
+}
+
 Result<SoakReport> run_soak(const SoakConfig& cfg) {
   if (cfg.scenarios <= 0)
     return invalid_argument("chaos soak: scenarios must be > 0");
@@ -370,12 +382,11 @@ Result<SoakReport> run_soak(const SoakConfig& cfg) {
   return report;
 }
 
-Result<fleet::TimelineReport> run_fleet_scenario(
-    const FleetScenarioConfig& cfg) {
-  OracleContext ctx{cfg.seed,
-                    "fleet@domain:n" + std::to_string(cfg.domain_size) + ":x" +
-                        std::to_string(cfg.domain_hazard_factor),
-                    "fleet"};
+namespace {
+
+/// run_fleet_scenario's two timelines and their oracle checks.
+Result<fleet::TimelineReport> run_fleet_timelines(
+    const FleetScenarioConfig& cfg, const OracleContext& ctx) {
   fleet::TimelineConfig tc;
   tc.arrays = cfg.arrays;
   tc.horizon_hours = cfg.horizon_hours;
@@ -403,6 +414,20 @@ Result<fleet::TimelineReport> run_fleet_scenario(
       static_cast<double>(r.max_concurrent_rebuilds))
     return oracle_violation(ctx, "mean concurrency exceeds the maximum");
   return first;
+}
+
+}  // namespace
+
+Result<fleet::TimelineReport> run_fleet_scenario(
+    const FleetScenarioConfig& cfg) {
+  const OracleContext ctx{
+      cfg.seed,
+      "fleet@domain:n" + std::to_string(cfg.domain_size) + ":x" +
+          std::to_string(cfg.domain_hazard_factor),
+      "fleet"};
+  auto r = run_fleet_timelines(cfg, ctx);
+  if (!r.is_ok()) return replay_stamped(ctx, r.status());
+  return r;
 }
 
 }  // namespace sma::chaos

@@ -24,10 +24,11 @@
 //     says the set is fatal, in which case the lifecycle must declare
 //     data loss and nothing else is owed.
 //
-// Every oracle violation is a Status whose message embeds the
-// (seed, spec) replay pair; run_soak composes seeded scenarios in bulk
-// (optionally on sim::MultiKernel threads) and requires zero
-// violations. See docs/CHAOS.md.
+// Every failing scenario — an oracle violation or an engine error — is
+// a Status whose message embeds the (seed, spec) replay pair. Phase 1
+// requires every issued request to complete. run_soak composes seeded
+// scenarios in bulk (optionally on sim::MultiKernel threads) and
+// requires zero violations. See docs/CHAOS.md.
 #pragma once
 
 #include <cstdint>

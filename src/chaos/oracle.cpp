@@ -4,11 +4,26 @@
 
 namespace sma::chaos {
 
+namespace {
+
+std::string replay_pair(const OracleContext& ctx) {
+  return " (replay: --seed=" + std::to_string(ctx.seed) + " --scenario='" +
+         ctx.spec + "')";
+}
+
+}  // namespace
+
 Status oracle_violation(const OracleContext& ctx, const std::string& what) {
   return internal_error("chaos oracle violation [" + std::string(ctx.phase) +
-                        "]: " + what +
-                        " (replay: --seed=" + std::to_string(ctx.seed) +
-                        " --scenario='" + ctx.spec + "')");
+                        "]: " + what + replay_pair(ctx));
+}
+
+Status replay_stamped(const OracleContext& ctx, const Status& error) {
+  if (error.message().find(" (replay: --seed=") != std::string::npos)
+    return error;
+  return Status(error.code(), "chaos engine error [" +
+                                  std::string(ctx.phase) +
+                                  "]: " + error.message() + replay_pair(ctx));
 }
 
 Status check_durability(const array::DiskArray& arr,

@@ -3,8 +3,9 @@
 //
 // Each check is a pure predicate over observable state and returns a
 // Status — never an assert, never silent. A violation is kInternal and
-// its message embeds the scenario-replay pair (seed + canonical spec),
-// so any soak failure reproduces with
+// its message embeds the scenario-replay pair (seed + canonical spec);
+// the engine stamps its other errors with the same pair
+// (replay_stamped), so any soak failure reproduces with
 //   smactl chaos --seed=<seed> --scenario='<spec>'
 //
 // The invariants, stated once (see docs/CHAOS.md for discussion):
@@ -42,6 +43,13 @@ struct OracleContext {
 
 /// Build the canonical violation Status (kInternal, replay-stamped).
 Status oracle_violation(const OracleContext& ctx, const std::string& what);
+
+/// Stamp a failure that is not an oracle violation — an engine or phase
+/// error, e.g. a step naming a disk beyond the array — with the phase
+/// and the replay pair, keeping its code. Already-stamped Statuses (the
+/// oracle's own) pass through unchanged, so every failing scenario
+/// carries exactly one replay pair.
+Status replay_stamped(const OracleContext& ctx, const Status& error);
 
 /// Durability: when the current failed set is recoverable, the array
 /// must be internally consistent (mirror cells match their data source,

@@ -17,7 +17,7 @@ SimDisk::SimDisk(int id, DiskSpec spec, std::int64_t slot_count,
       slot_count_(slot_count),
       content_bytes_(content_bytes),
       logical_element_bytes_(logical_element_bytes),
-      store_(static_cast<std::size_t>(slot_count) * content_bytes) {
+      store_(content_bytes) {
   assert(slot_count > 0);
   assert(content_bytes > 0);
   assert(logical_element_bytes > 0);
@@ -228,14 +228,23 @@ void SimDisk::reset_counters() { counters_ = DiskCounters{}; }
 
 std::span<std::uint8_t> SimDisk::content(std::int64_t slot) {
   assert(slot >= 0 && slot < slot_count_);
+  if (!content_materialized()) {
+    // Every byte of the fill element is equal: nothing can write to it
+    // before the store grows here.
+    const std::uint8_t fill = store_.front();
+    store_.resize(static_cast<std::size_t>(slot_count_) * content_bytes_,
+                  fill);
+  }
   return {store_.data() + static_cast<std::size_t>(slot) * content_bytes_,
           content_bytes_};
 }
 
 std::span<const std::uint8_t> SimDisk::content(std::int64_t slot) const {
   assert(slot >= 0 && slot < slot_count_);
-  return {store_.data() + static_cast<std::size_t>(slot) * content_bytes_,
-          content_bytes_};
+  const std::size_t offset =
+      content_materialized() ? static_cast<std::size_t>(slot) * content_bytes_
+                             : 0;
+  return {store_.data() + offset, content_bytes_};
 }
 
 void SimDisk::set_fault_profile(const FaultProfile& profile) {

@@ -7,6 +7,13 @@
 // in RAM. Correctness checks (parity math, rebuild verification) run on
 // the stored bytes; throughput math runs on the logical size.
 //
+// The element store is allocated on first use: a disk holds one
+// element of fill bytes (zeros, or the fail() scramble) until the first
+// mutable content access — non-const content() or restore_content() —
+// grows it to slot_count() x content_bytes() bytes of that fill. Const
+// reads never allocate and see the fill bytes in every slot, so a
+// timing-only run, which never writes contents, costs no store at all.
+//
 // Addressing: elements live at integer slots; slot order is physical
 // LBA order, so an access to slot s+1 immediately after slot s is
 // sequential (no positioning charge).
@@ -166,8 +173,22 @@ class SimDisk {
   void clear_trace() { trace_.clear(); }
 
   // --- content ----------------------------------------------------------
+  /// Mutable bytes of one slot. The first call on a disk allocates its
+  /// whole store (see the header note), filled with what every slot
+  /// held until then. A span from the const overload taken before that
+  /// call points into the replaced fill element and must not be used
+  /// after it.
   std::span<std::uint8_t> content(std::int64_t slot);
+  /// Read-only bytes of one slot; never allocates. Before the store is
+  /// materialized every slot reads the same fill bytes: zeros, or 0xDB
+  /// after fail().
   std::span<const std::uint8_t> content(std::int64_t slot) const;
+  /// True once the store holds every slot's bytes (always, for a
+  /// one-slot disk).
+  bool content_materialized() const {
+    return store_.size() ==
+           static_cast<std::size_t>(slot_count_) * content_bytes_;
+  }
 
   // --- fault injection --------------------------------------------------
   /// Install a fault profile: samples the latent-slot set (from
@@ -188,9 +209,12 @@ class SimDisk {
   // --- failure ----------------------------------------------------------
   bool failed() const { return failed_; }
   /// Marks the disk failed and scrambles its contents (a failed disk's
-  /// data must never be readable by accident).
+  /// data must never be readable by accident). On a disk whose store is
+  /// not yet materialized this scrambles only the fill element:
+  /// O(content_bytes), and every slot then reads 0xDB.
   void fail();
-  /// Install recovered bytes for one slot of a failed disk. heal()
+  /// Install recovered bytes for one slot of a failed disk (a mutable
+  /// access: materializes the store). heal()
   /// requires every slot restored first — a healed disk must never
   /// serve the post-fail() scramble pattern.
   void restore_content(std::int64_t slot, std::span<const std::uint8_t> bytes);
@@ -226,6 +250,8 @@ class SimDisk {
   obs::Observer* observer_ = nullptr;
   DiskCounters counters_;
   std::vector<TraceEntry> trace_;
+  /// Every slot's bytes once materialized; before that, one element of
+  /// fill bytes shared by all slots.
   std::vector<std::uint8_t> store_;
 
   // Fault state. All vectors stay empty (zero cost) until a non-inert

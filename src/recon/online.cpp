@@ -331,6 +331,7 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
   std::function<void(int)> handle_disk_death;  // defined below dispatch
   std::function<void(int)> dispatch;           // defined below
   std::function<void(int, Job)> enqueue_user;  // defined below dispatch
+  std::function<void(const Job&)> reroute_orphan;  // defined below dispatch
 
   // Record a detector flag flip: report accounting plus a typed
   // kFailSlow event when an observer is attached.
@@ -538,7 +539,19 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
       sim.schedule_at(d.busy_until(), [&, disk, job, transient]() mutable {
         auto& dq = queues[static_cast<std::size_t>(disk)];
         dq.busy = false;
-        if (transient && job.attempts < arr.config().io_max_retries) {
+        const bool retry =
+            transient && job.attempts < arr.config().io_max_retries;
+        if (retry && arr.physical(disk).failed()) {
+          // The disk died during the attempt, and handle_disk_death has
+          // swept its queue and replanned every stripe since: a retry
+          // queued here would never dispatch. A rebuild job retires
+          // like an abandoned op; a user piece gets the dead queue's
+          // treatment.
+          if (job.request_id < 0)
+            complete_job(job, disk);
+          else
+            reroute_orphan(job);
+        } else if (retry) {
           ++job.attempts;
           ++report.io_retries;
           if (ob != nullptr) {
@@ -800,12 +813,50 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
     }
   };
 
+  // A user piece its disk died before serving: a read is re-issued
+  // against the surviving copies and a write piece completes as skipped
+  // (the write lands on the remaining copies). Shared by
+  // handle_disk_death's sweep of the dead disk's queue and the retry of
+  // a transient error whose disk died during the attempt.
+  reroute_orphan = [&](const Job& job) {
+    Request& rq = requests[static_cast<std::size_t>(job.request_id)];
+    if (job.hedge_group >= 0) {
+      HedgeGroup& g = hedge_groups[static_cast<std::size_t>(job.hedge_group)];
+      // Partner already served the piece: nothing left to carry.
+      if (g.done) return;
+      // Cancel the pair: the surviving half completes as wasted, and
+      // the reroute below re-issues this piece plain — exactly one
+      // decrement for the pair's one pieces_left unit, whichever half
+      // died.
+      g.done = true;
+    }
+    if (job.kind == disk::IoKind::kWrite) {
+      if (--rq.pieces_left == 0) finish_request(rq);
+      return;
+    }
+    bool degraded = false;
+    auto pieces = read_pieces(job.data_disk, job.stripe, job.row, degraded);
+    if (pieces.empty()) {
+      if (--rq.pieces_left == 0) finish_request(rq);
+      return;
+    }
+    rq.pieces_left += static_cast<int>(pieces.size()) - 1;
+    if (degraded && !rq.degraded) {
+      rq.degraded = true;
+      ++report.degraded_reads;
+    }
+    for (auto& [phys, piece_job] : pieces) {
+      piece_job.request_id = job.request_id;
+      enqueue_user(phys, piece_job);
+    }
+  };
+
   // Absorb the death of `dead` (already marked failed): drop every
   // queued rebuild job, replan all stripes against the full current
-  // failure set, reroute the dead disk's queued user reads to surviving
-  // copies, and complete its queued user write pieces as skipped. Used
-  // by both the configured second-failure injection and FaultProfile-
-  // scheduled fail-stops that manifest in dispatch.
+  // failure set, and hand the dead disk's queued user pieces to
+  // reroute_orphan. Used by both the configured second-failure
+  // injection and FaultProfile-scheduled fail-stops that manifest in
+  // dispatch.
   handle_disk_death = [&](int dead) {
     lc_failed.push_back(dead);
     lc_update(sim.now(), true);
@@ -834,42 +885,7 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
     auto& dq = queues[static_cast<std::size_t>(dead)];
     std::deque<Job> orphans = std::move(dq.user);
     dq.user.clear();
-    for (const Job& job : orphans) {
-      Request& rq = requests[static_cast<std::size_t>(job.request_id)];
-      if (job.hedge_group >= 0) {
-        HedgeGroup& g =
-            hedge_groups[static_cast<std::size_t>(job.hedge_group)];
-        // Partner already served the piece: nothing left to carry.
-        if (g.done) continue;
-        // Cancel the pair: the surviving half completes as wasted, and
-        // the reroute below re-issues this piece plain — exactly one
-        // decrement for the pair's one pieces_left unit, whichever
-        // half died.
-        g.done = true;
-      }
-      if (job.kind == disk::IoKind::kWrite) {
-        // The copy this piece targeted is gone; the write completes
-        // on the remaining copies.
-        if (--rq.pieces_left == 0) finish_request(rq);
-        continue;
-      }
-      // Re-issue the read against surviving copies.
-      bool degraded = false;
-      auto pieces = read_pieces(job.data_disk, job.stripe, job.row, degraded);
-      if (pieces.empty()) {
-        if (--rq.pieces_left == 0) finish_request(rq);
-        continue;
-      }
-      rq.pieces_left += static_cast<int>(pieces.size()) - 1;
-      if (degraded && !rq.degraded) {
-        rq.degraded = true;
-        ++report.degraded_reads;
-      }
-      for (auto& [phys, piece_job] : pieces) {
-        piece_job.request_id = job.request_id;
-        enqueue_user(phys, piece_job);
-      }
-    }
+    for (const Job& job : orphans) reroute_orphan(job);
     // Kick all survivors (new rebuild work everywhere).
     for (int d = 0; d < arr.total_disks(); ++d) dispatch(d);
   };

@@ -28,6 +28,26 @@ TEST(DiskArray, InitializeAndVerifyMirrorShifted) {
   EXPECT_TRUE(arr.verify_consistency().is_ok());
 }
 
+TEST(DiskArray, InitializeMaterializesEveryDisk) {
+  DiskArray arr(
+      small_config(layout::Architecture::mirror_with_parity(4, true)));
+  for (int d = 0; d < arr.physical_count(); ++d)
+    EXPECT_FALSE(arr.physical(d).content_materialized()) << "disk " << d;
+  arr.initialize();
+  for (int d = 0; d < arr.physical_count(); ++d)
+    EXPECT_TRUE(arr.physical(d).content_materialized()) << "disk " << d;
+}
+
+TEST(DiskArray, VerifyAllOnUninitializedArrayNamesTheFirstDataElement) {
+  // Never-written elements read as zeros, which no data pattern is.
+  const DiskArray arr(small_config(layout::Architecture::mirror(4, true)));
+  const Status st = arr.verify_all();
+  EXPECT_EQ(st.code(), ErrorCode::kCorruption);
+  EXPECT_EQ(st.message(), "data mismatch at logical disk 0, stripe 0, row 0");
+  for (int d = 0; d < arr.physical_count(); ++d)
+    EXPECT_FALSE(arr.physical(d).content_materialized()) << "disk " << d;
+}
+
 TEST(DiskArray, InitializeAndVerifyMirrorParityTraditional) {
   DiskArray arr(
       small_config(layout::Architecture::mirror_with_parity(3, false)));

@@ -80,6 +80,48 @@ TEST(ChaosEngine, RejectsStepsTargetingDisksBeyondTheArray) {
   EXPECT_EQ(run_scenario(cfg).status().code(), ErrorCode::kInvalidArgument);
 }
 
+TEST(ChaosEngine, EngineErrorsCarryTheReplayPair) {
+  ChaosConfig cfg;
+  auto parsed = parse_scenario("fail@0:d99", 4242);
+  ASSERT_TRUE(parsed.is_ok());
+  cfg.scenario = std::move(parsed).take();
+  const auto r = run_scenario(cfg);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+  const std::string msg = r.status().to_string();
+  EXPECT_NE(msg.find("disk 99"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("--seed=4242"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("--scenario='fail@0:d99'"), std::string::npos) << msg;
+}
+
+// A transient error's retry fires when the failed attempt drains. If
+// the scenario's second failure killed that disk during the attempt,
+// the retry must not re-queue onto the dead disk, whose queue nothing
+// dispatches again.
+TEST(ChaosEngine, RetriedRebuildJobOnADiskThatDiedMidAttemptRetires) {
+  ChaosConfig cfg;
+  auto parsed = parse_scenario(
+      "fail@0:d8,transient@0.8:d0:p0.3:u3.4,second@1:d0",
+      17185907742160080638ULL);
+  ASSERT_TRUE(parsed.is_ok());
+  cfg.scenario = std::move(parsed).take();
+  const auto r = run_scenario(cfg);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_TRUE(r.value().serving.second_failure_injected);
+  EXPECT_EQ(r.value().serving.requests_issued, 800u);
+  EXPECT_EQ(r.value().serving.requests_completed, 800u);
+}
+
+TEST(ChaosEngine, RetriedUserReadOnADiskThatDiedMidAttemptIsRerouted) {
+  ChaosConfig cfg;
+  cfg.scenario = compose_scenario(1687788257818005432ULL, kDisks);
+  const auto r = run_scenario(cfg);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_TRUE(r.value().serving.second_failure_injected);
+  EXPECT_EQ(r.value().serving.requests_issued, 800u);
+  EXPECT_EQ(r.value().serving.requests_completed, 800u);
+}
+
 TEST(ChaosOracle, CatchesAnInjectorThatSkipsTheResync) {
   ChaosConfig cfg;
   cfg.scenario = reference_scenario(kDisks);
@@ -141,6 +183,18 @@ TEST(ChaosDeterminism, SoakSerialMatchesParallelAndRepeats) {
 TEST(ChaosSoak, TwoHundredSeededScenariosProduceZeroViolations) {
   SoakConfig cfg;
   cfg.scenarios = 200;
+  cfg.threads = 4;
+  const auto r = run_soak(cfg);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value().scenarios_run, 200);
+  EXPECT_EQ(r.value().violations, 0)
+      << r.value().violation_messages.front();
+}
+
+TEST(ChaosSoak, BaseSeed20261018ProducesZeroViolations) {
+  SoakConfig cfg;
+  cfg.scenarios = 200;
+  cfg.base_seed = 20261018;
   cfg.threads = 4;
   const auto r = run_soak(cfg);
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 namespace sma::disk {
@@ -126,6 +127,97 @@ TEST(SimDisk, FailScramblesContentAndHealRestoresService) {
   EXPECT_EQ(d.content(0)[0], 0x42);  // restored, not scramble pattern
   d.submit_ok(IoKind::kWrite, 0, 0.0);  // usable again
   EXPECT_EQ(d.counters().writes, 1u);
+}
+
+// --- lazy element store ---------------------------------------------
+
+bool all_bytes(std::span<const std::uint8_t> bytes, std::uint8_t v) {
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [v](std::uint8_t b) { return b == v; });
+}
+
+TEST(SimDisk, UntouchedDiskReadsZerosWithoutMaterializing) {
+  const SimDisk d(0, flat_spec(), 64, 16, 1'000'000);
+  EXPECT_FALSE(d.content_materialized());
+  for (std::int64_t s = 0; s < d.slot_count(); ++s) {
+    ASSERT_EQ(d.content(s).size(), 16u);
+    EXPECT_TRUE(all_bytes(d.content(s), 0x00)) << "slot " << s;
+  }
+  EXPECT_FALSE(d.content_materialized());
+}
+
+TEST(SimDisk, TimingLeavesTheStoreUnmaterialized) {
+  SimDisk d(0, flat_spec(), 8, 16, 1'000'000);
+  d.submit_ok(IoKind::kWrite, 3, 0.0);
+  d.submit_ok(IoKind::kRead, 4, 0.0);
+  const RunAccess run[] = {{IoKind::kRead, 5}, {IoKind::kWrite, 6}};
+  d.submit_run(run, 0.0);
+  EXPECT_FALSE(d.content_materialized());
+}
+
+TEST(SimDisk, FailOnUntouchedDiskScramblesEverySlot) {
+  SimDisk d(0, flat_spec(), 32, 16, 1'000'000);
+  d.fail();
+  EXPECT_FALSE(d.content_materialized());
+  const SimDisk& cd = d;
+  for (std::int64_t s = 0; s < d.slot_count(); ++s)
+    EXPECT_TRUE(all_bytes(cd.content(s), 0xDB)) << "slot " << s;
+  // The mutable overload materializes the scramble, not zeros.
+  for (std::int64_t s = 0; s < d.slot_count(); ++s)
+    EXPECT_TRUE(all_bytes(d.content(s), 0xDB)) << "slot " << s;
+  EXPECT_TRUE(d.content_materialized());
+}
+
+TEST(SimDisk, RestoreEverySlotThenHealOnUntouchedDisk) {
+  SimDisk d(0, flat_spec(), 16, 8, 1'000'000);
+  d.fail();
+  for (std::int64_t s = 0; s < d.slot_count(); ++s) {
+    const std::vector<std::uint8_t> bytes(8, static_cast<std::uint8_t>(s + 1));
+    d.restore_content(s, bytes);
+  }
+  EXPECT_TRUE(d.content_materialized());
+  ASSERT_TRUE(d.heal().is_ok());
+  const SimDisk& cd = d;
+  for (std::int64_t s = 0; s < d.slot_count(); ++s)
+    EXPECT_TRUE(all_bytes(cd.content(s), static_cast<std::uint8_t>(s + 1)))
+        << "slot " << s;
+}
+
+TEST(SimDisk, FirstMutableAccessMaterializesExactlyOnce) {
+  SimDisk d(0, flat_spec(), 16, 8, 1'000'000);
+  EXPECT_FALSE(d.content_materialized());
+  const std::uint8_t* base = d.content(0).data();
+  EXPECT_TRUE(d.content_materialized());
+  // Later mutable accesses, restores and a fail() reuse the store: no
+  // slot moves again.
+  for (std::int64_t s = 0; s < d.slot_count(); ++s)
+    EXPECT_EQ(d.content(s).data(), base + s * 8);
+  d.fail();
+  const std::vector<std::uint8_t> bytes(8, 0x5A);
+  d.restore_content(7, bytes);
+  EXPECT_EQ(d.content(0).data(), base);
+  const SimDisk& cd = d;
+  EXPECT_EQ(cd.content(7).data(), base + 7 * 8);
+}
+
+TEST(SimDisk, OneSlotDiskIsMaterializedFromTheStart) {
+  const SimDisk d(0, flat_spec(), 1, 8, 1'000'000);
+  EXPECT_TRUE(d.content_materialized());
+  EXPECT_TRUE(all_bytes(d.content(0), 0x00));
+}
+
+TEST(SimDisk, ConcurrentConstReadsOfUntouchedDisk) {
+  const SimDisk d(0, flat_spec(), 256, 32, 1'000'000);
+  std::vector<int> zero_slots(4, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < zero_slots.size(); ++t)
+    readers.emplace_back([&d, &zero_slots, t] {
+      for (std::int64_t s = 0; s < d.slot_count(); ++s)
+        zero_slots[t] += all_bytes(d.content(s), 0x00) ? 1 : 0;
+    });
+  for (auto& r : readers) r.join();
+  for (const int n : zero_slots) EXPECT_EQ(n, 256);
+  EXPECT_FALSE(d.content_materialized());
 }
 
 TEST(SimDisk, TraceDisabledByDefault) {

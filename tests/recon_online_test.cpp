@@ -46,6 +46,28 @@ TEST(Online, AcceptsHealthyRejectsDoubleFailure) {
   EXPECT_FALSE(two.is_ok());
 }
 
+TEST(Online, TimingOnlyRebuildLeavesEveryDiskUnmaterialized) {
+  // A rebuild with a write mix and the adaptive throttle, on an array
+  // that was never initialized: the engine times element accesses but
+  // never touches their bytes, so no disk allocates its store.
+  array::ArrayConfig acfg = cfg_for(layout::Architecture::mirror(5, true), 64);
+  acfg.content_bytes = 256;
+  array::DiskArray arr(acfg);
+  arr.fail_physical(0);
+  OnlineConfig cfg;
+  cfg.arrival.rate_hz = 30.0;
+  cfg.arrival.max_requests = 2000;
+  cfg.mix.write_fraction = 0.3;
+  cfg.qos.policy = workload::RebuildPolicy::kAdaptive;
+  cfg.qos.p99_target_s = 0.12;
+  auto report = run_online_reconstruction(arr, cfg);
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  EXPECT_GT(report.value().user_writes, 0u);
+  EXPECT_GT(report.value().rebuild_done_s, 0.0);
+  for (int d = 0; d < arr.physical_count(); ++d)
+    EXPECT_FALSE(arr.physical(d).content_materialized()) << "disk " << d;
+}
+
 TEST(Online, CompletesRebuildAndCollectsLatencies) {
   array::DiskArray arr(cfg_for(layout::Architecture::mirror(3, true)));
   arr.initialize();

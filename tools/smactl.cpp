@@ -418,7 +418,6 @@ int cmd_online(const Flags& flags) {
   if (!cfgr.is_ok()) return usage(cfgr.status().to_string().c_str());
   auto cfg = std::move(cfgr).take();
   array::DiskArray arr(cfg);
-  arr.initialize();
   if (!fail_one_disk(flags, arr)) return usage("--fail out of range");
   if (!ObserverScope::interval_ok(flags))
     return usage("--interval must be >= 0");
@@ -449,7 +448,6 @@ int cmd_qos(const Flags& flags) {
   if (!cfgr.is_ok()) return usage(cfgr.status().to_string().c_str());
   auto cfg = std::move(cfgr).take();
   array::DiskArray arr(cfg);
-  arr.initialize();
   if (!fail_one_disk(flags, arr)) return usage("--fail out of range");
 
   recon::OnlineConfig ocfg;
@@ -526,7 +524,6 @@ int cmd_trace(const Flags& flags) {
   if (!cfgr.is_ok()) return usage(cfgr.status().to_string().c_str());
   auto cfg = std::move(cfgr).take();
   array::DiskArray arr(cfg);
-  arr.initialize();
   if (!fail_one_disk(flags, arr)) return usage("--fail out of range");
   if (!ObserverScope::interval_ok(flags))
     return usage("--interval must be >= 0");
@@ -753,7 +750,6 @@ int cmd_write(const Flags& flags) {
   if (!cfgr.is_ok()) return usage(cfgr.status().to_string().c_str());
   auto cfg = std::move(cfgr).take();
   array::DiskArray arr(cfg);
-  arr.initialize();
   workload::WriteWorkloadConfig wcfg;
   wcfg.arrival.max_requests = flags.get_int("requests", 1000);
   wcfg.arrival.seed = cfg.seed;
@@ -1047,7 +1043,6 @@ int cmd_degraded(const Flags& flags) {
   if (!cfgr.is_ok()) return usage(cfgr.status().to_string().c_str());
   auto cfg = std::move(cfgr).take();
   array::DiskArray arr(cfg);
-  arr.initialize();
   if (!fail_one_disk(flags, arr)) return usage("--fail out of range");
   workload::DegradedReadConfig dcfg;
   dcfg.arrival.max_requests = flags.get_int("reads", 2000);
