@@ -353,6 +353,7 @@ Result<SoakReport> run_soak(const SoakConfig& cfg) {
           return out;
         }
         ChaosConfig cc;
+        cc.shifted = cfg.shifted;
         cc.n = cfg.n;
         cc.scenario = compose_scenario(seeds[i], disks);
         cc.hedge.enabled = (seeds[i] & 1) != 0;

@@ -116,6 +116,9 @@ struct SoakConfig {
   std::uint64_t base_seed = 20120901;
   /// sim::MultiKernel workers; 1 = serial reference order.
   std::size_t threads = 1;
+  /// Mirror arrangement of every array scenario (the paper's axis); the
+  /// fleet scenarios keep their shifted timeline.
+  bool shifted = true;
   int n = 4;
   /// Every k-th scenario exercises the fleet timeline with failure
   /// domains instead of a single array; 0 disables.

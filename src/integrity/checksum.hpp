@@ -23,7 +23,9 @@
 
 namespace sma::integrity {
 
-/// Content fingerprint used for element checksums (64-bit FNV-1a).
+/// Content fingerprint used for element checksums (util fingerprint():
+/// FNV-1a's constants, one step per 8-byte word). Any change confined
+/// to one word of the element, e.g. a flipped byte, changes the sum.
 inline std::uint64_t element_checksum(std::span<const std::uint8_t> bytes) {
   return fingerprint(bytes.data(), bytes.size());
 }

@@ -1,7 +1,7 @@
 #include "recon/reliability.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -16,51 +16,61 @@ bool is_recoverable(const layout::Architecture& arch,
     return static_cast<int>(failed.size()) <= arch.fault_tolerance();
   }
 
-  auto is_failed = [&](int disk) {
-    return std::find(failed.begin(), failed.end(), disk) != failed.end();
-  };
+  const int total = arch.total_disks();
   const int n = arch.n();
   const int rows = arch.rows();
-  const bool parity_ok = arch.has_parity() && !is_failed(arch.parity_disk());
+  const auto at = [rows](int i, int j) {
+    return static_cast<std::size_t>(i) * static_cast<std::size_t>(rows) +
+           static_cast<std::size_t>(j);
+  };
+  // One buffer: down[d] marks a failed disk (entries outside the array
+  // and repeats mark nothing new), then avail[at(i, j)]: data element
+  // (i, j) is obtainable.
+  std::vector<char> buf(static_cast<std::size_t>(total + n * rows), 0);
+  char* const down = buf.data();
+  char* const avail = down + total;
+  for (const int d : failed)
+    if (d >= 0 && d < total) down[d] = 1;
 
-  // avail[i][j]: data element (i, j) is obtainable.
-  std::vector<std::vector<bool>> avail(
-      static_cast<std::size_t>(n),
-      std::vector<bool>(static_cast<std::size_t>(rows), false));
+  // Only a failed data disk's elements can be missing, and only those
+  // need their replica looked up.
+  int missing = 0;
   for (int i = 0; i < n; ++i) {
+    if (!down[arch.data_disk(i)]) {
+      std::memset(avail + at(i, 0), 1, static_cast<std::size_t>(rows));
+      continue;
+    }
     for (int j = 0; j < rows; ++j) {
-      const bool data_ok = !is_failed(arch.data_disk(i));
-      const bool mirror_ok = !is_failed(arch.replica_of(i, j).disk);
-      avail[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          data_ok || mirror_ok;
+      const bool ok = !down[arch.replica_of(i, j).disk];
+      avail[at(i, j)] = ok;
+      if (!ok) ++missing;
     }
   }
+  if (missing == 0) return true;
+  if (!arch.has_parity() || down[arch.parity_disk()]) return false;
+
   // Parity closure: a row with exactly one missing element recovers it.
-  if (parity_ok) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (int j = 0; j < rows; ++j) {
-        int missing = 0;
-        int which = -1;
-        for (int i = 0; i < n; ++i) {
-          if (!avail[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]) {
-            ++missing;
-            which = i;
-          }
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int j = 0; j < rows; ++j) {
+      int row_missing = 0;
+      int which = -1;
+      for (int i = 0; i < n; ++i) {
+        if (!avail[at(i, j)]) {
+          ++row_missing;
+          which = i;
         }
-        if (missing == 1) {
-          avail[static_cast<std::size_t>(which)][static_cast<std::size_t>(j)] =
-              true;
-          changed = true;
-        }
+      }
+      if (row_missing == 1) {
+        avail[at(which, j)] = 1;
+        changed = true;
       }
     }
   }
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < rows; ++j)
-      if (!avail[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)])
-        return false;
+      if (!avail[at(i, j)]) return false;
   return true;
 }
 

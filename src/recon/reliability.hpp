@@ -28,6 +28,14 @@ namespace sma::recon {
 /// Exact recoverability of a mirror-architecture stripe under an
 /// arbitrary failed-disk set: fixpoint over "element is available via
 /// surviving copy, or via parity with the rest of its row available".
+/// Entries outside [0, total_disks()) and repeats are ignored (RAID-5/6
+/// compare failed.size() with the fault tolerance).
+///
+/// Cost of one call: one allocation of total_disks() + n × rows bytes,
+/// O(|failed|) to mark the failed disks, and one replica lookup per row
+/// of each *failed data disk* only — a set with no failed data disk
+/// costs no lookup. The parity closure (O(n × rows) per sweep) runs only
+/// when an element is missing and the parity disk survives.
 bool is_recoverable(const layout::Architecture& arch,
                     const std::vector<int>& failed);
 

@@ -94,10 +94,13 @@ inline ArrayState classify(const layout::Architecture& arch,
       if (f == d) return true;
     return false;
   };
+  // One candidate set for every surviving disk: `failed` plus a last
+  // slot that the loop overwrites.
+  std::vector<int> next = failed;
+  next.push_back(-1);
   for (int d = 0; d < arch.total_disks(); ++d) {
     if (is_failed(d)) continue;
-    std::vector<int> next = failed;
-    next.push_back(d);
+    next.back() = d;
     if (!recon::is_recoverable(arch, next)) return ArrayState::kCritical;
   }
   if (resyncing) return ArrayState::kResyncing;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 namespace sma {
 
@@ -83,11 +84,19 @@ Rng Rng::fork() { return Rng(next_u64()); }
 void fill_pattern(std::uint64_t seed, unsigned char* dst, std::size_t len) {
   std::uint64_t state = seed;
   std::size_t i = 0;
-  while (i + 8 <= len) {
+  // Eight explicit byte stores, low byte first: GCC merges them into one
+  // 8-byte store, which it does not do for the equivalent inner loop.
+  for (; i + 8 <= len; i += 8) {
     const std::uint64_t word = splitmix64(state);
-    for (int b = 0; b < 8; ++b) dst[i + static_cast<std::size_t>(b)] =
-        static_cast<unsigned char>(word >> (8 * b));
-    i += 8;
+    unsigned char* p = dst + i;
+    p[0] = static_cast<unsigned char>(word);
+    p[1] = static_cast<unsigned char>(word >> 8);
+    p[2] = static_cast<unsigned char>(word >> 16);
+    p[3] = static_cast<unsigned char>(word >> 24);
+    p[4] = static_cast<unsigned char>(word >> 32);
+    p[5] = static_cast<unsigned char>(word >> 40);
+    p[6] = static_cast<unsigned char>(word >> 48);
+    p[7] = static_cast<unsigned char>(word >> 56);
   }
   if (i < len) {
     const std::uint64_t word = splitmix64(state);
@@ -97,11 +106,15 @@ void fill_pattern(std::uint64_t seed, unsigned char* dst, std::size_t len) {
 }
 
 std::uint64_t fingerprint(const unsigned char* data, std::size_t len) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data + i, sizeof word);
+    h = (h ^ word) * kPrime;
   }
+  for (; i < len; ++i) h = (h ^ data[i]) * kPrime;
   return h;
 }
 

@@ -59,7 +59,13 @@ class Rng {
 /// regenerated anywhere for corruption checks.
 void fill_pattern(std::uint64_t seed, unsigned char* dst, std::size_t len);
 
-/// 64-bit FNV-1a content fingerprint (for fast corruption checks).
+/// 64-bit content fingerprint for fast corruption checks: FNV-1a's
+/// offset basis and prime, folded as h = (h ^ w) * prime over 8-byte
+/// words w (host byte order), then byte by byte over the 0..7 tail
+/// bytes. Each step is a bijection in its word and in h, so two buffers
+/// of one length that differ in a single word (or tail byte) always
+/// fingerprint differently. Host-order values are only comparable
+/// within one process; nothing persists or digests them.
 std::uint64_t fingerprint(const unsigned char* data, std::size_t len);
 
 }  // namespace sma

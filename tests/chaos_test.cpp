@@ -203,6 +203,55 @@ TEST(ChaosSoak, BaseSeed20261018ProducesZeroViolations) {
       << r.value().violation_messages.front();
 }
 
+// Whole-soak digests over the content paths (element checksums, the
+// recoverability oracle, the lifecycle): a change to any of them that
+// moves one scenario's outcome moves these.
+TEST(ChaosGolden, SoakDigestsArePinned) {
+  struct Pin {
+    std::uint64_t base_seed;
+    std::uint64_t digest;
+  };
+  for (const Pin& pin : {Pin{20120901, 0x9c5a8bb692e0e145ULL},
+                         Pin{20261018, 0x2b7e93b3680d9387ULL}}) {
+    SoakConfig cfg;
+    cfg.scenarios = 200;
+    cfg.base_seed = pin.base_seed;
+    cfg.threads = 4;
+    const auto r = run_soak(cfg);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().violations, 0) << pin.base_seed;
+    EXPECT_EQ(r.value().digest, pin.digest) << pin.base_seed;
+  }
+
+  FleetScenarioConfig fleet;
+  fleet.seed = 99;
+  const auto f = run_fleet_scenario(fleet);
+  ASSERT_TRUE(f.is_ok()) << f.status().to_string();
+  EXPECT_EQ(f.value().digest, 0xcbf6de15d5f6f99eULL);
+}
+
+TEST(ChaosGolden, TraditionalSoakDigestsArePinned) {
+  // The same 200 composed scenarios with every array scenario in the
+  // traditional arrangement (the fleet scenarios stay shifted); pinned
+  // from run_scenario with ChaosConfig::shifted = false.
+  struct Pin {
+    std::uint64_t base_seed;
+    std::uint64_t digest;
+  };
+  for (const Pin& pin : {Pin{20120901, 0x5aa092033eefe64fULL},
+                         Pin{20261018, 0x4058ac19167dbe82ULL}}) {
+    SoakConfig cfg;
+    cfg.scenarios = 200;
+    cfg.base_seed = pin.base_seed;
+    cfg.threads = 4;
+    cfg.shifted = false;
+    const auto r = run_soak(cfg);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().violations, 0) << pin.base_seed;
+    EXPECT_EQ(r.value().digest, pin.digest) << pin.base_seed;
+  }
+}
+
 TEST(ChaosFleet, DomainScenarioIsConsistentAndDeterministic) {
   FleetScenarioConfig cfg;
   cfg.seed = 99;

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "recon/plan.hpp"
+#include "reference_oracle.hpp"
 
 namespace sma::recon {
 namespace {
@@ -108,6 +112,111 @@ TEST(FatalCounts, MirrorParityNoFatalPairs) {
         layout::Architecture::mirror_with_parity(4, shifted));
     EXPECT_DOUBLE_EQ(counts.avg_fatal_second, 0.0);
     EXPECT_GT(counts.avg_fatal_third, 0.0);
+  }
+}
+
+// --- differential pin: the flat oracle against the reference copy ------
+
+std::string describe(const layout::Architecture& arch,
+                     const std::vector<int>& failed) {
+  std::string out = arch.name() + " n=" + std::to_string(arch.n()) + " {";
+  for (const int d : failed) out += " " + std::to_string(d);
+  return out + " }";
+}
+
+TEST(RecoverableDifferential, AgreesWithTheReferenceOnEveryCoveredSet) {
+  // Every registry layout at n = 2..6, plain and with parity, less the
+  // shapes a layout does not build (52 architectures for the six
+  // built-in layouts).
+  const auto archs = testref::differential_architectures();
+  EXPECT_GE(archs.size(), 50u);
+  std::set<std::string> layouts;
+  long sets = 0;
+  long mismatches = 0;
+  for (const auto& arch : archs) {
+    layouts.insert(arch.layout_spec());
+    testref::for_each_failed_set(arch, [&](const std::vector<int>& failed) {
+      ++sets;
+      const bool want = testref::reference_is_recoverable(arch, failed);
+      if (is_recoverable(arch, failed) != want && ++mismatches <= 5)
+        ADD_FAILURE() << describe(arch, failed) << " reference " << want;
+    });
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(sets, 20'000);
+  EXPECT_EQ(layouts.size(),
+            layout::AlgorithmRegistry::global().names().size());
+}
+
+TEST(RecoverableDifferential, IgnoresDuplicateAndOutOfRangeEntries) {
+  // The reference matched disks with std::find, so an entry naming no
+  // disk and a repeated entry both changed nothing.
+  long mismatches = 0;
+  for (const auto& arch : testref::differential_architectures()) {
+    const int total = arch.total_disks();
+    testref::for_each_failed_set(arch, [&](const std::vector<int>& failed) {
+      if (failed.size() > 2) return;
+      const auto plus = [&](std::vector<int> extra) {
+        extra.insert(extra.begin(), failed.begin(), failed.end());
+        return extra;
+      };
+      std::vector<std::vector<int>> variants = {
+          plus({-1}), plus({total}), plus({total + 5, -7}), plus(failed)};
+      if (!failed.empty())
+        variants.push_back({failed.back(), -2, failed.front(), total + 1,
+                            failed.back()});
+      const bool plain = is_recoverable(arch, failed);
+      for (const auto& v : variants) {
+        const bool want = testref::reference_is_recoverable(arch, v);
+        const bool got = is_recoverable(arch, v);
+        if ((got != want || got != plain) && ++mismatches <= 5)
+          ADD_FAILURE() << describe(arch, v) << " reference " << want
+                        << " without extras " << plain;
+      }
+    });
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+FatalCounts reference_count_fatal_sets(const layout::Architecture& arch) {
+  const int total = arch.total_disks();
+  FatalCounts out;
+  long fatal_pairs_ordered = 0;
+  for (int a = 0; a < total; ++a)
+    for (int b = 0; b < total; ++b)
+      if (b != a && !testref::reference_is_recoverable(arch, {a, b}))
+        ++fatal_pairs_ordered;
+  out.avg_fatal_second =
+      static_cast<double>(fatal_pairs_ordered) / static_cast<double>(total);
+  if (arch.fault_tolerance() >= 2) {
+    long fatal_triples = 0;
+    long surviving_pairs = 0;
+    for (int a = 0; a < total; ++a) {
+      for (int b = a + 1; b < total; ++b) {
+        if (!testref::reference_is_recoverable(arch, {a, b})) continue;
+        ++surviving_pairs;
+        for (int c = 0; c < total; ++c) {
+          if (c == a || c == b) continue;
+          if (!testref::reference_is_recoverable(arch, {a, b, c}))
+            ++fatal_triples;
+        }
+      }
+    }
+    if (surviving_pairs > 0)
+      out.avg_fatal_third = static_cast<double>(fatal_triples) /
+                            static_cast<double>(surviving_pairs);
+  }
+  return out;
+}
+
+TEST(RecoverableDifferential, FatalCountsMatchTheReference) {
+  for (const auto& arch : testref::differential_architectures()) {
+    const FatalCounts got = count_fatal_sets(arch);
+    const FatalCounts want = reference_count_fatal_sets(arch);
+    EXPECT_EQ(got.avg_fatal_second, want.avg_fatal_second)
+        << describe(arch, {});
+    EXPECT_EQ(got.avg_fatal_third, want.avg_fatal_third)
+        << describe(arch, {});
   }
 }
 

@@ -11,6 +11,7 @@
 #include "obs/observer.hpp"
 #include "obs/trace_sink.hpp"
 #include "recon/reliability.hpp"
+#include "reference_oracle.hpp"
 #include "repair/orchestrator.hpp"
 
 namespace sma::repair {
@@ -180,6 +181,61 @@ TEST(Lifecycle, StateNamesAreStable) {
   EXPECT_STREQ(to_string(ArrayState::kCritical), "critical");
   EXPECT_STREQ(to_string(ArrayState::kSpareExhausted), "spare_exhausted");
   EXPECT_STREQ(to_string(ArrayState::kDataLoss), "data_loss");
+}
+
+/// classify() built the simple way: the reference oracle, and a fresh
+/// copy of the failed set for every candidate disk.
+ArrayState reference_classify(const layout::Architecture& arch,
+                              const std::vector<int>& failed, bool rebuilding,
+                              bool spare_starved, bool inconsistent,
+                              bool resyncing) {
+  if (failed.empty()) {
+    if (resyncing) return ArrayState::kResyncing;
+    if (inconsistent) return ArrayState::kInconsistent;
+    return ArrayState::kHealthy;
+  }
+  if (!testref::reference_is_recoverable(arch, failed))
+    return ArrayState::kDataLoss;
+  for (int d = 0; d < arch.total_disks(); ++d) {
+    if (std::find(failed.begin(), failed.end(), d) != failed.end()) continue;
+    std::vector<int> next = failed;
+    next.push_back(d);
+    if (!testref::reference_is_recoverable(arch, next))
+      return ArrayState::kCritical;
+  }
+  if (resyncing) return ArrayState::kResyncing;
+  if (inconsistent) return ArrayState::kInconsistent;
+  if (spare_starved) return ArrayState::kSpareExhausted;
+  return rebuilding ? ArrayState::kRebuilding : ArrayState::kDegraded;
+}
+
+TEST(Lifecycle, ClassifyMatchesTheReferenceInEveryFlagCombination) {
+  // Every registry layout, every covered failed set, and all sixteen
+  // combinations of rebuilding / spare_starved / inconsistent /
+  // resyncing.
+  long checked = 0;
+  long mismatches = 0;
+  for (const auto& arch : testref::differential_architectures()) {
+    testref::for_each_failed_set(arch, [&](const std::vector<int>& failed) {
+      for (int flags = 0; flags < 16; ++flags) {
+        const bool rebuilding = (flags & 1) != 0;
+        const bool starved = (flags & 2) != 0;
+        const bool inconsistent = (flags & 4) != 0;
+        const bool resyncing = (flags & 8) != 0;
+        ++checked;
+        const ArrayState want = reference_classify(
+            arch, failed, rebuilding, starved, inconsistent, resyncing);
+        const ArrayState got = classify(arch, failed, rebuilding, starved,
+                                        inconsistent, resyncing);
+        if (got != want && ++mismatches <= 5)
+          ADD_FAILURE() << arch.name() << " n=" << arch.n() << " |failed|="
+                        << failed.size() << " flags=" << flags << ": "
+                        << to_string(got) << " vs " << to_string(want);
+      }
+    });
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(checked, 300'000);
 }
 
 // --- spare pool and placement --------------------------------------------

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -117,12 +120,76 @@ TEST(FillPattern, HandlesNonMultipleOfEightLengths) {
   }
 }
 
+TEST(FillPattern, GoldenBytes) {
+  // Each 8-byte group is one splitmix64 output, low byte first, on any
+  // host and whatever store width the compiler picks.
+  constexpr std::array<unsigned char, 37> kGolden = {
+      0x95, 0x6e, 0xeb, 0x2f, 0x26, 0x32, 0xd7, 0xbd, 0x03, 0xf1,
+      0x66, 0xb2, 0x33, 0xe3, 0xef, 0x28, 0x52, 0x9f, 0x0f, 0x13,
+      0x57, 0x67, 0x52, 0x47, 0x94, 0xe3, 0x4a, 0x0e, 0xff, 0xe1,
+      0x1c, 0x58, 0xf2, 0x23, 0x48, 0x24, 0x5a};
+  std::array<unsigned char, 37> got{};
+  fill_pattern(42, got.data(), got.size());
+  EXPECT_EQ(got, kGolden);
+}
+
 TEST(Fingerprint, DistinguishesContent) {
   unsigned char a[16] = {0};
   unsigned char b[16] = {0};
   b[15] = 1;
   EXPECT_NE(fingerprint(a, 16), fingerprint(b, 16));
   EXPECT_EQ(fingerprint(a, 16), fingerprint(a, 16));
+}
+
+TEST(Fingerprint, EverySingleByteChangeAtEveryPositionIsDetected) {
+  // A change confined to one word (here one byte) always changes the
+  // value: each word step is a bijection in its word and in h.
+  std::vector<unsigned char> buf(256);
+  fill_pattern(7, buf.data(), buf.size());
+  const std::uint64_t base = fingerprint(buf.data(), buf.size());
+  int undetected = 0;
+  for (std::size_t at = 0; at < buf.size(); ++at) {
+    const unsigned char keep = buf[at];
+    for (int delta = 1; delta < 256; ++delta) {
+      buf[at] = static_cast<unsigned char>(keep ^ delta);
+      if (fingerprint(buf.data(), buf.size()) == base) ++undetected;
+    }
+    buf[at] = keep;
+  }
+  EXPECT_EQ(undetected, 0);
+  EXPECT_EQ(fingerprint(buf.data(), buf.size()), base);
+}
+
+TEST(Fingerprint, ShortLengthsAreDeterministicAndCountTheTail) {
+  // Lengths 0..17 cover no word, one or two words, and every tail
+  // length; a copy fingerprints the same, a changed byte anywhere
+  // (tail bytes included) does not, and neither does a prefix.
+  std::array<unsigned char, 17> src{};
+  fill_pattern(11, src.data(), src.size());
+  std::set<std::uint64_t> prefixes;
+  for (std::size_t len = 0; len <= src.size(); ++len) {
+    std::vector<unsigned char> copy(src.begin(), src.begin() + len);
+    const std::uint64_t h = fingerprint(src.data(), len);
+    EXPECT_EQ(fingerprint(copy.data(), len), h) << len;
+    prefixes.insert(h);
+    for (std::size_t at = 0; at < len; ++at) {
+      copy[at] ^= 0x01;
+      EXPECT_NE(fingerprint(copy.data(), len), h) << len << " @" << at;
+      copy[at] ^= 0x01;
+    }
+  }
+  EXPECT_EQ(prefixes.size(), src.size() + 1);
+}
+
+TEST(Fingerprint, GoldenValue) {
+  // Words are loaded in host byte order, so the value is pinned for
+  // little-endian hosts; edits to the function must update it on
+  // purpose.
+  if constexpr (std::endian::native != std::endian::little)
+    GTEST_SKIP() << "golden value recorded on a little-endian host";
+  std::array<unsigned char, 37> buf{};
+  fill_pattern(42, buf.data(), buf.size());
+  EXPECT_EQ(fingerprint(buf.data(), buf.size()), 0x620fae883d682f86ULL);
 }
 
 }  // namespace

@@ -47,8 +47,10 @@
 //                    [--enclosure-size=E] [--replenish-h=H]
 //   smactl update-penalty [--n=5]
 //   smactl chaos     [--scenario=<spec>] [--seed=<u64>] [--hedge]
-//                    [--soak=N] [--threads=K]
+//                    [--arrangement=shifted|traditional]
 //                    [--sabotage=none|skip-resync|leak-corruption]
+//   smactl chaos     --soak=N [--threads=K] [--seed=<u64>] [--n=4]
+//                    [--arrangement=shifted|traditional]
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -153,7 +155,9 @@ int usage_stream(std::FILE* out, const char* error) {
                "                violation names), --seed alone composes one,\n"
                "                neither runs the reference compound\n"
                "                (--hedge --soak=<N> --threads=<k>\n"
-               "                 --sabotage=none|skip-resync|leak-corruption)\n"
+               "                 --sabotage=none|skip-resync|leak-corruption;\n"
+               "                 --soak takes --arrangement, not --hedge,\n"
+               "                 --parity=false or --sabotage)\n"
                "common flags: --n=<disks> --parity --arrangement=<spec>\n"
                "              (see 'smactl layouts') --seed=<s> --stacks=<k>\n"
                "unknown flags are usage errors\n"
@@ -1331,12 +1335,21 @@ int cmd_chaos(const Flags& flags) {
     return usage("--sabotage must be none|skip-resync|leak-corruption");
 
   // Soak mode: a seeded batch of composed scenarios, every violation
-  // printed with its replay pair.
+  // printed with its replay pair. The soak composes parity scenarios,
+  // hedges odd scenario seeds and runs the real injectors, so the flags
+  // that would override those are usage errors rather than ignored.
   const int soak_runs = flags.get_int("soak", 0);
   if (soak_runs > 0) {
+    if (!cfg.parity)
+      return usage("--soak runs parity scenarios; drop --parity=false");
+    if (flags.has("hedge"))
+      return usage("--soak hedges odd scenario seeds itself; drop --hedge");
+    if (cfg.sabotage != chaos::ChaosConfig::Sabotage::kNone)
+      return usage("--soak takes no --sabotage; sabotage one scenario");
     chaos::SoakConfig scfg;
     scfg.scenarios = soak_runs;
     scfg.base_seed = seed;
+    scfg.shifted = cfg.shifted;
     scfg.n = c.n;
     scfg.threads = static_cast<std::size_t>(flags.get_int("threads", 1));
     const auto r = chaos::run_soak(scfg);
