@@ -3,16 +3,19 @@
 // arrays, as in GFS/Ceph). Replica array r uses the affine arrangement
 // a(i,j) -> (<i + c_r j>_n, i) with distinct multipliers c_r coprime to
 // n, preserving the paper's three properties per array and pairwise
-// one-element overlap across arrays.
+// one-element overlap across arrays (layout::Architecture, R = 2).
 //
 // Reported: average read accesses and rebuild read throughput over all
 // single and double failures, traditional vs shifted, n = 3..7.
+#include <algorithm>
 #include <cstdio>
+#include <map>
 
+#include "array/disk_array.hpp"
 #include "common.hpp"
-#include "multimirror/multi_array.hpp"
-#include "multimirror/multi_mirror.hpp"
-#include "multimirror/multi_online.hpp"
+#include "recon/executor.hpp"
+#include "recon/online.hpp"
+#include "recon/plan.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -20,21 +23,32 @@ namespace {
 
 using namespace sma;
 
+layout::Architecture three_mirror(int n, bool shifted) {
+  return layout::Architecture::mirror_named(
+             n, shifted ? "shifted" : "traditional", /*replicas=*/2)
+      .take();
+}
+
+array::ArrayConfig array_config(int n, bool shifted) {
+  array::ArrayConfig cfg;
+  cfg.arch = three_mirror(n, shifted);
+  cfg.stripes = cfg.arch.total_disks();
+  cfg.logical_element_bytes = 4'000'000;
+  return cfg;
+}
+
 struct Cell {
   double accesses = 0;
   double mbps = 0;
 };
 
 Cell sweep(int n, bool shifted, int failures) {
-  mm::MultiArrayConfig proto;
-  proto.layout.n = n;
-  proto.layout.replica_arrays = 2;
-  proto.layout.shifted = shifted;
+  array::ArrayConfig proto = array_config(n, shifted);
   proto.content_bytes = 128;
 
   // Enumerate failure sets.
   std::vector<std::vector<int>> sets;
-  const int total = 3 * n;
+  const int total = proto.arch.total_disks();
   if (failures == 1) {
     for (int d = 0; d < total; ++d) sets.push_back({d});
   } else {
@@ -44,12 +58,10 @@ Cell sweep(int n, bool shifted, int failures) {
 
   std::vector<Cell> results(sets.size());
   parallel_for(sets.size(), [&](std::size_t i) {
-    auto arrr = mm::MultiMirrorArray::create(proto);
-    if (!arrr.is_ok()) return;
-    auto& arr = arrr.value();
+    array::DiskArray arr(proto);
     arr.initialize();
     for (const int d : sets[i]) arr.fail_physical(d);
-    auto report = arr.reconstruct();
+    auto report = recon::reconstruct(arr);
     if (!report.is_ok()) {
       std::fprintf(stderr, "three-mirror rebuild failed: %s\n",
                    report.status().to_string().c_str());
@@ -66,6 +78,50 @@ Cell sweep(int n, bool shifted, int failures) {
     mbps.add(r.mbps);
   }
   return {acc.mean(), mbps.mean()};
+}
+
+// Table-I analogue: every double failure, grouped by which arrays the
+// two failed disks belong to, with the read accesses of each class.
+struct CaseRow {
+  std::string label;
+  long cases = 0;
+  double avg_accesses = 0.0;
+  int min_accesses = 0;
+  int max_accesses = 0;
+};
+
+std::vector<CaseRow> double_failure_cases(const layout::Architecture& arch) {
+  std::map<std::string, CaseRow> buckets;
+  for (int a = 0; a < arch.total_disks(); ++a) {
+    for (int b = a + 1; b < arch.total_disks(); ++b) {
+      const int ra = arch.array_of(a);
+      const int rb = arch.array_of(b);
+      std::string label;
+      if (ra == 0 && rb == 0) label = "both data";
+      else if (ra == 0) label = "data + replica array";
+      else if (ra == rb) label = "same replica array";
+      else label = "two replica arrays";
+
+      const int accesses =
+          recon::plan_reconstruction(arch, {a, b}).value().read_accesses(arch);
+      auto& row = buckets[label];
+      row.label = label;
+      if (row.cases == 0) {
+        row.min_accesses = accesses;
+        row.max_accesses = accesses;
+      }
+      row.avg_accesses =
+          (row.avg_accesses * static_cast<double>(row.cases) + accesses) /
+          static_cast<double>(row.cases + 1);
+      ++row.cases;
+      row.min_accesses = std::min(row.min_accesses, accesses);
+      row.max_accesses = std::max(row.max_accesses, accesses);
+    }
+  }
+  std::vector<CaseRow> out;
+  out.reserve(buckets.size());
+  for (auto& [label, row] : buckets) out.push_back(row);
+  return out;
 }
 
 }  // namespace
@@ -92,16 +148,11 @@ int main() {
   // Table-I analogue for the three-mirror extension: double failures by
   // class (n = 5).
   for (const bool shifted : {false, true}) {
-    mm::MultiMirrorConfig cfg;
-    cfg.n = 5;
-    cfg.replica_arrays = 2;
-    cfg.shifted = shifted;
-    auto m = mm::MultiMirror::create(cfg);
-    if (!m.is_ok()) return 1;
+    const layout::Architecture arch = three_mirror(5, shifted);
     Table cases(std::string("Double-failure classes, ") +
-                m.value().name());
+                arch.arrangement()->name() + "-3-mirror(n=5)");
     cases.set_header({"class", "cases", "min", "avg", "max"});
-    for (const auto& row : m.value().enumerate_double_failure_cases())
+    for (const auto& row : double_failure_cases(arch))
       cases.add_row({row.label,
                      Table::num(static_cast<std::uint64_t>(row.cases)),
                      Table::num(row.min_accesses),
@@ -116,24 +167,19 @@ int main() {
   online.set_header({"arrangement", "rebuild done (s)", "read mean (ms)",
                      "read p99 (ms)", "degraded reads"});
   for (const bool shifted : {false, true}) {
-    mm::MultiArrayConfig cfg;
-    cfg.layout.n = 5;
-    cfg.layout.replica_arrays = 2;
-    cfg.layout.shifted = shifted;
+    array::ArrayConfig cfg = array_config(5, shifted);
     cfg.stripes = 4 * 15;
     cfg.content_bytes = 64;
-    auto arrr = mm::MultiMirrorArray::create(cfg);
-    if (!arrr.is_ok()) return 1;
-    auto& arr = arrr.value();
+    array::DiskArray arr(cfg);
     arr.initialize();
     arr.fail_physical(0);
-    mm::MmOnlineConfig ocfg;
+    recon::OnlineConfig ocfg;
     ocfg.arrival.rate_hz = 30;
     ocfg.arrival.max_requests = 500;
     ocfg.arrival.seed = 2012;
-    auto report = mm::run_online_reconstruction(arr, ocfg);
+    auto report = recon::run_online_reconstruction(arr, ocfg);
     if (!report.is_ok()) {
-      std::fprintf(stderr, "mm online failed: %s\n",
+      std::fprintf(stderr, "three-mirror online failed: %s\n",
                    report.status().to_string().c_str());
       return 1;
     }

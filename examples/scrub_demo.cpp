@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     const int i = static_cast<int>(
         rng.next_below(static_cast<std::uint64_t>(n)));
     if (rng.next_bool()) {
-      const layout::Pos rp = arr.arch().replica_of(i, j);
+      const layout::Pos rp = arr.arch().replica_of(1, i, j);
       arr.content(rp.disk, s, rp.row)[0] ^= 0x5A;
       injected.push_back({rp.disk, s, rp.row});
     } else {

@@ -114,13 +114,15 @@ void DiskArray::init_mirror_stripe(int stripe) {
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < arch.rows(); ++j)
       expected_data(i, stripe, j, content(arch.data_disk(i), stripe, j));
-  // Mirror disks via the arrangement.
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < arch.rows(); ++j) {
-      const layout::Pos replica = arch.replica_of(i, j);
-      auto dst = content(replica.disk, stripe, replica.row);
-      auto src = content(arch.data_disk(i), stripe, j);
-      std::copy(src.begin(), src.end(), dst.begin());
+  // Every replica array via its arrangement.
+  for (int r = 1; r <= arch.replicas(); ++r) {
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < arch.rows(); ++j) {
+        const layout::Pos replica = arch.replica_of(r, i, j);
+        auto dst = content(replica.disk, stripe, replica.row);
+        auto src = content(arch.data_disk(i), stripe, j);
+        std::copy(src.begin(), src.end(), dst.begin());
+      }
     }
   }
   // Parity disk: c_j = XOR_i a(i, j).
@@ -194,8 +196,9 @@ Status DiskArray::verify_mirror_stripe(int stripe) const {
         if (!std::equal(got.begin(), got.end(), expect.begin()))
           return mismatch("data", arch.data_disk(i), stripe, j);
       }
-      const layout::Pos replica = arch.replica_of(i, j);
-      if (live(replica.disk)) {
+      for (int r = 1; r <= arch.replicas(); ++r) {
+        const layout::Pos replica = arch.replica_of(r, i, j);
+        if (!live(replica.disk)) continue;
         auto got = content(replica.disk, stripe, replica.row);
         if (!std::equal(got.begin(), got.end(), expect.begin()))
           return mismatch("mirror", replica.disk, stripe, replica.row);
@@ -260,19 +263,23 @@ Status DiskArray::verify_consistency(const ElementSet* skip) const {
     };
     if (cfg_.arch.is_mirror()) {
       const int n = cfg_.arch.n();
+      // Every live copy of an element against its first live copy
+      // (the data copy unless its disk failed).
       for (int i = 0; i < n; ++i) {
-        if (!live(cfg_.arch.data_disk(i))) continue;
         for (int j = 0; j < cfg_.arch.rows(); ++j) {
-          const layout::Pos replica = cfg_.arch.replica_of(i, j);
-          if (!live(replica.disk)) continue;
-          if (skipped(cfg_.arch.data_disk(i), s, j) ||
-              skipped(replica.disk, s, replica.row))
-            continue;
-          auto data = content(cfg_.arch.data_disk(i), s, j);
-          auto mirror = content(replica.disk, s, replica.row);
-          if (!std::equal(data.begin(), data.end(), mirror.begin()))
-            return mismatch("mirror-consistency", replica.disk, s,
-                            replica.row);
+          layout::Pos first{-1, -1};
+          for (int c = 0; c <= cfg_.arch.replicas(); ++c) {
+            const layout::Pos copy = cfg_.arch.copy_of(c, i, j);
+            if (!live(copy.disk) || skipped(copy.disk, s, copy.row)) continue;
+            if (first.disk < 0) {
+              first = copy;
+              continue;
+            }
+            auto a = content(first.disk, s, first.row);
+            auto b = content(copy.disk, s, copy.row);
+            if (!std::equal(a.begin(), a.end(), b.begin()))
+              return mismatch("mirror-consistency", copy.disk, s, copy.row);
+          }
         }
       }
       if (cfg_.arch.has_parity() && live(cfg_.arch.parity_disk())) {
@@ -345,7 +352,8 @@ Status DiskArray::verify_logical_disk(int logical) const {
           expected_data(logical, s, j, expect);
           break;
         case layout::DiskRole::kMirror: {
-          const layout::Pos src = arch.replicated_by(arch.role_index(logical), j);
+          const layout::Pos src = arch.replicated_by(
+              arch.array_of(logical), arch.role_index(logical), j);
           expected_data(src.disk, s, src.row, expect);
           break;
         }

@@ -51,7 +51,8 @@ Status MirroredVolume::read_element(int data_disk, int stripe, int row,
     std::copy(src.begin(), src.end(), out.begin());
     return Status::ok();
   }
-  const layout::Pos replica = arch.replica_of(data_disk, row);
+  // VolumeConfig builds one replica array.
+  const layout::Pos replica = arch.replica_of(1, data_disk, row);
   if (live(replica.disk, stripe)) {
     auto src = array_.content(replica.disk, stripe, replica.row);
     std::copy(src.begin(), src.end(), out.begin());
@@ -83,7 +84,7 @@ Status MirroredVolume::write_element(int data_disk, int stripe, int row,
   if (bytes.size() != array_.config().content_bytes)
     return invalid_argument("write buffer size mismatch");
 
-  const layout::Pos replica = arch.replica_of(data_disk, row);
+  const layout::Pos replica = arch.replica_of(1, data_disk, row);
   const bool data_live = live(arch.data_disk(data_disk), stripe);
   const bool mirror_live = live(replica.disk, stripe);
   const bool parity_live =

@@ -24,6 +24,10 @@ Result<CrashWorkloadReport> run_crash_workload(array::DiskArray& arr,
   const auto& arch = arr.arch();
   if (!arch.is_mirror())
     return invalid_argument("crash workload supports the mirror architectures");
+  // Each request writes the data copy and one replica (resync's pairs).
+  if (arch.replicas() != 1)
+    return invalid_argument(
+        "crash workload writes pairs: one replica array only");
   if (cfg.requests <= 0) return invalid_argument("requests must be positive");
   if (arr.crashed())
     return failed_precondition("crash workload on a powered-off array");
@@ -43,7 +47,7 @@ Result<CrashWorkloadReport> run_crash_workload(array::DiskArray& arr,
     const int j = static_cast<int>(
         rng.next_below(static_cast<std::uint64_t>(arch.rows())));
     const int dd = arch.data_disk(i);
-    const layout::Pos rp = arch.replica_of(i, j);
+    const layout::Pos rp = arch.replica_of(1, i, j);
 
     fill_pattern(request_seed(cfg.seed, req), fresh.data(), fresh.size());
 
@@ -100,8 +104,9 @@ Result<std::vector<InjectedCorruption>> inject_silent_corruption(
   if (!arr.failed_physical().empty())
     return failed_precondition("inject_silent_corruption on a degraded array");
   if (kind != SilentCorruption::kBitRot) {
-    if (!arch.is_mirror())
-      return invalid_argument("lost/misdirected writes need a mirror replica");
+    if (!arch.is_mirror() || arch.replicas() != 1)
+      return invalid_argument(
+          "lost/misdirected writes need a mirror with one replica array");
     if (!arr.checksums_enabled())
       return failed_precondition(
           "lost/misdirected writes are checksum-vs-content divergences; "
@@ -138,7 +143,7 @@ Result<std::vector<InjectedCorruption>> inject_silent_corruption(
     const int i = static_cast<int>(
         rng.next_below(static_cast<std::uint64_t>(arch.n())));
     const int dd = arch.data_disk(i);
-    const layout::Pos rp = arch.replica_of(i, j);
+    const layout::Pos rp = arch.replica_of(1, i, j);
     auto data = arr.content(dd, s, j);
     std::copy(data.begin(), data.end(), old.begin());
     fill_pattern(rng.next_u64(), fresh.data(), fresh.size());

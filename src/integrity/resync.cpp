@@ -21,6 +21,9 @@ Result<ResyncReport> resync(array::DiskArray& arr, const ResyncOptions& opts) {
   const auto& arch = arr.arch();
   if (!arch.is_mirror())
     return invalid_argument("resync supports the mirror architectures");
+  // Reconciliation compares the data copy with one replica.
+  if (arch.replicas() != 1)
+    return invalid_argument("resync reconciles pairs: one replica array only");
   if (arr.crashed())
     return failed_precondition("resync on a powered-off array; power_cycle() first");
 
@@ -57,7 +60,7 @@ Result<ResyncReport> resync(array::DiskArray& arr, const ResyncOptions& opts) {
       for (int i = 0; i < n; ++i) {
         const int dd = arch.data_disk(i);
         for (int j = 0; j < arch.rows(); ++j) {
-          const layout::Pos rp = arch.replica_of(i, j);
+          const layout::Pos rp = arch.replica_of(1, i, j);
           if (!disk_live(dd, s) || !disk_live(rp.disk, s)) continue;
           reads.push_back({dd, s, j, disk::IoKind::kRead});
           reads.push_back({rp.disk, s, rp.row, disk::IoKind::kRead});
@@ -85,7 +88,7 @@ Result<ResyncReport> resync(array::DiskArray& arr, const ResyncOptions& opts) {
       for (int i = 0; i < n; ++i) {
         const int dd = arch.data_disk(i);
         for (int j = 0; j < arch.rows(); ++j) {
-          const layout::Pos rp = arch.replica_of(i, j);
+          const layout::Pos rp = arch.replica_of(1, i, j);
           if (!disk_live(dd, s) || !disk_live(rp.disk, s)) {
             ++report.pairs_skipped;
             all_pairs_live = false;

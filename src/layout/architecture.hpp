@@ -5,14 +5,24 @@
 // the element arrangement in the mirror array. The reconstruction
 // planner (src/recon) consumes this description to derive read plans.
 //
+// A mirror kind keeps R >= 1 replica arrays (R = 1 is the paper's
+// mirror method, R = 2 the three-mirror method of GFS and Ceph, the
+// paper's Section VIII future work). Under the traditional layout every
+// replica array is the identity; under shifted, replica array r uses
+// the affine map a(i, j) -> (<i + c_r j>_n, i) with c_r the r-th unit
+// mod n (layout::affine_shift), so array 1 is the paper's shifted
+// arrangement and any R failed disks leave every element a live copy.
+//
 // Global disk numbering:
-//   mirror kinds:          [0, n) data, [n, 2n) mirror, {2n} parity (if any)
+//   mirror kinds:          [0, n) data, replica array r at [r n, (r+1) n)
+//                          for r = 1..R, then {(R+1) n} parity (if any)
 //   raid5:                 [0, n) data, {n} parity
 //   raid6 (shortened):     [0, n) data, {n, n+1} parity (P, Q)
 #pragma once
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "layout/registry.hpp"
 
@@ -41,11 +51,14 @@ class Architecture {
   static Architecture mirror_with_parity(int n, bool shifted);
 
   /// Mirror built from a layout-registry spec ("shifted", "lrc:groups=2",
-  /// "iterated:3", ...). Resolves through AlgorithmRegistry::global().
-  static Result<Architecture> mirror_named(int n, const std::string& layout);
+  /// "iterated:3", ...) with `replicas` replica arrays. Resolves through
+  /// AlgorithmRegistry::global(). R >= 2 takes only "traditional" and
+  /// "shifted", and shifted needs R units mod n (phi(n) >= R).
+  static Result<Architecture> mirror_named(int n, const std::string& layout,
+                                           int replicas = 1);
 
-  /// Parity-protected variant of mirror_named. Refuses layouts whose
-  /// descriptor clears supports_second_failure.
+  /// Parity-protected variant of mirror_named (one replica array).
+  /// Refuses layouts whose descriptor clears supports_second_failure.
   static Result<Architecture> mirror_with_parity_named(
       int n, const std::string& layout);
 
@@ -66,28 +79,41 @@ class Architecture {
   bool is_mirror() const;
   bool has_parity() const;
   int parity_disks() const;
+  /// Replica arrays R (mirror kinds; 0 for RAID-5/6).
+  int replicas() const { return replicas_; }
 
   /// Registry spec that (re)builds this architecture's arrangement.
   /// Empty for RAID-5/6.
   const std::string& layout_spec() const { return layout_spec_; }
 
-  /// Arrangement of the mirror array; nullptr for RAID-5/6.
+  /// Arrangement of replica array 1 (the registry layout); nullptr for
+  /// RAID-5/6.
   const RegistryArrangement* arrangement() const { return arrangement_.get(); }
 
   // --- global disk index helpers -------------------------------------
   int data_disk(int i) const;
-  int mirror_disk(int i) const;
+  /// Global index of disk `local` of replica array r (1..R).
+  int replica_disk(int array_r, int local) const;
   int parity_disk(int which = 0) const;
   DiskRole role_of(int disk) const;
-  /// Index within its role (data i, mirror i, or parity ordinal).
+  /// Index within its array (data i, replica-array local index, or
+  /// parity ordinal).
   int role_index(int disk) const;
+  /// 0 for a data disk, r for a disk of replica array r, -1 for parity.
+  int array_of(int disk) const;
 
-  /// Global position of the replica of data element a(i, j); mirror
-  /// kinds only.
-  Pos replica_of(int data_disk_index, int row) const;
-  /// Which data element the mirror cell (mirror index, row) replicates;
+  /// Global position of the copy of data element a(i, j) in replica
+  /// array r (1..R); mirror kinds only.
+  Pos replica_of(int array_r, int data_disk_index, int row) const;
+  /// Copy c of a(i, j): c = 0 is the data copy, c = r the replica in
+  /// array r.
+  Pos copy_of(int c, int data_disk_index, int row) const {
+    return c == 0 ? Pos{data_disk(data_disk_index), row}
+                  : replica_of(c, data_disk_index, row);
+  }
+  /// Which data element cell (local, row) of replica array r holds;
   /// mirror kinds only. Returned Pos.disk is the *data disk index*.
-  Pos replicated_by(int mirror_disk_index, int row) const;
+  Pos replicated_by(int array_r, int local, int row) const;
 
  private:
   Architecture() = default;
@@ -96,8 +122,13 @@ class Architecture {
   int n_ = 0;
   int rows_ = 0;
   int total_disks_ = 0;
+  int replicas_ = 0;
   std::string layout_spec_;
   std::shared_ptr<const RegistryArrangement> arrangement_;
+  /// Shifted with R >= 2: multipliers_[r-1] = c_r and its inverse.
+  /// Empty otherwise: every replica array uses `arrangement_`.
+  std::vector<int> multipliers_;
+  std::vector<int> inverses_;
 };
 
 }  // namespace sma::layout

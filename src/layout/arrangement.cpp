@@ -155,6 +155,32 @@ int gcd(int a, int b) {
 }
 }  // namespace
 
+std::vector<int> units_mod(int n, int count) {
+  assert(n >= 1 && count >= 0);
+  if (n == 1) return std::vector<int>(static_cast<std::size_t>(count), 0);
+  std::vector<int> units;
+  for (int c = 1; c < n && static_cast<int>(units.size()) < count; ++c)
+    if (gcd(c, n) == 1) units.push_back(c);
+  return units;
+}
+
+int inverse_mod(int c, int n) {
+  // Extended Euclid on (n, c).
+  int t = 0;
+  int new_t = 1;
+  int r = n;
+  int new_r = mod(c, n);
+  while (new_r != 0) {
+    const int q = r / new_r;
+    t -= q * new_t;
+    std::swap(t, new_t);
+    r -= q * new_r;
+    std::swap(r, new_r);
+  }
+  assert(n == 1 || (r == 1 && "multiplier not coprime to n"));
+  return mod(t, n);
+}
+
 bool iterate_satisfies_p1p2(int n, int iterations) {
   if (n == 1) return true;
   const auto [fk, fk1] = fibonacci_mod(iterations, n);

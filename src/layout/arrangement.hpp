@@ -30,6 +30,33 @@ struct Pos {
   bool operator==(const Pos&) const = default;
 };
 
+/// The affine shifted map with multiplier c: data element a(i, j) goes
+/// to mirror cell (<i + c*j>_n, i). For c coprime to n it keeps the
+/// paper's properties P1-P3 (j -> i + c*j and i -> i + c*j are both
+/// injective); c = 1 is the paper's shifted arrangement. Replica array
+/// r of an R-replica shifted architecture uses the r-th unit mod n, so
+/// a data disk and a disk of array r share exactly one element per
+/// stripe, as do two disks of different replica arrays
+/// (Architecture::mirror_named).
+inline Pos affine_shift(int n, int c, Pos data) {
+  return {(data.disk + c * data.row) % n, data.disk};
+}
+
+/// Inverse of affine_shift given c^{-1} mod n: cell (d, w) holds
+/// a(w, c^{-1} (d - w)).
+inline Pos affine_unshift(int n, int c_inverse, Pos cell) {
+  const int j = (c_inverse * (cell.disk - cell.row)) % n;
+  return {cell.row, j < 0 ? j + n : j};
+}
+
+/// The units of Z_n (multipliers coprime to n) in increasing order, at
+/// most `count` of them. Every multiplier is 0 for n = 1, whose one-cell
+/// grid any number of replica arrays shares.
+std::vector<int> units_mod(int n, int count);
+
+/// c^{-1} mod n for a unit c (0 for n = 1).
+int inverse_mod(int c, int n);
+
 class MirrorArrangement {
  public:
   virtual ~MirrorArrangement() = default;

@@ -137,10 +137,10 @@ AlgorithmRegistry& AlgorithmRegistry::global() {
       d.name = "shifted";
       d.summary = "paper's shifted arrangement: P1-P3, one-read rebuild";
       d.map = [](const LayoutConfig& cfg, Pos p) {
-        return Pos{mod(p.disk + p.row, cfg.n), p.disk};
+        return affine_shift(cfg.n, 1, p);
       };
       d.inverse = [](const LayoutConfig& cfg, Pos p) {
-        return Pos{p.row, mod(p.disk - p.row, cfg.n)};
+        return affine_unshift(cfg.n, 1, p);
       };
       d.rebuild_read_set = [](const LayoutConfig& cfg, int i) {
         std::vector<Pos> reads;

@@ -44,26 +44,28 @@ struct StripeRecovery {
 
 /// Recover the contents of every failed logical disk of one mirror
 /// stripe into `rec.staged[logical][row]`, falling back across
-/// redundancy paths (replica copy <-> parity-XOR) when a source element
-/// is unreadable. Elements with no surviving path are zero-filled and
-/// listed in rec.unrecoverable rather than failing the stripe.
+/// redundancy paths (the other live copies, then parity-XOR) when a
+/// source element is unreadable. A lost cell tries the plan's chosen
+/// copy first (R >= 2), then the element's other live copies in order.
+/// Elements with no surviving path are zero-filled and listed in
+/// rec.unrecoverable rather than failing the stripe.
 Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
                              const std::vector<int>& failed,
-                             StripeRecovery& rec, FaultCounts& fc) {
+                             const StripePlan& plan, StripeRecovery& rec,
+                             FaultCounts& fc) {
   const auto& arch = arr.arch();
   const std::size_t eb = arr.config().content_bytes;
   const int n = arch.n();
   const int rows = arch.rows();
+  const int replicas = arch.replicas();
 
-  std::vector<int> failed_data;
-  std::vector<int> failed_mirror;
+  std::vector<int> lost;  // failed data and replica disks, `failed` order
   bool parity_failed = false;
   for (const int disk : failed) {
-    switch (arch.role_of(disk)) {
-      case layout::DiskRole::kData: failed_data.push_back(disk); break;
-      case layout::DiskRole::kMirror: failed_mirror.push_back(disk); break;
-      case layout::DiskRole::kParity: parity_failed = true; break;
-    }
+    if (arch.array_of(disk) < 0)
+      parity_failed = true;
+    else
+      lost.push_back(disk);
   }
   for (const int disk : failed) {
     rec.staged.emplace(disk, std::vector<Buffer>(
@@ -79,8 +81,8 @@ Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
   };
 
   // XOR the value of data element (i, j) into `acc`, best source first:
-  // the data copy, an already-staged recovery (in memory, no read), the
-  // mirror copy. Reads land in `local_reads` and replica fallbacks in
+  // the data copy, an already-staged recovery (in memory, no read), a
+  // replica. Reads land in `local_reads` and replica fallbacks in
   // `local_mirror` so a caller whose chain aborts midway can discard
   // them instead of charging reads that were never consumed.
   auto xor_data_into = [&](int i, int j, Buffer& acc,
@@ -98,8 +100,9 @@ Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
       gf::region_xor(rec.staged.at(dd)[static_cast<std::size_t>(j)], acc);
       return true;
     }
-    const layout::Pos rp = arch.replica_of(i, j);
-    if (!contains(failed, rp.disk)) {
+    for (int r = 1; r <= replicas; ++r) {
+      const layout::Pos rp = arch.replica_of(r, i, j);
+      if (contains(failed, rp.disk)) continue;
       if (!arr.element_latent(rp.disk, stripe, rp.row)) {
         gf::region_xor(arr.content(rp.disk, stripe, rp.row), acc);
         local_reads.push_back({rp.disk, rp.row});
@@ -138,21 +141,49 @@ Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
     return true;
   };
 
+  // Copy lost cell (disk, j), which holds data element `src`, from its
+  // first readable live copy: the plan's choice (R >= 2), then the other
+  // copies 0..R in order. Taking a copy past a latent one is a fallback.
+  auto recover_from_copies = [&](std::size_t lost_index, int disk, int j,
+                                 layout::Pos src, Buffer& dst) -> bool {
+    const int own = arch.array_of(disk);
+    const int chosen =
+        plan.sources.empty()
+            ? -1
+            : arch.array_of(
+                  plan.sources[lost_index * static_cast<std::size_t>(rows) +
+                               static_cast<std::size_t>(j)]
+                      .from.logical_disk);
+    int tried = 0;
+    for (int k = -1; k <= replicas; ++k) {
+      const int c = k < 0 ? chosen : k;
+      if (c < 0 || c == own || (k >= 0 && c == chosen)) continue;
+      const layout::Pos copy = arch.copy_of(c, src.disk, src.row);
+      if (contains(failed, copy.disk)) continue;
+      if (arr.element_latent(copy.disk, stripe, copy.row)) {
+        ++fc.latent_sectors_hit;
+        ++tried;
+        continue;
+      }
+      auto bytes = arr.content(copy.disk, stripe, copy.row);
+      std::copy(bytes.begin(), bytes.end(), dst.begin());
+      rec.availability_reads.insert({copy.disk, copy.row});
+      if (tried > 0) ++fc.fallback_to_mirror;
+      return true;
+    }
+    return false;
+  };
+
   // Data disks first: every later step may consult them.
-  for (const int xd : failed_data) {
+  for (std::size_t k = 0; k < lost.size(); ++k) {
+    const int xd = lost[k];
+    if (arch.array_of(xd) != 0) continue;
     const int x = arch.role_index(xd);
     for (int j = 0; j < rows; ++j) {
       Buffer& dst = rec.staged.at(xd)[static_cast<std::size_t>(j)];
-      const layout::Pos replica = arch.replica_of(x, j);
-      if (!contains(failed, replica.disk)) {
-        if (!arr.element_latent(replica.disk, stripe, replica.row)) {
-          auto src = arr.content(replica.disk, stripe, replica.row);
-          std::copy(src.begin(), src.end(), dst.begin());
-          rec.availability_reads.insert({replica.disk, replica.row});
-          rec.staged_ok.at(xd)[static_cast<std::size_t>(j)] = 1;
-          continue;
-        }
-        ++fc.latent_sectors_hit;
+      if (recover_from_copies(k, xd, j, {x, j}, dst)) {
+        rec.staged_ok.at(xd)[static_cast<std::size_t>(j)] = 1;
+        continue;
       }
       if (recover_via_parity(x, j, dst)) {
         rec.staged_ok.at(xd)[static_cast<std::size_t>(j)] = 1;
@@ -163,15 +194,18 @@ Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
     }
   }
 
-  for (const int yd : failed_mirror) {
+  for (std::size_t k = 0; k < lost.size(); ++k) {
+    const int yd = lost[k];
+    const int array = arch.array_of(yd);
+    if (array == 0) continue;
     const int y = arch.role_index(yd);
     for (int j = 0; j < rows; ++j) {
       Buffer& dst = rec.staged.at(yd)[static_cast<std::size_t>(j)];
-      const layout::Pos src = arch.replicated_by(y, j);
+      const layout::Pos src = arch.replicated_by(array, y, j);
       const int sd = arch.data_disk(src.disk);
       if (contains(failed, sd)) {
-        // Source data disk failed too: its staged recovery (if any) is
-        // the only copy left besides this lost one.
+        // Source data disk failed too: its staged recovery (if any)
+        // already tried every other copy.
         if (rec.staged_ok.at(sd)[static_cast<std::size_t>(src.row)]) {
           dst = rec.staged.at(sd)[static_cast<std::size_t>(src.row)];
           rec.staged_ok.at(yd)[static_cast<std::size_t>(j)] = 1;
@@ -180,14 +214,10 @@ Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
         }
         continue;
       }
-      if (!arr.element_latent(sd, stripe, src.row)) {
-        auto bytes = arr.content(sd, stripe, src.row);
-        std::copy(bytes.begin(), bytes.end(), dst.begin());
-        rec.availability_reads.insert({sd, src.row});
+      if (recover_from_copies(k, yd, j, src, dst)) {
         rec.staged_ok.at(yd)[static_cast<std::size_t>(j)] = 1;
         continue;
       }
-      ++fc.latent_sectors_hit;
       if (recover_via_parity(src.disk, src.row, dst)) {
         rec.staged_ok.at(yd)[static_cast<std::size_t>(j)] = 1;
         ++fc.fallback_to_parity;
@@ -440,7 +470,8 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
     StripeRecovery rec;
     Status recovered =
         arch.is_mirror()
-            ? recover_mirror_stripe(arr, s, rebuild_logical, rec, fc)
+            ? recover_mirror_stripe(arr, s, rebuild_logical, plan.value(),
+                                    rec, fc)
             : recover_raid_stripe(arr, s, rebuild_logical, rec, fc);
     if (!recovered.is_ok()) return recovered;
     for (const auto& [d, r] : rec.unrecoverable) skip.insert({d, s, r});
@@ -630,7 +661,8 @@ Result<ReconReport> reconstruct(array::DiskArray& arr,
     StripeRecovery& rec = staged[static_cast<std::size_t>(s)];
     Status recovered =
         arch.is_mirror()
-            ? recover_mirror_stripe(arr, s, failed_logical, rec, fc)
+            ? recover_mirror_stripe(arr, s, failed_logical, plan.value(), rec,
+                                    fc)
             : recover_raid_stripe(arr, s, failed_logical, rec, fc);
     if (!recovered.is_ok()) return recovered;
     for (const auto& [d, r] : rec.unrecoverable) skip.insert({d, s, r});

@@ -23,12 +23,10 @@ FailureClass classify(const layout::Architecture& arch,
   assert(failed.size() == 2);
   if (!arch.is_mirror()) return FailureClass::kRaidDouble;
 
-  const auto role_a = arch.role_of(failed[0]);
-  const auto role_b = arch.role_of(failed[1]);
-  if (role_a == layout::DiskRole::kParity ||
-      role_b == layout::DiskRole::kParity)
-    return FailureClass::kF1;
-  if (role_a == role_b) return FailureClass::kF2;
+  const int array_a = arch.array_of(failed[0]);
+  const int array_b = arch.array_of(failed[1]);
+  if (array_a < 0 || array_b < 0) return FailureClass::kF1;
+  if (array_a == array_b) return FailureClass::kF2;
   return FailureClass::kF3;
 }
 

@@ -5,6 +5,9 @@
 //   F1  the two failed disks include the parity disk
 //   F2  the two failed disks are in the same disk array
 //   F3  each disk array contains one failed disk
+//
+// With R >= 2 replica arrays the same rule applies per array: two disks
+// of one array (data or replica r) are F2, disks of two arrays F3.
 #pragma once
 
 #include <string>

@@ -66,9 +66,10 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
   if (!arch.is_mirror())
     return invalid_argument("online reconstruction models mirror kinds only");
   const auto initial_failed = arr.failed_physical();
-  if (initial_failed.size() > 1)
+  if (static_cast<int>(initial_failed.size()) > arch.fault_tolerance())
     return invalid_argument(
-        "online reconstruction expects at most one failed disk, got " +
+        "online reconstruction expects at most " +
+        std::to_string(arch.fault_tolerance()) + " failed disk(s), got " +
         std::to_string(initial_failed.size()));
   const workload::ArrivalConfig& acfg = cfg.arrival;
   const workload::MixConfig& mcfg = cfg.mix;
@@ -96,10 +97,10 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
     if (arch.fault_tolerance() < 2)
       return invalid_argument(
           "second-failure injection needs fault tolerance 2 (mirror with "
-          "parity)");
+          "parity, or two replica arrays)");
     if (cfg.second_failure_disk >= arr.total_disks() ||
-        (!initial_failed.empty() &&
-         cfg.second_failure_disk == initial_failed[0]))
+        std::find(initial_failed.begin(), initial_failed.end(),
+                  cfg.second_failure_disk) != initial_failed.end())
       return invalid_argument("invalid second failure disk");
   }
 
@@ -138,6 +139,10 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
   std::vector<double> retries_seen;
 
   std::vector<DiskQueue> queues(ndisks);
+  // Read pieces routed to each disk: a degraded read takes the least
+  // user-loaded live replica. Only R >= 2 has a choice to make.
+  std::vector<int> user_load;
+  if (arch.replicas() >= 2) user_load.assign(ndisks, 0);
   std::vector<int> stripe_pending(static_cast<std::size_t>(arr.stripes()), 0);
   std::size_t rebuild_remaining = 0;
 
@@ -168,11 +173,11 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
     sim.set_observer(ob);
     obs_guard.arr = &arr;
     obs_guard.metrics = metrics;
-    if (!initial_failed.empty()) {
+    for (const int p : initial_failed) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::kFailure;
       ev.t_s = 0.0;
-      ev.disk = initial_failed[0];
+      ev.disk = p;
       ob->emit(ev);
     }
     if (metrics != nullptr) {
@@ -611,22 +616,24 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
         job.kind == disk::IoKind::kRead && !job.is_hedge &&
         job.hedge_group < 0 && job.data_disk >= 0 && fail_slow.slow(phys) &&
         outstanding_hedges < hcfg.max_outstanding_hedges) {
-      const int data_phys =
-          arr.physical_disk(arch.data_disk(job.data_disk), job.stripe);
-      const layout::Pos rep = arch.replica_of(job.data_disk, job.row);
-      const int rep_phys = arr.physical_disk(rep.disk, job.stripe);
+      // The alternate: the first other copy of the element that is live
+      // and unflagged, when `phys` serves one of its copies at all.
+      bool serves_copy = false;
       int alt = -1;
       std::int64_t alt_slot = -1;
-      if (phys == data_phys) {
-        alt = rep_phys;
-        alt_slot = arr.slot(job.stripe, rep.row);
-      } else if (phys == rep_phys) {
-        alt = data_phys;
-        alt_slot = arr.slot(job.stripe, job.row);
+      for (int c = 0; c <= arch.replicas(); ++c) {
+        const layout::Pos copy = arch.copy_of(c, job.data_disk, job.row);
+        const int copy_phys = arr.physical_disk(copy.disk, job.stripe);
+        if (copy_phys == phys) {
+          serves_copy = true;
+        } else if (alt < 0 && !arr.physical(copy_phys).failed() &&
+                   !fail_slow.slow(copy_phys)) {
+          alt = copy_phys;
+          alt_slot = arr.slot(job.stripe, copy.row);
+        }
       }
       const double median = fail_slow.peer_median(phys);
-      if (alt >= 0 && alt != phys && median > 0.0 &&
-          !arr.physical(alt).failed() && !fail_slow.slow(alt)) {
+      if (serves_copy && alt >= 0 && median > 0.0) {
         const int g = static_cast<int>(hedge_groups.size());
         hedge_groups.push_back({});
         job.hedge_group = g;
@@ -671,8 +678,9 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
   };
 
   // Pieces needed to serve a read of data element (i, stripe, row)
-  // under the current failure set: the data copy, else the replica,
-  // else the parity row. Empty means unreadable (beyond tolerance).
+  // under the current failure set: the data copy, else the least
+  // user-loaded live replica (ties to the earlier array), else the
+  // parity row. Empty means unreadable (beyond tolerance).
   auto read_pieces = [&](int i, int stripe, int row, bool& degraded)
       -> std::vector<std::pair<int, Job>> {
     std::vector<std::pair<int, Job>> out;
@@ -683,29 +691,44 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
       job.data_disk = i;
       job.row = row;
       job.stripe = stripe;
-      out.push_back({arr.physical_disk(logical, stripe), job});
+      const int phys = arr.physical_disk(logical, stripe);
+      if (!user_load.empty()) ++user_load[static_cast<std::size_t>(phys)];
+      out.push_back({phys, job});
     };
     const int data_phys = arr.physical_disk(arch.data_disk(i), stripe);
     if (!arr.physical(data_phys).failed()) {
       // Copy-affinity routing: a live-but-flagged primary loses the
-      // read to its healthy partner copy (not counted degraded — the
-      // data is fully redundant, we just prefer the healthy disk).
+      // read to a healthy replica (not counted degraded — the data is
+      // fully redundant, we just prefer the healthy disk).
       if (hedging && hcfg.affinity_routing && fail_slow.slow(data_phys)) {
-        const layout::Pos rep = arch.replica_of(i, row);
-        const int rep_phys = arr.physical_disk(rep.disk, stripe);
-        if (!arr.physical(rep_phys).failed() && !fail_slow.slow(rep_phys)) {
-          ++report.affinity_reroutes;
-          piece(rep.disk, rep.row);
-          return out;
+        for (int r = 1; r <= arch.replicas(); ++r) {
+          const layout::Pos rep = arch.replica_of(r, i, row);
+          const int rep_phys = arr.physical_disk(rep.disk, stripe);
+          if (!arr.physical(rep_phys).failed() && !fail_slow.slow(rep_phys)) {
+            ++report.affinity_reroutes;
+            piece(rep.disk, rep.row);
+            return out;
+          }
         }
       }
       piece(arch.data_disk(i), row);
       return out;
     }
     degraded = true;
-    const layout::Pos replica = arch.replica_of(i, row);
-    if (!arr.physical(arr.physical_disk(replica.disk, stripe)).failed()) {
-      piece(replica.disk, replica.row);
+    layout::Pos best{-1, -1};
+    int best_phys = -1;
+    for (int r = 1; r <= arch.replicas(); ++r) {
+      const layout::Pos rep = arch.replica_of(r, i, row);
+      const int rep_phys = arr.physical_disk(rep.disk, stripe);
+      if (arr.physical(rep_phys).failed()) continue;
+      if (best_phys < 0 || user_load[static_cast<std::size_t>(rep_phys)] <
+                               user_load[static_cast<std::size_t>(best_phys)]) {
+        best = rep;
+        best_phys = rep_phys;
+      }
+    }
+    if (best_phys >= 0) {
+      piece(best.disk, best.row);
       return out;
     }
     // Parity path: every other data element of the row + parity cell.
@@ -770,9 +793,10 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
         job.request_id = rid;
         pieces.push_back({phys, job});
       };
-      piece(arch.data_disk(data_disk), row);
-      const layout::Pos replica = arch.replica_of(data_disk, row);
-      piece(replica.disk, replica.row);
+      for (int c = 0; c <= arch.replicas(); ++c) {
+        const layout::Pos copy = arch.copy_of(c, data_disk, row);
+        piece(copy.disk, copy.row);
+      }
       if (arch.has_parity()) piece(arch.parity_disk(), row);
       requests[static_cast<std::size_t>(rid)].pieces_left =
           static_cast<int>(pieces.size());

@@ -31,9 +31,13 @@ class CellSet {
       : rows_(static_cast<std::size_t>(rows)),
         words_((static_cast<std::size_t>(disks) * rows_ + 63) / 64) {}
 
-  void insert(int disk, int row) {
+  /// True when the cell was not in the set yet.
+  bool insert(int disk, int row) {
     const std::size_t b = bit(disk, row);
-    words_[b / 64] |= std::uint64_t{1} << (b % 64);
+    const std::uint64_t mask = std::uint64_t{1} << (b % 64);
+    const bool fresh = (words_[b / 64] & mask) == 0;
+    words_[b / 64] |= mask;
+    return fresh;
   }
 
   bool contains(int disk, int row) const {
@@ -70,40 +74,61 @@ class CellSet {
 Result<StripePlan> plan_mirror(const layout::Architecture& arch,
                                const std::vector<int>& failed) {
   const int n = arch.n();
+  const int replicas = arch.replicas();
   CellSet availability(arch.total_disks(), arch.rows());
   bool parity_failed = false;
-  std::vector<int> failed_data;    // data-disk indices (0..n-1)
-  std::vector<int> failed_mirror;  // mirror-disk indices (0..n-1)
+  for (const int disk : failed)
+    if (arch.role_of(disk) == layout::DiskRole::kParity) parity_failed = true;
+  StripePlan plan;
+  // Reads already planned per disk: with R >= 2 a lost cell has a choice
+  // of copies and takes the least-loaded one. Kept off the R = 1 path,
+  // where every lost cell has one live copy at most.
+  std::vector<int> load;
+  if (replicas >= 2)
+    load.assign(static_cast<std::size_t>(arch.total_disks()), 0);
 
+  // Every lost data/replica cell, in `failed` order, from one of its
+  // live copies: data copy first, then replica arrays 1..R. A copy
+  // already in the read set is free; otherwise the least-loaded disk
+  // wins, ties going to the earlier copy.
   for (const int disk : failed) {
-    switch (arch.role_of(disk)) {
-      case layout::DiskRole::kData:
-        failed_data.push_back(arch.role_index(disk));
-        break;
-      case layout::DiskRole::kMirror:
-        failed_mirror.push_back(arch.role_index(disk));
-        break;
-      case layout::DiskRole::kParity:
-        parity_failed = true;
-        break;
-    }
-  }
-
-  // Recover each failed data disk's elements.
-  for (const int x : failed_data) {
+    const int array = arch.array_of(disk);
+    if (array < 0) continue;  // parity: recomputed below
+    const int local = arch.role_index(disk);
     for (int j = 0; j < arch.rows(); ++j) {
-      const layout::Pos replica = arch.replica_of(x, j);
-      if (!contains(failed, replica.disk)) {
-        availability.insert(replica.disk, replica.row);
+      const layout::Pos src =
+          array == 0 ? layout::Pos{local, j}
+                     : arch.replicated_by(array, local, j);
+      layout::Pos best{-1, -1};
+      for (int c = 0; c <= replicas; ++c) {
+        if (c == array) continue;
+        const layout::Pos copy = arch.copy_of(c, src.disk, src.row);
+        if (contains(failed, copy.disk)) continue;
+        if (availability.contains(copy.disk, copy.row)) {
+          best = copy;
+          break;
+        }
+        if (best.disk < 0 || load[static_cast<std::size_t>(copy.disk)] <
+                                 load[static_cast<std::size_t>(best.disk)])
+          best = copy;
+      }
+      if (best.disk >= 0) {
+        const bool fresh = availability.insert(best.disk, best.row);
+        if (!load.empty()) {
+          if (fresh) ++load[static_cast<std::size_t>(best.disk)];
+          plan.sources.push_back({disk, j, {best.disk, best.row}});
+        }
         continue;
       }
-      // Replica lost too (F3 overlap element): recover via the parity
-      // row — read the other data elements of row j plus c_j.
+      // Every copy lost (F3 overlap element): the data cell recovers it
+      // via the parity row — the other data elements of row j plus c_j —
+      // and a lost replica cell of it needs no extra reads.
+      if (array != 0) continue;
       if (!arch.has_parity() || parity_failed)
         return unrecoverable(
             "element and its replica both lost without usable parity");
       for (int i = 0; i < n; ++i) {
-        if (i == x) continue;
+        if (i == local) continue;
         assert(!contains(failed, arch.data_disk(i)) &&
                "double data failure cannot also lose a replica");
         availability.insert(arch.data_disk(i), j);
@@ -111,28 +136,17 @@ Result<StripePlan> plan_mirror(const layout::Architecture& arch,
       availability.insert(arch.parity_disk(), j);
     }
   }
-
-  // Recover each failed mirror disk's elements from their data sources;
-  // sources that are themselves failed were just recovered above and
-  // need no extra reads.
-  for (const int y : failed_mirror) {
-    for (int j = 0; j < arch.rows(); ++j) {
-      const layout::Pos src = arch.replicated_by(y, j);
-      if (!contains(failed, arch.data_disk(src.disk)))
-        availability.insert(arch.data_disk(src.disk), src.row);
-    }
-  }
-
-  StripePlan plan;
   plan.availability_reads = availability.reads();
 
   // A lost parity disk is recomputed from the full data array; only the
   // reads not already issued for availability are extra. Data disks come
   // first in global numbering, so these too are in (disk, row) order.
   if (parity_failed) {
-    plan.parity_rebuild_reads.reserve(
-        (static_cast<std::size_t>(n) - failed_data.size()) *
-        static_cast<std::size_t>(arch.rows()));
+    int live_data = n;
+    for (const int disk : failed)
+      if (arch.array_of(disk) == 0) --live_data;
+    plan.parity_rebuild_reads.reserve(static_cast<std::size_t>(live_data) *
+                                      static_cast<std::size_t>(arch.rows()));
     for (int i = 0; i < n; ++i) {
       if (contains(failed, arch.data_disk(i))) continue;
       for (int j = 0; j < arch.rows(); ++j)

@@ -25,9 +25,21 @@ struct ElementRead {
   auto operator<=>(const ElementRead&) const = default;
 };
 
+/// The copy one lost cell is recovered from.
+struct CellSource {
+  int lost_disk = 0;
+  int lost_row = 0;
+  ElementRead from;
+};
+
 struct StripePlan {
   /// Deduplicated reads needed to recover lost data/mirror elements.
   std::vector<ElementRead> availability_reads;
+  /// With R >= 2 replica arrays, the copy each lost cell is read from
+  /// (failed-disk order, then row): the planner's least-loaded choice
+  /// among its live copies. Empty at R = 1, where a lost cell has one
+  /// live copy or the parity row.
+  std::vector<CellSource> sources;
   /// Additional reads (beyond availability_reads) needed to recompute a
   /// lost parity column. Empty when no parity disk failed.
   std::vector<ElementRead> parity_rebuild_reads;

@@ -1,7 +1,9 @@
 #include "recon/reliability.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -33,7 +35,7 @@ bool is_recoverable(const layout::Architecture& arch,
     if (d >= 0 && d < total) down[d] = 1;
 
   // Only a failed data disk's elements can be missing, and only those
-  // need their replica looked up.
+  // need their replicas looked up.
   int missing = 0;
   for (int i = 0; i < n; ++i) {
     if (!down[arch.data_disk(i)]) {
@@ -41,7 +43,9 @@ bool is_recoverable(const layout::Architecture& arch,
       continue;
     }
     for (int j = 0; j < rows; ++j) {
-      const bool ok = !down[arch.replica_of(i, j).disk];
+      bool ok = false;
+      for (int r = 1; r <= arch.replicas() && !ok; ++r)
+        ok = !down[arch.replica_of(r, i, j).disk];
       avail[at(i, j)] = ok;
       if (!ok) ++missing;
     }
@@ -74,34 +78,47 @@ bool is_recoverable(const layout::Architecture& arch,
   return true;
 }
 
-FatalCounts count_fatal_sets(const layout::Architecture& arch) {
+namespace {
+
+/// Over the recoverable `size`-sets of failed disks, the mean number of
+/// disks whose failure next loses data (k_{size+1} of the Markov chain).
+double avg_fatal_next(const layout::Architecture& arch, int size) {
   const int total = arch.total_disks();
-  FatalCounts out;
-
-  long fatal_pairs_ordered = 0;
-  for (int a = 0; a < total; ++a)
-    for (int b = 0; b < total; ++b)
-      if (b != a && !is_recoverable(arch, {a, b})) ++fatal_pairs_ordered;
-  out.avg_fatal_second =
-      static_cast<double>(fatal_pairs_ordered) / static_cast<double>(total);
-
-  if (arch.fault_tolerance() >= 2) {
-    long fatal_triples = 0;
-    long surviving_pairs = 0;
-    for (int a = 0; a < total; ++a) {
-      for (int b = a + 1; b < total; ++b) {
-        if (!is_recoverable(arch, {a, b})) continue;
-        ++surviving_pairs;
-        for (int c = 0; c < total; ++c) {
-          if (c == a || c == b) continue;
-          if (!is_recoverable(arch, {a, b, c})) ++fatal_triples;
-        }
+  std::vector<int> set;
+  long fatal = 0;
+  long surviving = 0;
+  std::function<void(int)> visit = [&](int from) {
+    if (static_cast<int>(set.size()) < size) {
+      for (int d = from; d < total; ++d) {
+        set.push_back(d);
+        visit(d + 1);
+        set.pop_back();
       }
+      return;
     }
-    if (surviving_pairs > 0)
-      out.avg_fatal_third = static_cast<double>(fatal_triples) /
-                            static_cast<double>(surviving_pairs);
-  }
+    if (!is_recoverable(arch, set)) return;
+    ++surviving;
+    std::vector<int> next = set;
+    next.push_back(-1);
+    for (int c = 0; c < total; ++c) {
+      if (std::find(set.begin(), set.end(), c) != set.end()) continue;
+      next.back() = c;
+      if (!is_recoverable(arch, next)) ++fatal;
+    }
+  };
+  visit(0);
+  return surviving > 0
+             ? static_cast<double>(fatal) / static_cast<double>(surviving)
+             : 0.0;
+}
+
+}  // namespace
+
+FatalCounts count_fatal_sets(const layout::Architecture& arch) {
+  FatalCounts out;
+  out.avg_fatal_second = avg_fatal_next(arch, 1);
+  if (arch.fault_tolerance() >= 2)
+    out.avg_fatal_third = avg_fatal_next(arch, 2);
   return out;
 }
 
@@ -128,10 +145,27 @@ MttdlReport estimate_mttdl(const layout::Architecture& arch,
   // failure at rate N/MTTF; second at (N-1)/MTTF during the repair
   // window; from the doubly-degraded state, fatal third failures occur
   // at k3/MTTF against a 1/MTTR repair exit.
-  const double k3 = report.fatal.avg_fatal_third;
+  if (arch.fault_tolerance() == 2) {
+    const double k3 = report.fatal.avg_fatal_third;
+    report.mttdl_hours =
+        k3 > 0 ? mttf * mttf * mttf / (total * (total - 1) * k3 * mttr * mttr)
+               : std::numeric_limits<double>::infinity();
+    return report;
+  }
+
+  // Tolerance t >= 3 (R >= 3 replica arrays): the same chain one
+  // degraded level deeper per extra tolerated failure,
+  //   MTTF^(t+1) / (N (N-1) ... (N-t+1) * k_{t+1} * MTTR^t).
+  const int t = arch.fault_tolerance();
+  const double k = avg_fatal_next(arch, t);
+  double num = mttf;
+  double den = k;
+  for (int level = 0; level < t; ++level) {
+    num *= mttf;
+    den *= (total - level) * mttr;
+  }
   report.mttdl_hours =
-      k3 > 0 ? mttf * mttf * mttf / (total * (total - 1) * k3 * mttr * mttr)
-             : std::numeric_limits<double>::infinity();
+      k > 0 ? num / den : std::numeric_limits<double>::infinity();
   return report;
 }
 

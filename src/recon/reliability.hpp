@@ -68,8 +68,10 @@ struct MttdlReport {
 /// Markov-chain MTTDL with enumerated fatal transition counts:
 ///   tolerance 1:  MTTF^2 / (N * k2 * MTTR)
 ///   tolerance 2:  MTTF^3 / (N * (N-1) * k3' * MTTR^2)
+///   tolerance t:  MTTF^(t+1) / (N * ... * (N-t+1) * k_{t+1} * MTTR^t)
 /// where k2 = avg fatal second disks and the standard all-survivors
-/// second transition is corrected by the enumerated fatal fractions.
+/// second transition is corrected by the enumerated fatal fractions;
+/// k_{t+1} (t >= 3, R >= 3 replica arrays) is enumerated the same way.
 MttdlReport estimate_mttdl(const layout::Architecture& arch,
                            const MttdlParams& params);
 

@@ -35,6 +35,9 @@ Result<ScrubReport> scrub(array::DiskArray& arr, const ScrubOptions& opts) {
   const auto& arch = arr.arch();
   if (!arch.is_mirror())
     return invalid_argument("scrub supports the mirror architectures");
+  // Arbitration compares the data copy with one replica (and parity).
+  if (arch.replicas() != 1)
+    return invalid_argument("scrub arbitrates pairs: one replica array only");
   if (!arr.failed_physical().empty())
     return failed_precondition("scrub requires all disks healthy");
   if (arr.crashed())
@@ -83,7 +86,7 @@ Result<ScrubReport> scrub(array::DiskArray& arr, const ScrubOptions& opts) {
       for (int i = 0; i < arch.n(); ++i) {
         for (int j = 0; j < arch.rows(); ++j) {
           const int dd = arch.data_disk(i);
-          const layout::Pos rp = arch.replica_of(i, j);
+          const layout::Pos rp = arch.replica_of(1, i, j);
           const bool d_ok = arr.element_checksum_ok(dd, s, j);
           const bool m_ok = arr.element_checksum_ok(rp.disk, s, rp.row);
           if (d_ok && m_ok) continue;
@@ -174,7 +177,7 @@ Result<ScrubReport> scrub(array::DiskArray& arr, const ScrubOptions& opts) {
       for (int j = 0; j < arch.rows(); ++j) {
         ++report.elements_scanned;
         auto data = arr.content(arch.data_disk(i), s, j);
-        const layout::Pos rp = arch.replica_of(i, j);
+        const layout::Pos rp = arch.replica_of(1, i, j);
         auto mirror = arr.content(rp.disk, s, rp.row);
 
         const bool data_unreadable =
@@ -248,7 +251,7 @@ Result<ScrubReport> scrub(array::DiskArray& arr, const ScrubOptions& opts) {
       for (int j = 0; j < arch.rows(); ++j) {
         bool row_pairs_usable = true;
         for (int i = 0; i < arch.n(); ++i) {
-          const layout::Pos rp = arch.replica_of(i, j);
+          const layout::Pos rp = arch.replica_of(1, i, j);
           if (arr.element_latent(arch.data_disk(i), s, j) ||
               arr.element_latent(rp.disk, s, rp.row) ||
               !equal_spans(arr.content(arch.data_disk(i), s, j),

@@ -3,8 +3,8 @@
 // Every online experiment drives user requests from a
 // workload::ArrivalProcess built out of a workload::ArrivalConfig — the
 // one shared description of "how requests arrive" that OnlineConfig,
-// MmOnlineConfig, DegradedReadConfig and WriteWorkloadConfig all
-// compose by value. Four kinds:
+// DegradedReadConfig and WriteWorkloadConfig all compose by value.
+// Four kinds:
 //
 //  * kPoisson     — open-loop memoryless arrivals at rate_hz. The
 //                   default, bit-identical to the pre-QoS hardwired

@@ -1,6 +1,7 @@
 #include "workload/degraded_read.hpp"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -19,8 +20,11 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
   if (!arch.is_mirror())
     return invalid_argument("degraded read workload models mirror kinds");
   const auto failed = arr.failed_physical();
-  if (failed.size() > 1)
-    return invalid_argument("degraded read workload expects <= 1 failure");
+  if (static_cast<int>(failed.size()) > arch.replicas())
+    return invalid_argument(
+        "degraded read workload expects at most " +
+        std::to_string(arch.replicas()) + " failed disk(s), one per replica "
+        "array");
   const ArrivalConfig& acfg = cfg.arrival;
   const int read_count = acfg.max_requests;
   if (read_count < 0) return invalid_argument("negative read count");
@@ -31,6 +35,12 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
   DegradedReadReport report;
   std::vector<array::Op> ops;
   ops.reserve(static_cast<std::size_t>(read_count));
+  // Reads routed to each physical disk so far: a redirected read takes
+  // the least-assigned live replica (ties to the earlier array).
+  std::vector<int> per_disk(static_cast<std::size_t>(arr.total_disks()), 0);
+  const auto load = [&](int d) {
+    return per_disk[static_cast<std::size_t>(d)];
+  };
 
   for (int k = 0; k < read_count; ++k) {
     const int data_disk =
@@ -42,12 +52,24 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
 
     int logical = arch.data_disk(data_disk);
     int target_row = row;
-    if (arr.physical(arr.physical_disk(logical, stripe)).failed()) {
-      const layout::Pos replica = arch.replica_of(data_disk, row);
-      logical = replica.disk;
-      target_row = replica.row;
+    int phys = arr.physical_disk(logical, stripe);
+    if (arr.physical(phys).failed()) {
+      int best_phys = -1;
+      for (int r = 1; r <= arch.replicas(); ++r) {
+        const layout::Pos replica = arch.replica_of(r, data_disk, row);
+        const int rep_phys = arr.physical_disk(replica.disk, stripe);
+        if (arr.physical(rep_phys).failed()) continue;
+        if (best_phys < 0 || load(rep_phys) < load(best_phys)) {
+          best_phys = rep_phys;
+          logical = replica.disk;
+          target_row = replica.row;
+        }
+      }
+      if (best_phys < 0) return unrecoverable("element lost every copy");
+      phys = best_phys;
       ++report.degraded_reads;
     }
+    ++per_disk[static_cast<std::size_t>(phys)];
     ops.push_back({logical, stripe, target_row, disk::IoKind::kRead});
     if (ob != nullptr) {
       // The batch model has no arrival process: all reads are pending
@@ -56,7 +78,7 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
       ev.kind = obs::EventKind::kRequestArrive;
       ev.t_s = 0.0;
       ev.request_id = k;
-      ev.disk = arr.physical_disk(logical, stripe);
+      ev.disk = phys;
       ob->emit(ev);
     }
   }
@@ -72,10 +94,6 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
   report.logical_bytes_read = stats.logical_bytes_read;
 
   // Load imbalance over surviving disks.
-  std::vector<int> per_disk(static_cast<std::size_t>(arr.total_disks()), 0);
-  for (const auto& op : ops)
-    ++per_disk[static_cast<std::size_t>(
-        arr.physical_disk(op.logical_disk, op.stripe))];
   int total_ops = 0;
   int survivors = 0;
   for (int d = 0; d < arr.total_disks(); ++d) {

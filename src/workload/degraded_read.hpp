@@ -38,8 +38,9 @@ struct DegradedReadReport {
 };
 
 /// Run `cfg.arrival.max_requests` uniform random data-element reads against
-/// `arr` (mirror architectures; at most one failed disk, or none).
-/// Timing only.
+/// `arr` (mirror architectures; at most R failed disks, R the replica
+/// arrays). A read whose data disk failed goes to the least-assigned
+/// live replica. Timing only.
 Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
                                               const DegradedReadConfig& cfg);
 

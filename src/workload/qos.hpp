@@ -22,8 +22,8 @@
 //    target, and the budget climbs again — so the rebuild always
 //    completes, just as late as the SLO demands.
 //
-// RebuildThrottle is the shared mechanism: both recon::online and
-// mm::multi_online gate rebuild dispatch through one instance.
+// RebuildThrottle is the mechanism: recon::run_online_reconstruction
+// gates rebuild dispatch through one instance, for every replica count.
 #pragma once
 
 #include <string_view>

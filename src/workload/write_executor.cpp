@@ -62,12 +62,15 @@ WriteRunReport run_write_workload(array::DiskArray& arr,
       const int first_disk = within % n;
       const int len = std::min(n - first_disk, remaining);
 
-      // Data elements and their mirror replicas for this row segment.
+      // Data elements and their copies in every replica array for this
+      // row segment.
       for (int i = first_disk; i < first_disk + len; ++i) {
         writes.push_back({arch.data_disk(i), stripe, row, disk::IoKind::kWrite});
-        const layout::Pos replica = arch.replica_of(i, row);
-        writes.push_back({replica.disk, stripe, replica.row,
-                          disk::IoKind::kWrite});
+        for (int r = 1; r <= arch.replicas(); ++r) {
+          const layout::Pos replica = arch.replica_of(r, i, row);
+          writes.push_back({replica.disk, stripe, replica.row,
+                            disk::IoKind::kWrite});
+        }
       }
       report.user_bytes += static_cast<std::uint64_t>(len) * eb;
 

@@ -86,7 +86,7 @@ TEST(DiskArray, MirrorCellsMatchArrangement) {
   arr.initialize();
   for (int i = 0; i < 5; ++i) {
     for (int j = 0; j < 5; ++j) {
-      const layout::Pos replica = arch.replica_of(i, j);
+      const layout::Pos replica = arch.replica_of(1, i, j);
       auto data = arr.content(arch.data_disk(i), 2, j);
       auto mirror = arr.content(replica.disk, 2, replica.row);
       EXPECT_TRUE(std::equal(data.begin(), data.end(), mirror.begin()))

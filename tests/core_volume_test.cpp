@@ -80,7 +80,7 @@ TEST(Volume, DegradedReadViaParityPath) {
   auto& vol = volr.value();
   std::vector<std::uint8_t> before(64);
   ASSERT_TRUE(vol.read_element(0, 0, 1, before).is_ok());
-  const layout::Pos replica = vol.arch().replica_of(0, 1);
+  const layout::Pos replica = vol.arch().replica_of(1, 0, 1);
   // Stripe 0 is unrotated: logical == physical.
   vol.fail_disk(0);
   vol.fail_disk(replica.disk);
@@ -93,7 +93,7 @@ TEST(Volume, ReadFailsWhenNoPathSurvives) {
   auto volr = MirroredVolume::create(small(3, false, true));  // no parity
   ASSERT_TRUE(volr.is_ok());
   auto& vol = volr.value();
-  const layout::Pos replica = vol.arch().replica_of(0, 1);
+  const layout::Pos replica = vol.arch().replica_of(1, 0, 1);
   vol.fail_disk(0);
   vol.fail_disk(replica.disk);
   std::vector<std::uint8_t> buf(64);

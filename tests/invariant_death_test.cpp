@@ -44,8 +44,8 @@ TEST(InvariantDeath, ColumnSetOutOfRangeAborts) {
 
 TEST(InvariantDeath, MirrorAccessorsOnRaidAbort) {
   const auto raid = layout::Architecture::raid5(3);
-  EXPECT_DEATH(raid.mirror_disk(0), "is_mirror");
-  EXPECT_DEATH(raid.replica_of(0, 0), "is_mirror");
+  EXPECT_DEATH(raid.replica_disk(1, 0), "is_mirror");
+  EXPECT_DEATH(raid.replica_of(1, 0, 0), "is_mirror");
 }
 
 TEST(InvariantDeath, ParityAccessorWithoutParityAborts) {

@@ -24,7 +24,7 @@ TEST(Architecture, MirrorTraditionalUsesIdentityArrangement) {
   const auto a = Architecture::mirror(3, /*shifted=*/false);
   EXPECT_EQ(a.kind(), ArchKind::kMirror);
   EXPECT_EQ(a.arrangement()->name(), "traditional");
-  EXPECT_EQ(a.replica_of(1, 2), (Pos{a.mirror_disk(1), 2}));
+  EXPECT_EQ(a.replica_of(1, 1, 2), (Pos{a.replica_disk(1, 1), 2}));
 }
 
 TEST(Architecture, MirrorWithParityShape) {
@@ -84,25 +84,25 @@ TEST(Architecture, RoleMapping) {
   EXPECT_EQ(a.role_index(0), 0);
   EXPECT_EQ(a.role_index(4), 1);
   EXPECT_EQ(a.role_index(6), 0);
-  EXPECT_EQ(a.mirror_disk(2), 5);
+  EXPECT_EQ(a.replica_disk(1, 2), 5);
   EXPECT_EQ(a.data_disk(1), 1);
 }
 
 TEST(Architecture, ReplicaMappingShifted) {
   const auto a = Architecture::mirror(3, true);
   // a(0,1) -> mirror local (1, 0) -> global disk 4.
-  EXPECT_EQ(a.replica_of(0, 1), (Pos{4, 0}));
+  EXPECT_EQ(a.replica_of(1, 0, 1), (Pos{4, 0}));
   // Inverse: mirror disk index 1, row 0 replicates a(0, 1).
-  EXPECT_EQ(a.replicated_by(1, 0), (Pos{0, 1}));
+  EXPECT_EQ(a.replicated_by(1, 1, 0), (Pos{0, 1}));
 }
 
 TEST(Architecture, ReplicaAndReplicatedByAreInverse) {
   const auto a = Architecture::mirror_with_parity(5, true);
   for (int i = 0; i < 5; ++i)
     for (int j = 0; j < 5; ++j) {
-      const Pos replica = a.replica_of(i, j);
+      const Pos replica = a.replica_of(1, i, j);
       const int mirror_index = a.role_index(replica.disk);
-      EXPECT_EQ(a.replicated_by(mirror_index, replica.row), (Pos{i, j}));
+      EXPECT_EQ(a.replicated_by(1, mirror_index, replica.row), (Pos{i, j}));
     }
 }
 

@@ -52,7 +52,7 @@ TEST(ReconFaults, LatentReplicaFallsBackToParity) {
   // Every mirror disk entirely unreadable: rebuilding a data disk must
   // take the parity-XOR path for every element.
   for (int m = 0; m < 3; ++m)
-    cfg.fault_overrides[cfg.arch.mirror_disk(m)] = all_latent();
+    cfg.fault_overrides[cfg.arch.replica_disk(1, m)] = all_latent();
   array::DiskArray arr(cfg);
   EXPECT_TRUE(arr.faults_active());
   arr.initialize();
@@ -267,7 +267,7 @@ TEST(ReconFaults, TwoDisksFailStoppingAtTheSameInstant) {
 
 TEST(ScrubFaults, UnreadableCopyRemappedFromReadablePartner) {
   auto cfg = base_cfg(layout::Architecture::mirror(2, true));
-  const int m0 = cfg.arch.mirror_disk(0);
+  const int m0 = cfg.arch.replica_disk(1, 0);
   cfg.fault_overrides[m0] = all_latent();
   array::DiskArray arr(cfg);
   arr.initialize();
@@ -287,7 +287,7 @@ TEST(ScrubFaults, BothCopiesUnreadableRebuiltFromParityRow) {
   auto cfg = base_cfg(layout::Architecture::mirror_with_parity(3, true));
   cfg.fault_overrides[0] = all_latent(2);  // data disk 0
   for (int m = 0; m < 3; ++m)  // and every mirror disk
-    cfg.fault_overrides[cfg.arch.mirror_disk(m)] = all_latent(3 + m);
+    cfg.fault_overrides[cfg.arch.replica_disk(1, m)] = all_latent(3 + m);
   array::DiskArray arr(cfg);
   arr.initialize();
   auto report = scrub(arr);

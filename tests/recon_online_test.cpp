@@ -595,5 +595,52 @@ TEST(OnlineGolden, AdaptiveWriteMixLatenciesArePinned) {
   }
 }
 
+// Golden pins for the latency fields of the R = 2 (three-mirror) array
+// under the adaptive throttle. The values are those the former
+// multi-mirror engine gave once it drew the read/write mix per arrival
+// as this engine does (one rng.next_bool per request after the row
+// draw); with that draw the two engines agreed bit for bit.
+TEST(OnlineGolden, ThreeMirrorAdaptiveLatenciesArePinned) {
+  const struct {
+    bool shifted;
+    double mean, p50, p95, p99, p999, slo_violation_pct;
+    std::size_t degraded_reads;
+  } cases[] = {{true, 0.098458092378493553, 0.080392700729927213,
+                0.16411530983903108, 0.24538312681455149, 0.31851644142940533,
+                9.1666666666666661, 41},
+               {false, 0.10006758243910503, 0.080392700729927213,
+                0.17662281712829991, 0.2436057736616046, 0.2858605645476745,
+                10, 41}};
+  for (const auto& c : cases) {
+    const auto arch =
+        layout::Architecture::mirror_named(
+            4, c.shifted ? "shifted" : "traditional", /*replicas=*/2)
+            .take();
+    array::ArrayConfig acfg = cfg_for(arch);  // two stacks: 24 stripes
+    array::DiskArray arr(acfg);
+    arr.initialize();
+    arr.fail_physical(0);
+    OnlineConfig cfg;
+    cfg.arrival.rate_hz = 40.0;
+    cfg.arrival.max_requests = 600;
+    cfg.arrival.seed = 2012;
+    cfg.qos.policy = workload::RebuildPolicy::kAdaptive;
+    cfg.qos.p99_target_s = 0.150;
+    const auto r = run_online_reconstruction(arr, cfg);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    const OnlineReport& rep = r.value();
+    SCOPED_TRACE(testing::Message() << "shifted=" << c.shifted);
+    EXPECT_EQ(rep.requests_completed, 600u);
+    EXPECT_GT(rep.throttle_adjustments, 0);
+    EXPECT_EQ(rep.mean_latency_s, c.mean);
+    EXPECT_EQ(rep.p50_latency_s, c.p50);
+    EXPECT_EQ(rep.p95_latency_s, c.p95);
+    EXPECT_EQ(rep.p99_latency_s, c.p99);
+    EXPECT_EQ(rep.p999_latency_s, c.p999);
+    EXPECT_EQ(rep.slo_violation_pct, c.slo_violation_pct);
+    EXPECT_EQ(rep.degraded_reads, c.degraded_reads);
+  }
+}
+
 }  // namespace
 }  // namespace sma::recon

@@ -22,7 +22,7 @@ TEST(Recoverable, TraditionalMirrorPairsOnlyPartnerIsFatal) {
   for (int x = 0; x < 4; ++x) {
     for (int b = 0; b < 8; ++b) {
       if (b == x) continue;
-      const bool fatal = (b == arch.mirror_disk(x));
+      const bool fatal = (b == arch.replica_disk(1, x));
       EXPECT_EQ(is_recoverable(arch, {x, b}), !fatal) << x << "," << b;
     }
   }
@@ -35,10 +35,11 @@ TEST(Recoverable, ShiftedMirrorAnyCrossArrayPairIsFatal) {
   const auto arch = layout::Architecture::mirror(4, true);
   for (int x = 0; x < 4; ++x)
     for (int y = 0; y < 4; ++y)
-      EXPECT_FALSE(is_recoverable(arch, {x, arch.mirror_disk(y)}))
+      EXPECT_FALSE(is_recoverable(arch, {x, arch.replica_disk(1, y)}))
           << x << "," << y;
   EXPECT_TRUE(is_recoverable(arch, {0, 1}));
-  EXPECT_TRUE(is_recoverable(arch, {arch.mirror_disk(0), arch.mirror_disk(2)}));
+  EXPECT_TRUE(is_recoverable(
+      arch, {arch.replica_disk(1, 0), arch.replica_disk(1, 2)}));
 }
 
 TEST(Recoverable, MirrorParityAllDoublesSurvivable) {

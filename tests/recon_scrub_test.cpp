@@ -54,7 +54,7 @@ TEST(Scrub, RepairsCorruptDataCopyViaParity) {
 TEST(Scrub, RepairsCorruptMirrorCopyViaParity) {
   array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
-  const layout::Pos rp = arr.arch().replica_of(2, 1);
+  const layout::Pos rp = arr.arch().replica_of(1, 2, 1);
   arr.content(rp.disk, 3, rp.row)[0] ^= 0x10;
   auto report = scrub(arr);
   ASSERT_TRUE(report.is_ok());
@@ -121,7 +121,7 @@ TEST_P(ScrubSweep, InjectedErrorsInDistinctRowsAllRepaired) {
     if (!rows_used.insert({s, j}).second) continue;
     const int i = static_cast<int>(rng.next_below(5));
     if (rng.next_bool()) {
-      const layout::Pos rp = arr.arch().replica_of(i, j);
+      const layout::Pos rp = arr.arch().replica_of(1, i, j);
       arr.content(rp.disk, s, rp.row)[0] ^= 0x5A;
     } else {
       arr.content(arr.arch().data_disk(i), s, j)[0] ^= 0x5A;

@@ -71,7 +71,6 @@
 #include "obs/trace_sink.hpp"
 #include "layout/properties.hpp"
 #include "layout/registry.hpp"
-#include "multimirror/multi_array.hpp"
 #include "recon/analytic.hpp"
 #include "ec/evenodd.hpp"
 #include "ec/rdp.hpp"
@@ -121,7 +120,7 @@ int usage_stream(std::FILE* out, const char* error) {
                "  write         run the Fig. 10 write workload\n"
                "  table1        regenerate Table I\n"
                "  fig7          regenerate Fig. 7 ratios\n"
-               "  three-mirror  rebuild in the R=2 multi-mirror extension\n"
+               "  three-mirror  rebuild with --replicas=R arrays (default 2)\n"
                "  degraded      user reads against a degraded array\n"
                "  faults        rebuild under injected disk faults\n"
                "                (--latent=<rate> --transient=<p> --slow=<x>\n"
@@ -200,17 +199,24 @@ CommonOptions common_from(const Flags& flags, const CommonDefaults& d = {}) {
   return c;
 }
 
-Result<layout::Architecture> arch_from(const CommonOptions& c) {
+// `replicas` is the replica-array count R; only three-mirror sets it
+// (--replicas). The parity wrapper keeps one replica array.
+Result<layout::Architecture> arch_from(const CommonOptions& c,
+                                       int replicas = 1) {
+  if (c.parity && replicas != 1)
+    return invalid_argument("--parity takes one replica array");
   return c.parity
              ? layout::Architecture::mirror_with_parity_named(c.n,
                                                               c.arrangement)
-             : layout::Architecture::mirror_named(c.n, c.arrangement);
+             : layout::Architecture::mirror_named(c.n, c.arrangement,
+                                                  replicas);
 }
 
 Result<array::ArrayConfig> array_cfg_from(const Flags& flags,
-                                          const CommonDefaults& d = {}) {
+                                          const CommonDefaults& d = {},
+                                          int replicas = 1) {
   const CommonOptions c = common_from(flags, d);
-  auto arch = arch_from(c);
+  auto arch = arch_from(c, replicas);
   if (!arch.is_ok()) return arch.status();
   array::ArrayConfig cfg;
   cfg.arch = std::move(arch).take();
@@ -807,37 +813,29 @@ int cmd_fig7(const Flags& flags) {
 }
 
 int cmd_three_mirror(const Flags& flags) {
-  const CommonOptions c =
-      common_from(flags, {/*n=*/5, /*seed=*/1, /*stacks=*/1});
-  mm::MultiArrayConfig cfg;
-  cfg.layout.n = c.n;
-  cfg.layout.replica_arrays = flags.get_int("replicas", 2);
-  cfg.layout.arrangement = c.arrangement;
-  cfg.content_bytes = 128;
-  auto arrr = mm::MultiMirrorArray::create(cfg);
-  if (!arrr.is_ok()) {
-    std::fprintf(stderr, "three-mirror: %s\n",
-                 arrr.status().to_string().c_str());
-    return 1;
-  }
-  auto& arr = arrr.value();
-  arr.initialize();
   const auto failed = flags.get_int_list("fail");
+  auto cfgr = array_cfg_from(flags, {/*n=*/5, /*seed=*/1, /*stacks=*/1},
+                             flags.get_int("replicas", 2));
+  if (!cfgr.is_ok()) return usage(cfgr.status().to_string().c_str());
   if (failed.empty()) return usage("three-mirror needs --fail=<disk,[disk]>");
+  const auto cfg = std::move(cfgr).take();
+  array::DiskArray arr(cfg);
+  arr.initialize();
   for (const int d : failed) {
     if (d < 0 || d >= arr.total_disks()) return usage("--fail out of range");
     arr.fail_physical(d);
   }
-  auto report = arr.reconstruct();
+  auto report = recon::reconstruct(arr);
   if (!report.is_ok()) {
     std::fprintf(stderr, "three-mirror: %s\n",
                  report.status().to_string().c_str());
     return 1;
   }
-  std::printf("%s: rebuilt %.0f MB at %.1f MB/s, %d access(es)/stripe; "
-              "verification OK\n",
-              arr.layout().name().c_str(),
-              report.value().logical_bytes_recovered / 1e6,
+  const auto& arch = cfg.arch;
+  std::printf("%s-%d-mirror(n=%d): rebuilt %.0f MB at %.1f MB/s, "
+              "%d access(es)/stripe; verification OK\n",
+              arch.arrangement()->name().c_str(), arch.replicas() + 1,
+              arch.n(), report.value().logical_bytes_recovered / 1e6,
               report.value().read_throughput_mbps(),
               report.value().read_accesses_per_stripe);
   return 0;
