@@ -57,8 +57,15 @@ DiskArray::DiskArray(ArrayConfig cfg)
   if (cfg_.drl_region_stripes > 0)
     drl_ = integrity::DirtyRegionLog(cfg_.stripes, cfg_.drl_region_stripes);
   if (cfg_.checksums) sums_ = integrity::ChecksumStore(physical_count(), slots);
-  retry_jitter_state_ = cfg_.seed ^ 0xa0761d6478bd642fULL;
-  splitmix64(retry_jitter_state_);
+  // One jitter stream per physical disk, so a disk's delays depend only
+  // on its own retries, whatever order the executor visits disks in.
+  retry_jitter_state_.resize(static_cast<std::size_t>(physical_count()));
+  for (int d = 0; d < physical_count(); ++d) {
+    std::uint64_t& state = retry_jitter_state_[static_cast<std::size_t>(d)];
+    state = cfg_.seed ^ 0xa0761d6478bd642fULL ^
+            (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(d) + 1));
+    splitmix64(state);
+  }
   // Only the array-wide profile arms a crash: a power loss takes out the
   // whole array, so a per-disk override cannot model it.
   crash_armed_ = cfg_.fault.crash_armed();
@@ -509,14 +516,14 @@ void DiskArray::lose_write(const Op& op) {
   if (hd.failed()) hd.clear_restored(sl);
 }
 
-double DiskArray::retry_delay(int attempt) {
+double DiskArray::retry_delay(int phys, int attempt) {
   const int exp = std::min(attempt - 1, 62);
   double delay = cfg_.retry_backoff_base_s * static_cast<double>(1ULL << exp);
   if (cfg_.retry_backoff_cap_s > 0.0)
     delay = std::min(delay, cfg_.retry_backoff_cap_s);
   if (cfg_.retry_backoff_jitter > 0.0) {
-    const double u =
-        static_cast<double>(splitmix64(retry_jitter_state_) >> 11) * 0x1.0p-53;
+    std::uint64_t& state = retry_jitter_state_[static_cast<std::size_t>(phys)];
+    const double u = static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
     delay *= 1.0 - cfg_.retry_backoff_jitter * u;
   }
   return delay;
@@ -527,6 +534,58 @@ std::vector<int> DiskArray::failed_physical() const {
   for (int d = 0; d < total_disks(); ++d)
     if (physical(d).failed()) out.push_back(d);
   return out;
+}
+
+void DiskArray::submit_with_retry(const Op& op, int phys, double start_time,
+                                  BatchStats& stats) {
+  auto& d = physical(phys);
+  const std::int64_t sl = slot(op.stripe, op.row);
+  int attempts = 0;
+  double earliest = start_time;
+  for (;;) {
+    const disk::IoResult res = d.submit(op.kind, sl, earliest);
+    if (res.is_ok()) {
+      stats.end_s = std::max(stats.end_s, res.value());
+      if (op.kind == disk::IoKind::kRead)
+        stats.logical_bytes_read += d.logical_element_bytes();
+      else
+        stats.logical_bytes_written += d.logical_element_bytes();
+      break;
+    }
+    // Errored attempts still occupied the disk for their service time.
+    stats.end_s = std::max(stats.end_s, d.busy_until());
+    // A restored slot of a still-failed disk serves like a live one (the
+    // rebuild's replacement writes), so its transient errors retry too.
+    const bool transient = res.status().code() == ErrorCode::kIoError &&
+                           (!d.failed() || d.slot_restored(sl));
+    if (transient && attempts < cfg_.io_max_retries) {
+      ++attempts;
+      ++stats.retried_ops;
+      // Model the retry delay when configured: the re-submission backs
+      // off (capped exponential, seeded jitter) after the failed attempt
+      // drains. The guard keeps the default (0) path bit-identical.
+      if (cfg_.retry_backoff_base_s > 0.0)
+        earliest = d.busy_until() + retry_delay(phys, attempts);
+      if (observer_ != nullptr) {
+        obs::TraceEvent ev;
+        ev.kind = obs::EventKind::kRetry;
+        ev.t_s = d.busy_until();
+        ev.disk = phys;
+        ev.slot = sl;
+        ev.stripe = op.stripe;
+        ev.write = op.kind == disk::IoKind::kWrite;
+        observer_->emit(ev);
+        observer_->count("array.retried_ops");
+      }
+      continue;
+    }
+    if (res.status().code() == ErrorCode::kUnreadableSector)
+      ++stats.unreadable_ops;
+    ++stats.failed_ops;
+    if (observer_ != nullptr) observer_->count("array.failed_ops");
+    break;
+  }
+  stats.max_retry_depth = std::max(stats.max_retry_depth, attempts);
 }
 
 BatchStats DiskArray::execute(std::span<const Op> ops, double start_time) {
@@ -554,8 +613,6 @@ BatchStats DiskArray::execute(std::span<const Op> ops, double start_time) {
     const int phys = op.redirect_phys >= 0
                          ? op.redirect_phys
                          : physical_disk(op.logical_disk, op.stripe);
-    auto& d = physical(phys);
-    const std::int64_t sl = slot(op.stripe, op.row);
     ++per_disk[static_cast<std::size_t>(phys)];
     if (integrity_hooks) {
       const bool is_write = op.kind == disk::IoKind::kWrite;
@@ -571,7 +628,8 @@ BatchStats DiskArray::execute(std::span<const Op> ops, double start_time) {
       }
       if (is_write) {
         if (crash_armed_) {
-          const double would_start = std::max(start_time, d.busy_until());
+          const double would_start =
+              std::max(start_time, physical(phys).busy_until());
           const bool fire =
               (cfg_.fault.crash_after_writes >= 0 &&
                writes_seen_ == cfg_.fault.crash_after_writes) ||
@@ -588,51 +646,7 @@ BatchStats DiskArray::execute(std::span<const Op> ops, double start_time) {
         }
       }
     }
-    int attempts = 0;
-    double earliest = start_time;
-    for (;;) {
-      const disk::IoResult res = d.submit(op.kind, sl, earliest);
-      if (res.is_ok()) {
-        stats.end_s = std::max(stats.end_s, res.value());
-        if (op.kind == disk::IoKind::kRead)
-          stats.logical_bytes_read += d.logical_element_bytes();
-        else
-          stats.logical_bytes_written += d.logical_element_bytes();
-        break;
-      }
-      // Errored attempts still occupied the disk for their service time.
-      stats.end_s = std::max(stats.end_s, d.busy_until());
-      const bool transient =
-          res.status().code() == ErrorCode::kIoError && !d.failed();
-      if (transient && attempts < cfg_.io_max_retries) {
-        ++attempts;
-        ++stats.retried_ops;
-        // Model the retry delay when configured: the re-submission
-        // backs off (capped exponential, seeded jitter) after the
-        // failed attempt drains. The guard keeps the default (0) path
-        // bit-identical.
-        if (cfg_.retry_backoff_base_s > 0.0)
-          earliest = d.busy_until() + retry_delay(attempts);
-        if (observer_ != nullptr) {
-          obs::TraceEvent ev;
-          ev.kind = obs::EventKind::kRetry;
-          ev.t_s = d.busy_until();
-          ev.disk = phys;
-          ev.slot = sl;
-          ev.stripe = op.stripe;
-          ev.write = op.kind == disk::IoKind::kWrite;
-          observer_->emit(ev);
-          observer_->count("array.retried_ops");
-        }
-        continue;
-      }
-      if (res.status().code() == ErrorCode::kUnreadableSector)
-        ++stats.unreadable_ops;
-      ++stats.failed_ops;
-      if (observer_ != nullptr) observer_->count("array.failed_ops");
-      break;
-    }
-    stats.max_retry_depth = std::max(stats.max_retry_depth, attempts);
+    submit_with_retry(op, phys, start_time, stats);
   }
   stats.max_ops_per_disk = *std::max_element(per_disk.begin(), per_disk.end());
   return stats;
@@ -693,41 +707,11 @@ BatchStats DiskArray::execute_batched(std::span<const Op> ops,
           d.logical_element_bytes();
       continue;
     }
-    // This disk carries live fault machinery (or is failed): replay the
-    // general executor's per-op loop for its ops. Observer branches are
-    // omitted — this path only runs with no observer attached.
-    for (int k = begin; k < end; ++k) {
-      const Op& op = ops[batch_order_[static_cast<std::size_t>(k)]];
-      const std::int64_t sl = slot(op.stripe, op.row);
-      int attempts = 0;
-      double earliest = start_time;
-      for (;;) {
-        const disk::IoResult res = d.submit(op.kind, sl, earliest);
-        if (res.is_ok()) {
-          stats.end_s = std::max(stats.end_s, res.value());
-          if (op.kind == disk::IoKind::kRead)
-            stats.logical_bytes_read += d.logical_element_bytes();
-          else
-            stats.logical_bytes_written += d.logical_element_bytes();
-          break;
-        }
-        stats.end_s = std::max(stats.end_s, d.busy_until());
-        const bool transient =
-            res.status().code() == ErrorCode::kIoError && !d.failed();
-        if (transient && attempts < cfg_.io_max_retries) {
-          ++attempts;
-          ++stats.retried_ops;
-          if (cfg_.retry_backoff_base_s > 0.0)
-            earliest = d.busy_until() + retry_delay(attempts);
-          continue;
-        }
-        if (res.status().code() == ErrorCode::kUnreadableSector)
-          ++stats.unreadable_ops;
-        ++stats.failed_ops;
-        break;
-      }
-      stats.max_retry_depth = std::max(stats.max_retry_depth, attempts);
-    }
+    // This disk carries live fault machinery (or is failed): submit its
+    // ops one at a time, exactly as the general executor does.
+    for (int k = begin; k < end; ++k)
+      submit_with_retry(ops[batch_order_[static_cast<std::size_t>(k)]],
+                        static_cast<int>(dd), start_time, stats);
   }
   return stats;
 }

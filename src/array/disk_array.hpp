@@ -65,8 +65,9 @@ struct ArrayConfig {
   /// Ceiling on a single retry delay (0 = uncapped).
   double retry_backoff_cap_s = 0.0;
   /// Jitter fraction in [0, 1): each delay is scaled by a factor drawn
-  /// deterministically in [1 - jitter, 1] from a SplitMix64 stream
-  /// seeded by ArrayConfig::seed, so equal seeds replay equal delays.
+  /// deterministically in [1 - jitter, 1] from a per-disk SplitMix64
+  /// stream seeded by ArrayConfig::seed and the disk id, so equal seeds
+  /// replay equal delays whichever order disks are visited in.
   double retry_backoff_jitter = 0.0;
   /// Hot-spare disks appended after the architecture's disks (physical
   /// ids total_disks()..total_disks()+spare_disks-1). They hold no
@@ -185,9 +186,7 @@ class DiskArray {
   std::vector<int> failed_physical() const;
 
   // --- fault layer ---------------------------------------------------------
-  /// True when any disk carries a non-inert fault profile; consumers
-  /// switch to the error-aware paths only then, keeping the fault-free
-  /// timing model bit-identical.
+  /// True when any disk carries a non-inert fault profile.
   bool faults_active() const;
   /// Element (logical, stripe, row) cannot be read: its physical disk
   /// failed or the slot carries a latent unreadable sector.
@@ -247,9 +246,10 @@ class DiskArray {
   /// crash/DRL hooks), ops are grouped per disk and each batchable
   /// disk's run is timed in one SimDisk::submit_run pass. Grouping is
   /// bit-identical to the interleaved per-op order because every
-  /// mutable effect (busy window, head position, counters, fault RNG)
-  /// is per-disk state touched in per-disk FIFO order, and the batch
-  /// aggregates (max end time, byte/op sums) are order-independent.
+  /// mutable effect (busy window, head position, counters, fault RNG,
+  /// retry jitter stream) is per-disk state touched in per-disk FIFO
+  /// order, and the batch aggregates (max end time, byte/op sums) are
+  /// order-independent.
   BatchStats execute(std::span<const Op> ops, double start_time);
 
   /// Forget all disk head positions / timelines (fresh experiment).
@@ -288,13 +288,19 @@ class DiskArray {
   std::int64_t writes_seen_ = 0;
   Rng crash_rng_{0};
 
-  // Retry backoff jitter stream's state (advanced once per jittered
-  // delay).
-  std::uint64_t retry_jitter_state_ = 0;
+  // Retry backoff jitter: one stream per physical disk, seeded from
+  // ArrayConfig::seed and the disk id, advanced once per jittered delay.
+  std::vector<std::uint64_t> retry_jitter_state_;
 
-  /// Delay before attempt `attempt` (1-based retry number) re-submits:
-  /// capped exponential in the attempt, jittered when configured.
-  double retry_delay(int attempt);
+  /// Delay before attempt `attempt` (1-based retry number) on physical
+  /// disk `phys` re-submits: capped exponential in the attempt, jittered
+  /// from that disk's stream when configured.
+  double retry_delay(int phys, int attempt);
+  /// Submit `op` to physical disk `phys` no earlier than `start_time`,
+  /// retrying transient errors (bounded, backed off), and fold the
+  /// outcome into `stats`. The one per-op path of both executors.
+  void submit_with_retry(const Op& op, int phys, double start_time,
+                         BatchStats& stats);
 
   void init_mirror_stripe(int stripe);
   void init_raid_stripe(int stripe);

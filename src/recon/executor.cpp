@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,7 +34,7 @@ struct FaultCounts {
 
 /// Per-stripe recovery state: staged contents for each failed logical
 /// disk, which of those elements actually got recovered, and the exact
-/// element reads recovery consumed (for fault-aware timing).
+/// element reads recovery consumed (the reads the rebuild times).
 struct StripeRecovery {
   std::map<int, std::vector<Buffer>> staged;
   std::map<int, std::vector<char>> staged_ok;
@@ -301,16 +302,29 @@ Status recover_raid_stripe(const array::DiskArray& arr, int stripe,
     return Status::ok();
   }
 
+  // Reads are classified the way plan_raid classifies them, on the
+  // erasure set: a stripe that erased only parity loses no data and
+  // re-encodes from the data columns alone (parity-rebuild reads);
+  // otherwise decode reads every intact column (availability reads).
+  const auto& arch = arr.arch();
+  const bool data_erased =
+      std::any_of(erased.begin(), erased.end(), [&](int col) {
+        return arch.role_of(col) == layout::DiskRole::kData;
+      });
+  auto& reads =
+      data_erased ? rec.availability_reads : rec.parity_rebuild_reads;
   for (int col = 0; col < cs.columns(); ++col) {
     if (contains(erased, col)) continue;
+    if (!data_erased && arch.role_of(col) != layout::DiskRole::kData) continue;
     for (int j = 0; j < cs.rows(); ++j) {
       auto src = arr.content(col, stripe, j);
       auto dst = cs.element(col, j);
       std::copy(src.begin(), src.end(), dst.begin());
-      rec.availability_reads.insert({col, j});
+      reads.insert({col, j});
     }
   }
-  SMA_RETURN_IF_ERROR(codec->decode(cs, erased));
+  SMA_RETURN_IF_ERROR(data_erased ? codec->decode(cs, erased)
+                                  : codec->encode(cs));
   for (const int col : failed) {
     auto& bufs = rec.staged.at(col);
     auto& oks = rec.staged_ok.at(col);
@@ -324,15 +338,6 @@ Status recover_raid_stripe(const array::DiskArray& arr, int stripe,
   return Status::ok();
 }
 
-}  // namespace
-
-double ReconReport::read_throughput_mbps() const {
-  return throughput_mbps(static_cast<double>(logical_bytes_read),
-                         read_makespan_s);
-}
-
-namespace {
-
 /// Detach the observer from the array on every exit path.
 struct ObsGuard {
   array::DiskArray* arr = nullptr;
@@ -345,14 +350,32 @@ bool in_sorted(const std::vector<int>& v, int x) {
   return std::binary_search(v.begin(), v.end(), x);
 }
 
-/// The orchestrated rebuild path: checkpoint resume, stripe budgets and
-/// spare-placement redirection. Processes stripes strictly in index
-/// order (the checkpoint watermark depends on it), per-stripe pipelined
-/// timing. Taken only when one of those features is requested, so the
-/// default path's timing stays bit-identical.
-Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
-                                             const ReconOptions& opts) {
-  ReconReport report;
+/// A rebuild issue/complete marker; stripe -1 marks the barrier's
+/// aggregate batch.
+void emit_rebuild(obs::Observer* ob, obs::EventKind kind, double t,
+                  int stripe) {
+  if (ob == nullptr) return;
+  obs::TraceEvent ev;
+  ev.kind = kind;
+  ev.t_s = t;
+  ev.stripe = stripe;
+  ev.rebuild = true;
+  ob->emit(ev);
+}
+
+}  // namespace
+
+double ReconReport::read_throughput_mbps() const {
+  return throughput_mbps(static_cast<double>(logical_bytes_read),
+                         read_makespan_s);
+}
+
+Result<ReconReport> reconstruct(array::DiskArray& arr,
+                                const ReconOptions& opts) {
+  if (arr.crashed())
+    return failed_precondition(
+        "reconstruct on a crashed (powered-off) array: power_cycle() and "
+        "resync before rebuilding");
   repair::RebuildCheckpoint* const ck = opts.checkpoint;
   if (opts.max_stripes >= 0 && ck == nullptr)
     return invalid_argument(
@@ -361,6 +384,7 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
   if (opts.max_stripes == 0)
     return invalid_argument("ReconOptions::max_stripes must be positive "
                             "(or -1 for unbounded)");
+  ReconReport report;
   const auto failed_physical = arr.failed_physical();  // sorted ascending
   if (failed_physical.empty()) {
     if (ck != nullptr) ck->reset();
@@ -384,6 +408,11 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
   const repair::SparePlacement placement =
       opts.spare_placement != nullptr ? *opts.spare_placement
                                       : repair::SparePlacement{};
+  // The checkpoint watermark and spare redirection are per stripe, so
+  // either one times each stripe as it completes, like pipelining does
+  // (a stripe budget implies a checkpoint). Otherwise every stripe's
+  // reads, then every stripe's writes, run as one global barrier.
+  const bool per_stripe = opts.pipelined || ck != nullptr || placement.active();
 
   obs::Observer* const ob = opts.observer.get();
   ObsGuard obs_guard;
@@ -402,9 +431,20 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
   const auto& arch = arr.arch();
   const int rows = arch.rows();
   arr.reset_timelines();
-  auto absorb = [&report](const array::BatchStats& stats) {
-    report.retried_ops += stats.retried_ops;
-    report.hard_errors += stats.failed_ops;
+  // Times one batch of reads from t = 0 and its writes once they are done.
+  auto time_batch = [&](std::span<const array::Op> reads,
+                        std::span<const array::Op> writes, int stripe) {
+    emit_rebuild(ob, obs::EventKind::kRebuildIssue, 0.0, stripe);
+    const auto rstats = arr.execute(reads, 0.0);
+    if (per_stripe) report.stripe_read_done_s.push_back(rstats.end_s);
+    emit_rebuild(ob, obs::EventKind::kRebuildComplete, rstats.end_s, stripe);
+    report.read_makespan_s = std::max(report.read_makespan_s, rstats.end_s);
+    report.logical_bytes_read += rstats.logical_bytes_read;
+    const auto wstats = arr.execute(writes, rstats.end_s);
+    report.total_makespan_s = std::max(report.total_makespan_s, wstats.end_s);
+    report.logical_bytes_recovered += wstats.logical_bytes_written;
+    report.retried_ops += rstats.retried_ops + wstats.retried_ops;
+    report.hard_errors += rstats.failed_ops + wstats.failed_ops;
   };
 
   // Dirty-stripe detection must also see dead *hot spares* — they hold
@@ -433,6 +473,10 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
   int processed = 0;
   int next_stripe = arr.stripes();
   bool interrupted = false;
+  std::vector<array::Op> reads;       // this stripe's
+  std::vector<array::Op> writes;
+  std::vector<array::Op> all_reads;   // the barrier's
+  std::vector<array::Op> all_writes;
   for (int s = 0; s < arr.stripes(); ++s) {
     // Classify: skip / partial (new disks only) / full (fresh or dirty).
     std::vector<int> rebuild_phys;
@@ -476,17 +520,17 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
     if (!recovered.is_ok()) return recovered;
     for (const auto& [d, r] : rec.unrecoverable) skip.insert({d, s, r});
 
-    // Timing reads: exactly what recovery consumed; a read whose
-    // physical source is a still-failed prior disk goes to the disk
-    // that holds the rebuilt copy's timed I/O (the checkpointed spare
-    // target), or to the restored slots in place when rebuilt in place.
-    std::vector<array::Op> reads;
+    // Timed reads: exactly what recovery consumed, fallback detours
+    // included. A read whose physical source is a still-failed prior
+    // disk goes to the disk that holds the rebuilt copy's timed I/O
+    // (the checkpointed spare target), or to the restored slots in
+    // place when rebuilt in place.
+    reads.clear();
     auto push_read = [&](int d, int r) {
       array::Op op{d, s, r, disk::IoKind::kRead};
       const int phys = arr.physical_disk(d, s);
-      if (in_sorted(failed_physical, phys)) {
-        const int target =
-            ck != nullptr ? ck->placement.target_for(phys, s) : -1;
+      if (ck != nullptr && in_sorted(failed_physical, phys)) {
+        const int target = ck->placement.target_for(phys, s);
         if (target >= 0) op.redirect_phys = target;
       }
       reads.push_back(op);
@@ -496,10 +540,10 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
       for (const auto& [d, r] : rec.parity_rebuild_reads)
         if (rec.availability_reads.count({d, r}) == 0) push_read(d, r);
 
-    // Restore contents (before timing: replacement writes on a failed
-    // disk serve only once the slot is restored), then time the writes,
-    // redirected to this round's spare targets.
-    std::vector<array::Op> writes;
+    // Install the contents on the still-failed disks (a replacement
+    // write serves only once its slot is restored), redirecting the
+    // timed writes to this round's spare targets.
+    writes.clear();
     for (auto& [logical, buffers] : rec.staged) {
       const int phys = arr.physical_disk(logical, s);
       const int target = placement.target_for(phys, s);
@@ -511,50 +555,35 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
         writes.push_back(op);
       }
     }
-
-    if (ob != nullptr) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kRebuildIssue;
-      ev.t_s = 0.0;
-      ev.stripe = s;
-      ev.rebuild = true;
-      ob->emit(ev);
-    }
-    const auto rstats = arr.execute(reads, 0.0);
-    report.stripe_read_done_s.push_back(rstats.end_s);
-    if (ob != nullptr) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kRebuildComplete;
-      ev.t_s = rstats.end_s;
-      ev.stripe = s;
-      ev.rebuild = true;
-      ob->emit(ev);
-    }
-    report.read_makespan_s = std::max(report.read_makespan_s, rstats.end_s);
-    report.logical_bytes_read += rstats.logical_bytes_read;
-    absorb(rstats);
-    const auto wstats = arr.execute(writes, rstats.end_s);
-    report.total_makespan_s = std::max(report.total_makespan_s, wstats.end_s);
-    report.logical_bytes_recovered += wstats.logical_bytes_written;
-    absorb(wstats);
-
-    if (arr.crashed()) {
-      // Power loss mid-stripe: this stripe's replacement writes may be
-      // torn, so the conservative watermark excludes it — the resumed
-      // round rebuilds stripe s from scratch. Its writes are not
-      // counted as restored for the same reason.
-      report.elements_read += reads.size();
-      interrupted = true;
-      next_stripe = s;
-      break;
-    }
-
     report.elements_read += reads.size();
+
+    if (per_stripe) {
+      time_batch(reads, writes, s);
+      if (arr.crashed()) {
+        // Power loss mid-stripe: this stripe's replacement writes may be
+        // torn, so the conservative watermark excludes it — the resumed
+        // round rebuilds stripe s from scratch. Its writes are not
+        // counted as restored for the same reason.
+        interrupted = true;
+        next_stripe = s;
+        break;
+      }
+    } else {
+      all_reads.insert(all_reads.end(), reads.begin(), reads.end());
+      all_writes.insert(all_writes.end(), writes.begin(), writes.end());
+    }
     report.elements_written += writes.size();
     ++processed;
   }
-  report.total_makespan_s =
-      std::max(report.total_makespan_s, report.read_makespan_s);
+  if (!per_stripe) {
+    time_batch(all_reads, all_writes, -1);
+    if (arr.crashed()) {
+      // Power loss inside the barrier's writes: any of them may be torn.
+      interrupted = true;
+      processed = 0;
+      report.elements_written = 0;
+    }
+  }
   report.stripes_processed = processed;
   report.latent_sectors_hit = fc.latent_sectors_hit;
   report.fallback_to_mirror = fc.fallback_to_mirror;
@@ -568,11 +597,11 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
   }
 
   if (interrupted) {
-    // Record the watermark; disks stay failed, verification is deferred
-    // to the completing round. Multi-round placement history collapses
-    // to the latest round's placement (see RebuildCheckpoint docs).
-    // A crash interruption without a checkpoint simply returns
-    // incomplete — the next round restarts from scratch.
+    // Disks stay failed and verification is deferred to the completing
+    // round. With a checkpoint, record the watermark; multi-round
+    // placement history collapses to the latest round's placement (see
+    // RebuildCheckpoint docs). Without one, the next round restarts
+    // from scratch.
     report.completed = false;
     if (ck != nullptr) {
       ck->failed = failed_physical;
@@ -584,6 +613,8 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
     return report;
   }
 
+  // Heal only after every write is timed: a crash inside those writes
+  // must leave the disks failed, never healed over torn slots.
   for (const int p : failed_physical)
     SMA_RETURN_IF_ERROR(arr.physical(p).heal());
   if (ob != nullptr) {
@@ -597,224 +628,6 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
   }
   if (ck != nullptr) ck->reset();
   if (opts.verify) {
-    Status ok = arr.verify_consistency(skip.empty() ? nullptr : &skip);
-    if (!ok.is_ok()) return ok;
-  }
-  return report;
-}
-
-}  // namespace
-
-Result<ReconReport> reconstruct(array::DiskArray& arr,
-                                const ReconOptions& opts) {
-  if (arr.crashed())
-    return failed_precondition(
-        "reconstruct on a crashed (powered-off) array: power_cycle() and "
-        "resync before rebuilding");
-  // Orchestration features route to the dedicated path; the default
-  // path below is untouched and stays bit-identical.
-  if (opts.checkpoint != nullptr || opts.max_stripes >= 0 ||
-      (opts.spare_placement != nullptr && opts.spare_placement->active()))
-    return reconstruct_orchestrated(arr, opts);
-
-  const auto failed_physical = arr.failed_physical();
-  ReconReport report;
-  if (failed_physical.empty()) return report;
-
-  obs::Observer* const ob = opts.observer.get();
-  ObsGuard obs_guard;
-  if (ob != nullptr) {
-    arr.set_observer(ob);
-    obs_guard.arr = &arr;
-    for (const int p : failed_physical) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kFailure;
-      ev.t_s = 0.0;
-      ev.disk = p;
-      ob->emit(ev);
-    }
-  }
-
-  const auto& arch = arr.arch();
-  const int rows = arch.rows();
-  const bool faulty = arr.faults_active();
-
-  // Phase 1: plan and recover contents, stripe by stripe, into staging
-  // keyed by (stripe, logical disk).
-  std::vector<std::vector<array::Op>> stripe_reads(
-      static_cast<std::size_t>(arr.stripes()));
-  std::vector<StripeRecovery> staged(static_cast<std::size_t>(arr.stripes()));
-  FaultCounts fc;
-  array::ElementSet skip;
-  for (int s = 0; s < arr.stripes(); ++s) {
-    std::vector<int> failed_logical;
-    failed_logical.reserve(failed_physical.size());
-    for (const int p : failed_physical)
-      failed_logical.push_back(arr.logical_disk(p, s));
-    std::sort(failed_logical.begin(), failed_logical.end());
-
-    auto plan = plan_reconstruction(arch, failed_logical);
-    if (!plan.is_ok()) return plan.status();
-    report.read_accesses_per_stripe = std::max(
-        report.read_accesses_per_stripe, plan.value().read_accesses(arch));
-
-    StripeRecovery& rec = staged[static_cast<std::size_t>(s)];
-    Status recovered =
-        arch.is_mirror()
-            ? recover_mirror_stripe(arr, s, failed_logical, plan.value(), rec,
-                                    fc)
-            : recover_raid_stripe(arr, s, failed_logical, rec, fc);
-    if (!recovered.is_ok()) return recovered;
-    for (const auto& [d, r] : rec.unrecoverable) skip.insert({d, s, r});
-
-    auto& reads = stripe_reads[static_cast<std::size_t>(s)];
-    if (!faulty) {
-      // Fault-free: time the planner's read set, exactly as the
-      // pre-fault executor did (bit-identical timing).
-      for (const auto& read : plan.value().availability_reads)
-        reads.push_back({read.logical_disk, s, read.row, disk::IoKind::kRead});
-      if (opts.include_parity_rebuild)
-        for (const auto& read : plan.value().parity_rebuild_reads)
-          reads.push_back(
-              {read.logical_disk, s, read.row, disk::IoKind::kRead});
-    } else {
-      // Fault-aware: time exactly the reads recovery consumed, fallback
-      // detours included.
-      for (const auto& [d, r] : rec.availability_reads)
-        reads.push_back({d, s, r, disk::IoKind::kRead});
-      if (opts.include_parity_rebuild)
-        for (const auto& [d, r] : rec.parity_rebuild_reads)
-          if (rec.availability_reads.count({d, r}) == 0)
-            reads.push_back({d, s, r, disk::IoKind::kRead});
-    }
-  }
-  report.latent_sectors_hit = fc.latent_sectors_hit;
-  report.fallback_to_mirror = fc.fallback_to_mirror;
-  report.fallback_to_parity = fc.fallback_to_parity;
-  report.fallback_to_codec = fc.fallback_to_codec;
-  report.unrecoverable_elements = fc.unrecoverable_elements;
-
-  // Phase 2: install the recovered contents on the (still-failed)
-  // disks, then heal them — heal() refuses a partially restored disk.
-  std::vector<std::vector<array::Op>> stripe_writes(
-      static_cast<std::size_t>(arr.stripes()));
-  for (int s = 0; s < arr.stripes(); ++s) {
-    for (auto& [logical, buffers] : staged[static_cast<std::size_t>(s)].staged) {
-      for (int j = 0; j < rows; ++j) {
-        arr.restore_element(logical, s, j, buffers[static_cast<std::size_t>(j)]);
-        stripe_writes[static_cast<std::size_t>(s)].push_back(
-            {logical, s, j, disk::IoKind::kWrite});
-      }
-    }
-  }
-  for (const int p : failed_physical)
-    SMA_RETURN_IF_ERROR(arr.physical(p).heal());
-
-  // Phase 3: timing on fresh timelines.
-  report.stripes_processed = arr.stripes();
-  for (int s = 0; s < arr.stripes(); ++s) {
-    report.elements_read += stripe_reads[static_cast<std::size_t>(s)].size();
-    report.elements_written +=
-        stripe_writes[static_cast<std::size_t>(s)].size();
-  }
-  arr.reset_timelines();
-  auto absorb = [&report](const array::BatchStats& stats) {
-    report.retried_ops += stats.retried_ops;
-    report.hard_errors += stats.failed_ops;
-  };
-  if (opts.pipelined) {
-    // Each stripe's writes depend only on that stripe's reads; disks
-    // overlap the next stripe's reads with this stripe's writes.
-    report.stripe_read_done_s.reserve(static_cast<std::size_t>(arr.stripes()));
-    for (int s = 0; s < arr.stripes(); ++s) {
-      if (ob != nullptr) {
-        obs::TraceEvent ev;
-        ev.kind = obs::EventKind::kRebuildIssue;
-        ev.t_s = 0.0;
-        ev.stripe = s;
-        ev.rebuild = true;
-        ob->emit(ev);
-      }
-      const auto rstats =
-          arr.execute(stripe_reads[static_cast<std::size_t>(s)], 0.0);
-      report.stripe_read_done_s.push_back(rstats.end_s);
-      if (ob != nullptr) {
-        obs::TraceEvent ev;
-        ev.kind = obs::EventKind::kRebuildComplete;
-        ev.t_s = rstats.end_s;
-        ev.stripe = s;
-        ev.rebuild = true;
-        ob->emit(ev);
-      }
-      report.read_makespan_s = std::max(report.read_makespan_s, rstats.end_s);
-      report.logical_bytes_read += rstats.logical_bytes_read;
-      absorb(rstats);
-      const auto wstats = arr.execute(
-          stripe_writes[static_cast<std::size_t>(s)], rstats.end_s);
-      report.total_makespan_s = std::max(report.total_makespan_s, wstats.end_s);
-      report.logical_bytes_recovered += wstats.logical_bytes_written;
-      absorb(wstats);
-      if (arr.crashed()) {
-        // Power loss during replacement-write timing: contents were
-        // installed in phase 2, but this stripe's writes may be torn
-        // and the remaining stripes' timed writes never issued. The
-        // run is incomplete; consistency cannot be asserted.
-        report.completed = false;
-        break;
-      }
-    }
-    report.total_makespan_s =
-        std::max(report.total_makespan_s, report.read_makespan_s);
-  } else {
-    // Global barrier: all reads, then all replacement writes.
-    std::vector<array::Op> read_ops;
-    std::vector<array::Op> write_ops;
-    for (int s = 0; s < arr.stripes(); ++s) {
-      const auto& rs = stripe_reads[static_cast<std::size_t>(s)];
-      read_ops.insert(read_ops.end(), rs.begin(), rs.end());
-      const auto& ws = stripe_writes[static_cast<std::size_t>(s)];
-      write_ops.insert(write_ops.end(), ws.begin(), ws.end());
-    }
-    if (ob != nullptr) {
-      // One aggregate issue marker: the barrier mode launches the whole
-      // read set at once.
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kRebuildIssue;
-      ev.t_s = 0.0;
-      ev.rebuild = true;
-      ob->emit(ev);
-    }
-    const auto read_stats = arr.execute(read_ops, 0.0);
-    report.read_makespan_s = read_stats.elapsed_s();
-    report.logical_bytes_read = read_stats.logical_bytes_read;
-    absorb(read_stats);
-    const auto write_stats = arr.execute(write_ops, report.read_makespan_s);
-    report.total_makespan_s = write_stats.end_s;
-    report.logical_bytes_recovered = write_stats.logical_bytes_written;
-    absorb(write_stats);
-    if (arr.crashed()) report.completed = false;
-    if (ob != nullptr) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kRebuildComplete;
-      ev.t_s = report.read_makespan_s;
-      ev.rebuild = true;
-      ob->emit(ev);
-    }
-  }
-
-  if (ob != nullptr) {
-    ob->count("recon.bytes_read", report.logical_bytes_read);
-    ob->count("recon.bytes_recovered", report.logical_bytes_recovered);
-    for (const int p : failed_physical) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kHeal;
-      ev.t_s = report.total_makespan_s;
-      ev.disk = p;
-      ob->emit(ev);
-    }
-  }
-
-  if (opts.verify && report.completed) {
     Status ok = arr.verify_consistency(skip.empty() ? nullptr : &skip);
     if (!ok.is_ok()) return ok;
   }

@@ -4,12 +4,19 @@
 // Section VII methodology ("after each reconstruction process, we also
 // compared the original data ... and the recovered data").
 //
-// With fault injection active (DiskArray::faults_active()) the rebuild
-// becomes error-aware: sources that turn out unreadable (latent
-// sectors) are replaced by an alternate redundancy path — the mirror
-// copy, the parity-XOR equation, or a codec decode with the latent
-// column added to the erasure set — and elements with no surviving
-// path are zero-filled and counted instead of aborting the rebuild.
+// One loop serves every option: stripe by stripe it plans, recovers the
+// contents, installs them on the still-failed disks, and either times
+// that stripe's reads and writes at once or appends them to one global
+// barrier batch. The timed reads are exactly the reads recovery
+// consumed. Disks are healed and the array verified only after every
+// write has been timed.
+//
+// The rebuild is error-aware: under fault injection, sources that turn
+// out unreadable (latent sectors) are replaced by an alternate
+// redundancy path — the mirror copy, the parity-XOR equation, or a
+// codec decode with the latent column added to the erasure set — and
+// elements with no surviving path are zero-filled and counted instead
+// of aborting the rebuild.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +44,8 @@ struct ReconOptions {
   /// start as soon as that stripe's reads complete, overlapping the
   /// next stripe's reads — instead of a global read barrier before any
   /// write. Shortens total_makespan_s; read_makespan_s and the access
-  /// counts are unaffected.
+  /// counts are unaffected. A checkpoint or an active spare placement
+  /// times per stripe too: both work stripe by stripe.
   bool pipelined = false;
   /// Optional observability hooks (borrowed, caller-owned; see
   /// obs::Attach for the uniform semantics). When set, the timing phase
@@ -49,9 +57,9 @@ struct ReconOptions {
   /// Progress watermark (borrowed, caller-owned). When set, the rebuild
   /// resumes from the checkpoint instead of restarting (see
   /// repair::RebuildCheckpoint for the per-stripe skip/partial/dirty
-  /// rules) and, if interrupted by `max_stripes`, records where it
-  /// stopped instead of healing. nullptr = restart-from-scratch
-  /// semantics, bit-identical to the pre-orchestration executor.
+  /// rules) and, if interrupted by `max_stripes` or a crash, records
+  /// where it stopped instead of healing. nullptr = every call rebuilds
+  /// from scratch.
   repair::RebuildCheckpoint* checkpoint = nullptr;
   /// Stripe budget for this call: stop after rebuilding this many
   /// stripes (skipped checkpoint-covered stripes are free). Requires
@@ -72,9 +80,11 @@ struct ReconReport {
   std::uint64_t logical_bytes_recovered = 0;
   /// Paper metric, max over stripes (uniform across stripes in fact).
   int read_accesses_per_stripe = 0;
-  /// Pipelined mode only: when each stripe's availability reads
-  /// completed — i.e. when that stripe's lost data became servable
-  /// from recovered state. The recovery-time CDF of the rebuild.
+  /// Filled whenever timing runs per stripe (pipelined, checkpointed or
+  /// spare-redirected): when each stripe's availability reads completed
+  /// — i.e. when that stripe's lost data became servable from recovered
+  /// state. The recovery-time CDF of the rebuild. Empty under the
+  /// default global barrier.
   std::vector<double> stripe_read_done_s;
 
   // --- fault accounting (all zero on a fault-free rebuild) -------------
@@ -107,8 +117,10 @@ struct ReconReport {
   /// from-scratch restart's — the measurable win of checkpointing.
   std::uint64_t elements_read = 0;
   std::uint64_t elements_written = 0;
-  /// False when `max_stripes` interrupted the rebuild: disks are still
-  /// failed, the checkpoint holds the watermark, verification deferred.
+  /// False when `max_stripes` or a crash interrupted the rebuild: disks
+  /// are still failed, the checkpoint (if any) holds the watermark,
+  /// verification is deferred. Stripes whose writes a crash may have
+  /// torn count in neither stripes_processed nor elements_written.
   bool completed = true;
 
   /// True when at least one element could not be recovered.
@@ -120,9 +132,15 @@ struct ReconReport {
 };
 
 /// Rebuild every failed physical disk of `arr` in place: recover
-/// contents, restore + heal the disks, time the reads and replacement
-/// writes, and (if opts.verify) check the whole array. Timing state of
-/// the array is reset at the start so the report is self-contained.
+/// contents, restore them, time the reads and replacement writes, heal
+/// the disks, and (if opts.verify) check the whole array. Timing state
+/// of the array is reset at the start so the report is self-contained.
+///
+/// Crash contract: when an armed crash point fires inside the timed
+/// writes, the call returns completed = false with every failed disk
+/// still failed (a checkpoint records the watermark). The caller then
+/// power_cycle()s, resyncs and calls reconstruct() again;
+/// kFailedPrecondition while the array is still powered off.
 Result<ReconReport> reconstruct(array::DiskArray& arr,
                                 const ReconOptions& opts = {});
 

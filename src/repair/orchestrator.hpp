@@ -94,6 +94,9 @@ class RepairOrchestrator {
   /// `max_rounds` rounds have executed (-1 = until done). Each round
   /// allocates spares for newly admitted failures, invokes the executor
   /// (checkpoint-resumed when configured) and advances the lifecycle.
+  /// A crash inside a round's writes stops the run with the array
+  /// powered off and the disks still failed; resume with admit_crash(),
+  /// resync() and run() again.
   /// The returned report accumulates over the orchestrator's lifetime.
   Result<RepairReport> run(double t_s = 0.0, int max_rounds = -1);
 

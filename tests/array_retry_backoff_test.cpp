@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "array/disk_array.hpp"
+#include "obs/observer.hpp"
 
 namespace sma::array {
 namespace {
@@ -163,6 +164,41 @@ TEST(RetryBackoff, MaxRetryDepthReportsTheWorstOpInTheBatch) {
   EXPECT_EQ(stats.retried_ops, 2u);
   EXPECT_EQ(stats.max_retry_depth, 2);
   EXPECT_EQ(stats.failed_ops, 1u);
+}
+
+TEST(RetryBackoff, JitterIsPerDiskSoAnObserverChangesNoDelay) {
+  // Two always-transient disks, two writes each, interleaved in the
+  // batch. The observed executor submits in op order and the unobserved
+  // one disk by disk, so one array-wide jitter stream would hand the
+  // disks different draws in the two modes; per-disk streams cannot.
+  auto cfg = base_cfg();
+  cfg.rotate = false;
+  cfg.fault_overrides[0].transient_write_error_p = 1.0;
+  cfg.fault_overrides[1].transient_write_error_p = 1.0;
+  cfg.io_max_retries = 3;
+  cfg.retry_backoff_base_s = 0.5;
+  cfg.retry_backoff_jitter = 0.5;
+  const std::vector<Op> ops{{0, 0, 0, disk::IoKind::kWrite},
+                            {1, 0, 0, disk::IoKind::kWrite},
+                            {0, 0, 1, disk::IoKind::kWrite},
+                            {1, 0, 1, disk::IoKind::kWrite}};
+  obs::TraceSink sink;
+  obs::Observer observer{&sink, nullptr};
+  BatchStats stats[2];
+  for (const bool observed : {false, true}) {
+    DiskArray arr(cfg);
+    if (observed) arr.set_observer(&observer);
+    stats[observed ? 1 : 0] = arr.execute(ops, 0.0);
+  }
+  EXPECT_GT(sink.size(), 0u);
+  EXPECT_EQ(stats[0].retried_ops, 12u);
+  EXPECT_EQ(stats[0].failed_ops, 4u);
+  EXPECT_EQ(stats[0].end_s, stats[1].end_s);
+  EXPECT_EQ(stats[0].retried_ops, stats[1].retried_ops);
+  EXPECT_EQ(stats[0].failed_ops, stats[1].failed_ops);
+  EXPECT_EQ(stats[0].max_retry_depth, stats[1].max_retry_depth);
+  EXPECT_EQ(stats[0].max_ops_per_disk, stats[1].max_ops_per_disk);
+  EXPECT_EQ(stats[0].logical_bytes_written, stats[1].logical_bytes_written);
 }
 
 }  // namespace

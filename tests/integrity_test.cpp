@@ -293,6 +293,45 @@ TEST(CrashResync, CrashMidRebuildResumesFromTheCheckpointAfterResync) {
   EXPECT_TRUE(arr.verify_checksums().is_ok());
 }
 
+TEST(CrashResync, CrashMidRebuildWithoutACheckpointLeavesTheDiskFailed) {
+  // A plain reconstruct() whose own replacement writes trip the crash
+  // point: the disk must stay failed (a torn rebuild write never heals),
+  // and power-cycle + resync + a second reconstruct() finish the job.
+  for (const bool pipelined : {false, true}) {
+    array::ArrayConfig cfg;
+    cfg.arch = layout::Architecture::mirror_with_parity(4, true);
+    cfg.stripes = cfg.arch.total_disks();  // 9 stripes, 4 writes each
+    cfg.content_bytes = 64;
+    cfg.logical_element_bytes = 4'000'000;
+    cfg.drl_region_stripes = 2;
+    cfg.checksums = true;
+    cfg.fault.crash_after_writes = 15;
+    cfg.fault.seed = 5;
+    array::DiskArray arr(cfg);
+    arr.initialize();
+    arr.fail_physical(0);
+
+    recon::ReconOptions opts;
+    opts.pipelined = pipelined;
+    auto first = recon::reconstruct(arr, opts);
+    ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+    EXPECT_FALSE(first.value().completed);
+    EXPECT_TRUE(arr.crashed());
+    EXPECT_EQ(arr.failed_physical(), std::vector<int>{0});
+
+    ASSERT_TRUE(arr.power_cycle().is_ok());
+    auto rs = resync(arr);
+    ASSERT_TRUE(rs.is_ok()) << rs.status().to_string();
+    auto second = recon::reconstruct(arr, opts);
+    ASSERT_TRUE(second.is_ok()) << second.status().to_string();
+    EXPECT_TRUE(second.value().completed);
+    EXPECT_EQ(second.value().stripes_processed, arr.stripes());
+    EXPECT_TRUE(arr.failed_physical().empty());
+    EXPECT_TRUE(arr.verify_all().is_ok()) << "pipelined=" << pipelined;
+    EXPECT_TRUE(arr.verify_checksums().is_ok()) << "pipelined=" << pipelined;
+  }
+}
+
 // --- verifying scrub -------------------------------------------------------
 
 TEST(VerifyingScrub, DetectsAndRepairsEverySilentCorruptionKind) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "recon/failure.hpp"
 
 namespace sma::recon {
@@ -384,6 +389,116 @@ TEST(Executor, StripeBudgetRequiresACheckpoint) {
   opts.max_stripes = 0;
   EXPECT_EQ(reconstruct(arr, opts).status().code(),
             ErrorCode::kInvalidArgument);
+}
+
+// --- golden digest over the rebuild grid ----------------------------------
+
+struct GridArch {
+  layout::Architecture arch;
+  bool faults;  // also rebuild under latent sectors and transients
+};
+
+// Every registry layout at n = 2..5 with and without parity, shifted and
+// traditional at R = 2, and RAID-5/6 (fault-free only).
+std::vector<GridArch> rebuild_grid() {
+  std::vector<GridArch> grid;
+  for (int n = 2; n <= 5; ++n) {
+    const std::string groups = n % 2 == 0 ? "" : ":groups=1";
+    for (const std::string& spec :
+         {std::string("traditional"), std::string("shifted"),
+          std::string("iterated:2"), std::string("iterated:3"),
+          "lrc" + groups, "pyramid" + groups, std::string("zigzag")}) {
+      auto mirror = layout::Architecture::mirror_named(n, spec);
+      auto parity = layout::Architecture::mirror_with_parity_named(n, spec);
+      EXPECT_TRUE(mirror.is_ok()) << spec << " n=" << n;
+      EXPECT_TRUE(parity.is_ok()) << spec << " n=" << n;
+      if (!mirror.is_ok() || !parity.is_ok()) continue;
+      grid.push_back({std::move(mirror).take(), true});
+      grid.push_back({std::move(parity).take(), true});
+    }
+    for (const char* spec : {"traditional", "shifted"}) {
+      auto r2 = layout::Architecture::mirror_named(n, spec, 2);
+      if (r2.is_ok()) grid.push_back({std::move(r2).take(), true});
+    }
+    grid.push_back({layout::Architecture::raid5(n), false});
+    grid.push_back({layout::Architecture::raid6(n), false});
+  }
+  return grid;
+}
+
+TEST(Executor, GoldenDigestOverRebuildGrid) {
+  // Every ReconReport field of every rebuild over rebuild_grid() x every
+  // failure set within tolerance x {no faults, latent sectors,
+  // transients} x {barrier, pipelined} x {parity rebuild off, on},
+  // folded into one value. Recorded from the executor that kept a
+  // separate three-phase default path; any change to one timing, count
+  // or per-stripe completion time moves it.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto fold = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  auto fold_s = [&fold](double s) { fold(std::bit_cast<std::uint64_t>(s)); };
+
+  disk::FaultProfile latent;
+  latent.latent_error_rate = 0.05;
+  latent.seed = 19;
+  disk::FaultProfile transient;
+  transient.transient_read_error_p = 0.2;
+  transient.transient_write_error_p = 0.2;
+  transient.seed = 19;
+  const disk::FaultProfile profiles[] = {disk::FaultProfile{}, latent,
+                                         transient};
+
+  std::size_t rebuilds = 0;
+  for (const auto& [arch, faults] : rebuild_grid()) {
+    auto sets = enumerate_single_failures(arch);
+    if (arch.fault_tolerance() >= 2)
+      for (auto& pair : enumerate_double_failures(arch)) sets.push_back(pair);
+    for (const auto& failed : sets) {
+      for (int f = 0; f < (faults ? 3 : 1); ++f) {
+        for (const bool pipelined : {false, true}) {
+          for (const bool parity_rebuild : {false, true}) {
+            if (parity_rebuild && arch.kind() == layout::ArchKind::kMirror)
+              continue;  // nothing to recompute
+            auto cfg = cfg_for(arch);
+            cfg.content_bytes = 16;
+            cfg.fault = profiles[f];
+            array::DiskArray arr(cfg);
+            arr.initialize();
+            for (const int d : failed) arr.fail_physical(d);
+            ReconOptions opts;
+            opts.pipelined = pipelined;
+            opts.include_parity_rebuild = parity_rebuild;
+            auto rep = reconstruct(arr, opts);
+            ++rebuilds;
+            fold(static_cast<std::uint64_t>(rep.status().code()));
+            if (!rep.is_ok()) continue;
+            const ReconReport& r = rep.value();
+            fold_s(r.read_makespan_s);
+            fold_s(r.total_makespan_s);
+            fold(r.logical_bytes_read);
+            fold(r.logical_bytes_recovered);
+            fold(static_cast<std::uint64_t>(r.read_accesses_per_stripe));
+            fold(r.stripe_read_done_s.size());
+            for (const double t : r.stripe_read_done_s) fold_s(t);
+            fold(r.retried_ops);
+            fold(r.hard_errors);
+            fold(r.latent_sectors_hit);
+            fold(r.fallback_to_mirror);
+            fold(r.fallback_to_parity);
+            fold(r.fallback_to_codec);
+            fold(r.unrecoverable_elements);
+            fold(static_cast<std::uint64_t>(r.stripes_processed));
+            fold(static_cast<std::uint64_t>(r.stripes_skipped));
+            fold(r.elements_read);
+            fold(r.elements_written);
+            fold(r.completed ? 1 : 0);
+            fold(arr.failed_physical().size());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rebuilds, 17522u);
+  EXPECT_EQ(h, 0x47c11b9441935f2aull) << std::hex << h;
 }
 
 TEST(Executor, ReportMakespansAreOrdered) {

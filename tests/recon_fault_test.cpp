@@ -3,6 +3,7 @@
 // of unreadable sectors.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "array/disk_array.hpp"
@@ -45,6 +46,57 @@ TEST(ReconFaults, InertProfileReportsNoFaultActivity) {
   EXPECT_EQ(report.value().unrecoverable_elements, 0u);
   EXPECT_FALSE(report.value().degraded());
   EXPECT_TRUE(arr.verify_all().is_ok());
+}
+
+TEST(ReconFaults, FaultsThatNeverFireKeepTheFaultFreeReads) {
+  // A fail-stop scheduled long after the rebuild turns the error-aware
+  // path on without any fault firing, so every rebuild must time the
+  // reads of its fault-free twin. Under stack rotation each failed RAID
+  // disk holds only parity in some stripe; recomputing it reads the data
+  // columns as parity-rebuild reads, never as availability reads.
+  for (const auto& arch : {layout::Architecture::raid5(3),
+                           layout::Architecture::raid6(4),
+                           layout::Architecture::mirror_with_parity(3, true)}) {
+    for (int d = 0; d < arch.total_disks(); ++d) {
+      for (const bool parity_rebuild : {false, true}) {
+        for (const bool pipelined : {false, true}) {
+          ReconReport reports[2];
+          for (const bool faulty : {false, true}) {
+            auto cfg = base_cfg(arch);
+            cfg.rotate = true;
+            if (faulty) cfg.fault.fail_at_s = 1e9;
+            array::DiskArray arr(cfg);
+            ASSERT_EQ(arr.faults_active(), faulty);
+            arr.initialize();
+            arr.fail_physical(d);
+            ReconOptions opts;
+            opts.include_parity_rebuild = parity_rebuild;
+            opts.pipelined = pipelined;
+            auto report = reconstruct(arr, opts);
+            ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+            EXPECT_TRUE(arr.verify_all().is_ok());
+            reports[faulty ? 1 : 0] = report.value();
+          }
+          const std::string where = arch.name() + " disk " +
+                                    std::to_string(d) + " parity_rebuild " +
+                                    std::to_string(parity_rebuild) +
+                                    " pipelined " + std::to_string(pipelined);
+          EXPECT_EQ(reports[1].elements_read, reports[0].elements_read)
+              << where;
+          EXPECT_EQ(reports[1].logical_bytes_read,
+                    reports[0].logical_bytes_read)
+              << where;
+          EXPECT_EQ(reports[1].read_makespan_s, reports[0].read_makespan_s)
+              << where;
+          EXPECT_EQ(reports[1].total_makespan_s, reports[0].total_makespan_s)
+              << where;
+          EXPECT_EQ(reports[1].stripe_read_done_s,
+                    reports[0].stripe_read_done_s)
+              << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(ReconFaults, LatentReplicaFallsBackToParity) {

@@ -1,6 +1,8 @@
 #include "recon/online.hpp"
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include "obs/observer.hpp"
 #include "obs/trace_sink.hpp"
 #include "recon/executor.hpp"
+#include "recon/failure.hpp"
 
 namespace sma::recon {
 namespace {
@@ -66,6 +69,57 @@ TEST(Online, TimingOnlyRebuildLeavesEveryDiskUnmaterialized) {
   EXPECT_GT(report.value().rebuild_done_s, 0.0);
   for (int d = 0; d < arr.physical_count(); ++d)
     EXPECT_FALSE(arr.physical(d).content_materialized()) << "disk " << d;
+}
+
+TEST(Online, ZeroLoadRebuildEqualsTheBatchExecutorsReadMakespan) {
+  // The batch executor and the online engine agree exactly at zero
+  // arrival rate: with no user request to yield to, the engine's rebuild
+  // queues drain each disk's reads back to back from t = 0, which is the
+  // barrier executor's read phase. So rebuild_done_s equals
+  // reconstruct()'s read_makespan_s bit for bit (docs/SERVING.md).
+  auto check = [](const layout::Architecture& arch,
+                  const std::vector<int>& failed) {
+    array::DiskArray batch(cfg_for(arch));
+    batch.initialize();
+    array::DiskArray online(cfg_for(arch));
+    for (const int d : failed) {
+      batch.fail_physical(d);
+      online.fail_physical(d);
+    }
+    auto rebuilt = reconstruct(batch);
+    ASSERT_TRUE(rebuilt.is_ok()) << rebuilt.status().to_string();
+    OnlineConfig cfg;
+    cfg.arrival.max_requests = 0;
+    auto served = run_online_reconstruction(online, cfg);
+    ASSERT_TRUE(served.is_ok()) << served.status().to_string();
+    EXPECT_EQ(served.value().requests_issued, 0u);
+    EXPECT_GT(served.value().rebuild_done_s, 0.0);
+    EXPECT_EQ(served.value().rebuild_done_s, rebuilt.value().read_makespan_s)
+        << arch.name() << " n=" << arch.n() << " R=" << arch.replicas()
+        << " failed " << failed[0]
+        << (failed.size() > 1 ? "," + std::to_string(failed[1]) : "");
+  };
+  std::size_t cases = 0;
+  for (int n = 3; n <= 7; ++n) {
+    for (const bool shifted : {false, true}) {
+      const auto mirror = layout::Architecture::mirror(n, shifted);
+      const auto parity = layout::Architecture::mirror_with_parity(n, shifted);
+      auto r2 = layout::Architecture::mirror_named(
+          n, shifted ? "shifted" : "traditional", 2);
+      ASSERT_TRUE(r2.is_ok());
+      const layout::Architecture& replicated = r2.value();
+      for (const auto* arch : {&mirror, &parity})
+        for (int d = 0; d < arch->total_disks(); d += 2, ++cases)
+          check(*arch, {d});
+      // Every third double failure of the two tolerance-2 kinds.
+      for (const auto* arch : {&parity, &replicated}) {
+        const auto pairs = enumerate_double_failures(*arch);
+        for (std::size_t k = 0; k < pairs.size(); k += 3, ++cases)
+          check(*arch, pairs[k]);
+      }
+    }
+  }
+  EXPECT_EQ(cases, 688u);
 }
 
 TEST(Online, CompletesRebuildAndCollectsLatencies) {

@@ -645,19 +645,37 @@ int crash_cycle(const Flags& flags, std::uint64_t seed,
   if (!wl.is_ok()) return fail_run("workload", wl.status());
   double t = wl.value().makespan_s;
 
+  // Power the array back on and resync it after the crash point fired,
+  // wherever it fired.
   integrity::ResyncReport rs;
-  const bool crashed = arr.crashed();
-  if (crashed) {
-    if (Status st = orch.admit_crash(t); !st.is_ok())
-      return fail_run("admit_crash", st);
+  auto resync_after_crash = [&]() -> Status {
+    SMA_RETURN_IF_ERROR(orch.admit_crash(t));
     auto r = orch.resync(t, full_resync);
-    if (!r.is_ok()) return fail_run("resync", r.status());
+    if (!r.is_ok()) return r.status();
     rs = r.value();
     t += rs.makespan_s;
+    return Status::ok();
+  };
+  const bool crashed = arr.crashed();
+  if (crashed) {
+    if (Status st = resync_after_crash(); !st.is_ok())
+      return fail_run("crash recovery", st);
   }
+  bool rebuild_crashed = false;
   if (!arr.failed_physical().empty()) {
     auto rep = orch.run(t);
     if (!rep.is_ok()) return fail_run("rebuild", rep.status());
+    t += rep.value().total_makespan_s;
+    // A crash point the workload never reached can fire inside the
+    // rebuild's own writes. The orchestrator then stops with the disks
+    // still failed: power-cycle, resync and resume the rebuild.
+    rebuild_crashed = arr.crashed();
+    if (rebuild_crashed) {
+      if (Status st = resync_after_crash(); !st.is_ok())
+        return fail_run("crash recovery", st);
+      auto resumed = orch.run(t);
+      if (!resumed.is_ok()) return fail_run("rebuild", resumed.status());
+    }
   }
 
   const repair::ArrayState state = orch.lifecycle().state();
@@ -685,18 +703,23 @@ int crash_cycle(const Flags& flags, std::uint64_t seed,
   if (verbose) {
     std::printf("%s: ", cfg.arch.name().c_str());
     if (crashed)
-      std::printf("crashed at write %lld (t=%.3f s); %d dirty region(s); "
-                  "resync[%s] scanned %llu stripes, read %llu elements, "
+      std::printf("crashed at write %lld (t=%.3f s); %d dirty region(s); ",
+                  static_cast<long long>(crash_after), wl.value().crash_t_s,
+                  wl.value().dirty_regions);
+    else if (rebuild_crashed)
+      std::printf("workload completed; crashed at write %lld inside the "
+                  "rebuild; ",
+                  static_cast<long long>(crash_after));
+    else
+      std::printf("workload completed without crashing; ");
+    if (crashed || rebuild_crashed)
+      std::printf("resync[%s] scanned %llu stripes, read %llu elements, "
                   "repaired %llu copies + %llu parity; ",
-                  static_cast<long long>(crash_after),
-                  wl.value().crash_t_s, wl.value().dirty_regions,
                   full_resync ? "full" : "drl",
                   static_cast<unsigned long long>(rs.stripes_scanned),
                   static_cast<unsigned long long>(rs.elements_read),
                   static_cast<unsigned long long>(rs.copies_rewritten),
                   static_cast<unsigned long long>(rs.parity_rewritten));
-    else
-      std::printf("workload completed without crashing; ");
     std::printf("final state: %s; scrub repairs: %llu; verification OK\n",
                 repair::to_string(state),
                 static_cast<unsigned long long>(scrub_repairs));
