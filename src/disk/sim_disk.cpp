@@ -73,7 +73,6 @@ IoResult SimDisk::submit(IoKind kind, std::int64_t slot,
     ++counters_.writes;
   if (sequential) ++counters_.sequential;
   counters_.busy_s += service;
-  if (tracing_) trace_.push_back({kind, slot, start, busy_until_, sequential});
   if (observer_ != nullptr) {
     obs::TraceEvent ev;
     ev.kind = obs::EventKind::kServiceStart;

@@ -53,15 +53,6 @@ struct DiskCounters {
   double busy_s = 0.0;
 };
 
-/// One recorded operation (tracing enabled via enable_trace()).
-struct TraceEntry {
-  IoKind kind = IoKind::kRead;
-  std::int64_t slot = 0;
-  double start_s = 0.0;
-  double end_s = 0.0;
-  bool sequential = false;
-};
-
 /// Completion time of a submitted access, or why it failed:
 /// kOutOfRange (bad slot), kIoError (failed disk, scheduled fail-stop,
 /// transient error), kUnreadableSector (latent media error).
@@ -105,9 +96,8 @@ class SimDisk {
   /// instrumentation attached. Queried per run — installing a profile
   /// or attaching an observer flips consumers back to the per-op path.
   bool can_batch() const {
-    return !failed_ && !fail_stop_armed_ && !tracing_ &&
-           observer_ == nullptr && latent_count_ == 0 &&
-           fault_.transient_read_error_p <= 0.0 &&
+    return !failed_ && !fail_stop_armed_ && observer_ == nullptr &&
+           latent_count_ == 0 && fault_.transient_read_error_p <= 0.0 &&
            fault_.transient_write_error_p <= 0.0;
   }
 
@@ -164,13 +154,6 @@ class SimDisk {
   /// disables the hook — one branch per access, no other cost.
   void set_observer(obs::Observer* observer) { observer_ = observer; }
   obs::Observer* observer() const { return observer_; }
-
-  /// Start recording every submitted op (off by default; recording a
-  /// long experiment costs memory proportional to its op count).
-  void enable_trace(bool on = true) { tracing_ = on; }
-  bool tracing() const { return tracing_; }
-  const std::vector<TraceEntry>& trace() const { return trace_; }
-  void clear_trace() { trace_.clear(); }
 
   // --- content ----------------------------------------------------------
   /// Mutable bytes of one slot. The first call on a disk allocates its
@@ -246,10 +229,8 @@ class SimDisk {
   double busy_until_ = 0.0;
   std::int64_t head_slot_ = -2;  // -2: unknown position (first op seeks)
   bool failed_ = false;
-  bool tracing_ = false;
   obs::Observer* observer_ = nullptr;
   DiskCounters counters_;
-  std::vector<TraceEntry> trace_;
   /// Every slot's bytes once materialized; before that, one element of
   /// fill bytes shared by all slots.
   std::vector<std::uint8_t> store_;

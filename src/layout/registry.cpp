@@ -337,29 +337,16 @@ Status AlgorithmRegistry::add(LayoutDescriptor desc) {
       desc.name.find(',') != std::string::npos)
     return invalid_argument("layout name '" + desc.name +
                             "' must not contain ':' or ','");
-  if (descriptors_.count(desc.name) || aliases_.count(desc.name))
+  if (descriptors_.count(desc.name))
     return already_exists("layout '" + desc.name + "' is already registered");
   order_.push_back(desc.name);
   descriptors_.emplace(desc.name, std::move(desc));
   return Status::ok();
 }
 
-Status AlgorithmRegistry::add_alias(const std::string& alias,
-                                    const std::string& target) {
-  if (descriptors_.count(alias) || aliases_.count(alias))
-    return already_exists("layout '" + alias + "' is already registered");
-  if (!descriptors_.count(target))
-    return not_found("alias target '" + target + "' is not registered");
-  aliases_.emplace(alias, target);
-  return Status::ok();
-}
-
 Result<const LayoutDescriptor*> AlgorithmRegistry::find(
     std::string_view name) const {
-  std::string key(name);
-  if (auto alias = aliases_.find(key); alias != aliases_.end())
-    key = alias->second;
-  if (auto it = descriptors_.find(key); it != descriptors_.end())
+  if (auto it = descriptors_.find(std::string(name)); it != descriptors_.end())
     return &it->second;
   std::string known;
   for (const auto& n : order_) {
@@ -368,12 +355,6 @@ Result<const LayoutDescriptor*> AlgorithmRegistry::find(
   }
   return not_found("unknown layout '" + std::string(name) + "' (registered: " +
                    known + ")");
-}
-
-Result<std::string> AlgorithmRegistry::canonical(std::string_view name) const {
-  auto found = find(name);
-  if (!found.is_ok()) return found.status();
-  return found.value()->name;
 }
 
 std::vector<std::string> AlgorithmRegistry::names() const { return order_; }

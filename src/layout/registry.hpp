@@ -8,7 +8,6 @@
 // `struct insane_algorithm`:
 //
 //   * a `name` (the registry key — what `--arrangement=` resolves),
-//   * element/parity/spare counts describing one stripe,
 //   * a pure `map(config, logical) -> Pos` placement function,
 //   * an optional `configure(params)` hook validating parameters
 //     ("lrc:groups=2" style), and
@@ -65,15 +64,6 @@ struct LayoutDescriptor {
   /// One-line description (shown by `smactl layouts`).
   std::string summary;
 
-  // --- element/parity/spare counts (per stripe, in units of n) --------
-  /// Replicas stored per data element (mirror organizations: 1).
-  int replicas_per_element = 1;
-  /// Parity disks the layout itself brings (the mirror-with-parity
-  /// wrapper adds its own global parity column on top).
-  int parity_disks = 0;
-  /// Spare disks the layout reserves (none of the built-ins do; the
-  /// repair layer's spare pools are orthogonal).
-  int spare_disks = 0;
   /// Smallest n the map is defined for.
   int min_n = 1;
 
@@ -141,19 +131,13 @@ class AlgorithmRegistry {
   /// Empty registry for tests and experiments.
   AlgorithmRegistry() = default;
 
-  /// kAlreadyExists when the name (or an alias) is taken;
-  /// kInvalidArgument when the descriptor is malformed (empty name, no
-  /// map).
+  /// kAlreadyExists when the name is taken; kInvalidArgument when the
+  /// descriptor is malformed (empty name, no map).
   Status add(LayoutDescriptor desc);
-  /// Alternative spelling for an existing layout.
-  Status add_alias(const std::string& alias, const std::string& target);
 
-  /// Descriptor by name or alias; kNotFound with the known names when
-  /// unknown.
+  /// Descriptor by name; kNotFound with the known names when unknown.
   Result<const LayoutDescriptor*> find(std::string_view name) const;
-  /// Canonical name for a name or alias.
-  Result<std::string> canonical(std::string_view name) const;
-  /// Canonical layout names, registration order.
+  /// Layout names, registration order.
   std::vector<std::string> names() const;
 
   /// Resolve a spec ("lrc:groups=2"), run the configure hook, check the
@@ -163,9 +147,8 @@ class AlgorithmRegistry {
   Result<RegistryArrangementPtr> make(const LayoutSpec& spec, int n) const;
 
  private:
-  std::vector<std::string> order_;                 // canonical names
+  std::vector<std::string> order_;  // registration order
   std::map<std::string, LayoutDescriptor> descriptors_;
-  std::map<std::string, std::string> aliases_;     // alias -> canonical
 };
 
 /// The mirror-array element reads needed to rebuild failed data disk

@@ -4,7 +4,7 @@
 // MetricsRegistry. Every instrumentation site in the stack is guarded
 // by a null test on the Observer pointer (or on one of its members),
 // so the disabled path — the default everywhere — costs one predictable
-// branch and allocates nothing: all 27 committed bench CSVs are
+// branch and allocates nothing: all 35 committed bench CSVs are
 // bit-identical with observation off, and the CI drift gate holds the
 // simulators to that.
 //

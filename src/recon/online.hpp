@@ -47,10 +47,11 @@ struct OnlineConfig {
   /// bit-identically.
   workload::QosConfig qos;
   /// Inject a second disk failure mid-rebuild: at this simulated time
-  /// (< 0 disables) the given disk dies too. Requires a fault-
-  /// tolerance-2 architecture (mirror with parity). All pending
-  /// rebuild I/O is replanned for the double failure; queued requests
-  /// on the dead disk are rerouted or dropped onto surviving copies.
+  /// (< 0 disables) the given disk dies too. Requires fault tolerance
+  /// 2 or more (mirror with parity, or R >= 2 replica arrays). All
+  /// pending rebuild I/O is replanned for the double failure; queued
+  /// requests on the dead disk are rerouted or dropped onto surviving
+  /// copies.
   double second_failure_at_s = -1.0;
   int second_failure_disk = -1;
   /// Record every request's completion latency into
@@ -166,10 +167,11 @@ struct OnlineReport {
 };
 
 /// Run the on-line rebuild of `arr`'s failed physical disks (mirror
-/// architectures, single failure) — or, with no failed disk, serve the
-/// workload against a healthy array (no rebuild work; rebuild_done_s
-/// stays 0 and final_state kHealthy). The healthy mode is what the
-/// fleet layer runs on every array that is not currently rebuilding.
+/// architectures, up to arch.fault_tolerance() failed disks) — or,
+/// with no failed disk, serve the workload against a healthy array (no
+/// rebuild work; rebuild_done_s stays 0 and final_state kHealthy). The
+/// healthy mode is what the fleet layer runs on every array that is not
+/// currently rebuilding.
 /// Timing-only: contents are not modified; pair with
 /// recon::reconstruct for the byte-level rebuild.
 Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,

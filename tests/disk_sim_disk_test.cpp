@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/observer.hpp"
+
 namespace sma::disk {
 namespace {
 
@@ -221,40 +223,44 @@ TEST(SimDisk, ConcurrentConstReadsOfUntouchedDisk) {
 }
 
 TEST(SimDisk, TraceDisabledByDefault) {
+  // A fresh disk has no sink to emit service spans to, and keeps the
+  // batched fast path until an observer is attached.
   SimDisk d(0, flat_spec(), 10, 16, 1'000'000);
   d.submit_ok(IoKind::kRead, 0, 0.0);
-  EXPECT_FALSE(d.tracing());
-  EXPECT_TRUE(d.trace().empty());
+  EXPECT_EQ(d.observer(), nullptr);
+  EXPECT_TRUE(d.can_batch());
+  obs::TraceSink sink;
+  obs::Observer ob;
+  ob.trace = &sink;
+  d.set_observer(&ob);
+  EXPECT_FALSE(d.can_batch());
 }
 
 TEST(SimDisk, TraceRecordsOpsInOrder) {
   SimDisk d(0, flat_spec(), 10, 16, 1'000'000);
-  d.enable_trace();
+  obs::TraceSink sink;
+  obs::Observer ob;
+  ob.trace = &sink;
+  d.set_observer(&ob);
   d.submit_ok(IoKind::kRead, 3, 0.0);
+  EXPECT_EQ(d.counters().sequential, 0u);  // the first access seeks
   d.submit_ok(IoKind::kRead, 4, 0.0);
+  EXPECT_EQ(d.counters().sequential, 1u);  // the next slot follows on
   d.submit_ok(IoKind::kWrite, 0, 0.0);
-  ASSERT_EQ(d.trace().size(), 3u);
-  const auto& t = d.trace();
-  EXPECT_EQ(t[0].slot, 3);
-  EXPECT_FALSE(t[0].sequential);
-  EXPECT_NEAR(t[0].start_s, 0.0, 1e-12);
-  EXPECT_NEAR(t[0].end_s, 1.010, 1e-9);
-  EXPECT_EQ(t[1].slot, 4);
-  EXPECT_TRUE(t[1].sequential);
-  EXPECT_EQ(t[2].kind, IoKind::kWrite);
+  EXPECT_EQ(d.counters().sequential, 1u);
+  std::vector<obs::TraceEvent> spans;
+  for (const obs::TraceEvent& ev : sink.events())
+    if (ev.kind == obs::EventKind::kServiceStart) spans.push_back(ev);
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].slot, 3);
+  EXPECT_NEAR(spans[0].t_s, 0.0, 1e-12);
+  EXPECT_NEAR(spans[0].t_s + spans[0].dur_s, 1.010, 1e-9);
+  EXPECT_EQ(spans[1].slot, 4);
+  EXPECT_NEAR(spans[1].dur_s, 1.0, 1e-9);  // transfer only, no seek
+  EXPECT_TRUE(spans[2].write);
   // Ops on one disk never overlap in time.
-  EXPECT_GE(t[1].start_s, t[0].end_s - 1e-12);
-  EXPECT_GE(t[2].start_s, t[1].end_s - 1e-12);
-}
-
-TEST(SimDisk, ClearTraceKeepsRecording) {
-  SimDisk d(0, flat_spec(), 10, 16, 1'000'000);
-  d.enable_trace();
-  d.submit_ok(IoKind::kRead, 0, 0.0);
-  d.clear_trace();
-  EXPECT_TRUE(d.trace().empty());
-  d.submit_ok(IoKind::kRead, 5, 0.0);
-  EXPECT_EQ(d.trace().size(), 1u);
+  for (std::size_t i = 1; i < spans.size(); ++i)
+    EXPECT_GE(spans[i].t_s, spans[i - 1].t_s + spans[i - 1].dur_s - 1e-12);
 }
 
 TEST(SimDisk, BusyTimeAccumulates) {

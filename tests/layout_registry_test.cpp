@@ -54,11 +54,6 @@ TEST(LayoutRegistry, DuplicateNameRejected) {
   ASSERT_TRUE(reg.add(minimal_descriptor("dup")).is_ok());
   Status again = reg.add(minimal_descriptor("dup"));
   EXPECT_EQ(again.code(), ErrorCode::kAlreadyExists);
-  // Aliases share the namespace in both directions.
-  ASSERT_TRUE(reg.add_alias("other", "dup").is_ok());
-  EXPECT_EQ(reg.add(minimal_descriptor("other")).code(),
-            ErrorCode::kAlreadyExists);
-  EXPECT_EQ(reg.add_alias("dup", "dup").code(), ErrorCode::kAlreadyExists);
 }
 
 TEST(LayoutRegistry, MalformedDescriptorRejected) {
@@ -78,31 +73,13 @@ TEST(LayoutRegistry, UnknownNameIsNotFound) {
   // The error names the registered layouts so the CLI message is usable.
   EXPECT_NE(found.status().to_string().find("shifted"), std::string::npos);
   EXPECT_EQ(reg.make("bogus", 4).status().code(), ErrorCode::kNotFound);
-  AlgorithmRegistry fresh;
-  EXPECT_EQ(fresh.add_alias("alias", "bogus").code(), ErrorCode::kNotFound);
-}
-
-TEST(LayoutRegistry, AliasesResolveToCanonicalNames) {
-  AlgorithmRegistry reg;
-  ASSERT_TRUE(reg.add(minimal_descriptor("base")).is_ok());
-  ASSERT_TRUE(reg.add_alias("alt", "base").is_ok());
-  auto canon = reg.canonical("alt");
-  ASSERT_TRUE(canon.is_ok());
-  EXPECT_EQ(canon.value(), "base");
-  auto direct = reg.find("alt");
-  ASSERT_TRUE(direct.is_ok());
-  EXPECT_EQ(direct.value()->name, "base");
-  // names() lists canonical names only, in registration order.
-  EXPECT_EQ(reg.names(), std::vector<std::string>{"base"});
-
-  // The built-in registry carries no alias spellings: every layout is
-  // spelled by its canonical name.
-  const auto& global = AlgorithmRegistry::global();
-  ASSERT_GE(global.names().size(), 6u);
-  EXPECT_EQ(global.names().front(), "traditional");
+  // The retired alternative spellings of the built-ins are unknown too:
+  // every layout has exactly one name.
+  ASSERT_GE(reg.names().size(), 6u);
+  EXPECT_EQ(reg.names().front(), "traditional");
   for (const char* retired :
        {"mirror-traditional", "mirror-shifted", "identity"})
-    EXPECT_EQ(global.find(retired).status().code(), ErrorCode::kNotFound)
+    EXPECT_EQ(reg.find(retired).status().code(), ErrorCode::kNotFound)
         << retired;
 }
 

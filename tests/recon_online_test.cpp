@@ -1,7 +1,11 @@
 #include "recon/online.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -693,6 +697,362 @@ TEST(OnlineGolden, ThreeMirrorAdaptiveLatenciesArePinned) {
     EXPECT_EQ(rep.p999_latency_s, c.p999);
     EXPECT_EQ(rep.slo_violation_pct, c.slo_violation_pct);
     EXPECT_EQ(rep.degraded_reads, c.degraded_reads);
+  }
+}
+
+// --- engine stage digests --------------------------------------------------
+
+// One engine run of a stage family: the array, the disks failed before
+// the run, and the serving config.
+struct StageRun {
+  array::ArrayConfig array;
+  std::vector<int> failed;
+  OnlineConfig online;
+};
+
+// FNV-1a over everything one run produces: the status code, every
+// OnlineReport field, the array's failed set and per-disk counters
+// afterwards, and for an observed run the JSONL trace bytes, the
+// metrics timeline and the counters.
+class StageDigest {
+ public:
+  void fold(std::uint64_t v) { h_ = (h_ ^ v) * 0x100000001b3ull; }
+  void fold_s(double v) { fold(std::bit_cast<std::uint64_t>(v)); }
+  void fold_str(const std::string& s) {
+    fold(s.size());
+    for (const char c : s) fold(static_cast<unsigned char>(c));
+  }
+  std::uint64_t value() const { return h_; }
+
+  void run(const StageRun& run, bool observe) {
+    array::DiskArray arr(run.array);
+    for (const int d : run.failed) arr.fail_physical(d);
+    obs::TraceSink sink;
+    obs::MetricsRegistry metrics;
+    metrics.set_sample_interval(0.25);
+    obs::Observer ob{&sink, &metrics};
+    OnlineConfig online = run.online;
+    if (observe) online.observer = &ob;
+    const auto r = run_online_reconstruction(arr, online);
+    fold(static_cast<std::uint64_t>(r.status().code()));
+    if (r.is_ok()) report(r.value());
+    const std::vector<int> failed = arr.failed_physical();
+    fold(failed.size());
+    for (const int d : failed) fold(static_cast<std::uint64_t>(d));
+    for (int d = 0; d < arr.total_disks(); ++d) {
+      const disk::DiskCounters& c = arr.physical(d).counters();
+      fold(c.reads);
+      fold(c.writes);
+      fold(c.sequential);
+      fold(c.transient_errors);
+      fold(c.unreadable_errors);
+      fold_s(c.busy_s);
+    }
+    if (!observe) return;
+    std::ostringstream jsonl;
+    EXPECT_TRUE(sink.write_jsonl(jsonl).is_ok());
+    fold_str(jsonl.str());
+    for (const std::string& column : metrics.columns()) fold_str(column);
+    for (const auto& row : metrics.timeline()) {
+      fold_s(row.t_s);
+      for (const double v : row.values) fold_s(v);
+    }
+    for (const auto& [name, value] : metrics.counters()) {
+      fold_str(name);
+      fold(value);
+    }
+  }
+
+ private:
+  void report(const OnlineReport& r) {
+    fold_s(r.rebuild_done_s);
+    fold(r.user_reads);
+    fold(r.user_writes);
+    fold(r.requests_issued);
+    fold(r.requests_completed);
+    fold(r.degraded_reads);
+    for (const double v :
+         {r.mean_latency_s, r.p50_latency_s, r.p95_latency_s, r.p99_latency_s,
+          r.p999_latency_s, r.max_latency_s, r.mean_degraded_latency_s,
+          r.mean_write_latency_s, r.p99_write_latency_s, r.slo_violation_pct})
+      fold_s(v);
+    fold(r.second_failure_injected ? 1 : 0);
+    fold(r.slo_violations);
+    fold(static_cast<std::uint64_t>(r.final_rebuild_budget));
+    fold(static_cast<std::uint64_t>(r.throttle_adjustments));
+    fold(r.io_retries);
+    fold(r.io_failures);
+    fold(static_cast<std::uint64_t>(r.fail_stops_absorbed));
+    fold(static_cast<std::uint64_t>(r.fail_slow_flagged));
+    fold(r.affinity_reroutes);
+    fold(r.hedged_reads);
+    fold(r.hedge_wins);
+    fold(r.hedge_wasted);
+    fold(static_cast<std::uint64_t>(r.final_state));
+    fold(static_cast<std::uint64_t>(r.state_changes));
+    fold(r.latencies.size());
+    for (const double v : r.latencies) fold_s(v);
+  }
+
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+StageRun stage_run(layout::Architecture arch, std::vector<int> failed,
+                   int stacks = 2) {
+  StageRun run;
+  run.array = cfg_for(std::move(arch), stacks);
+  run.failed = std::move(failed);
+  run.online.arrival.rate_hz = 60.0;
+  run.online.arrival.max_requests = 150;
+  run.online.arrival.seed = 2026;
+  return run;
+}
+
+layout::Architecture mirror_r(int n, const char* layout, int replicas) {
+  return layout::Architecture::mirror_named(n, layout, replicas).take();
+}
+
+// Every run of a family once without and once with an observer.
+std::uint64_t family_digest(const std::vector<StageRun>& runs) {
+  StageDigest d;
+  for (const StageRun& run : runs)
+    for (const bool observe : {false, true}) d.run(run, observe);
+  return d.value();
+}
+
+// Arrival: the four arrival processes, one with a write mix and
+// latency recording.
+std::vector<StageRun> arrival_family() {
+  const auto arch = layout::Architecture::mirror(4, true);
+  std::vector<StageRun> runs;
+  StageRun poisson = stage_run(arch, {0});
+  poisson.online.mix.write_fraction = 0.2;
+  poisson.online.record_latencies = true;
+  runs.push_back(poisson);
+  StageRun closed = stage_run(arch, {0});
+  closed.online.arrival.kind = workload::ArrivalKind::kClosedLoop;
+  closed.online.arrival.clients = 3;
+  closed.online.arrival.think_time_s = 0.05;
+  runs.push_back(closed);
+  StageRun bursty = stage_run(arch, {0});
+  bursty.online.arrival.kind = workload::ArrivalKind::kBursty;
+  bursty.online.arrival.rate_hz = 10.0;
+  bursty.online.arrival.burst_rate_hz = 150.0;
+  bursty.online.arrival.mean_burst_s = 0.3;
+  bursty.online.arrival.mean_idle_s = 1.0;
+  runs.push_back(bursty);
+  StageRun trace = stage_run(arch, {0});
+  trace.online.arrival.kind = workload::ArrivalKind::kTrace;
+  for (int k = 0; k < 150; ++k)
+    trace.online.arrival.trace.push_back({0.02 * k, k % 4 == 3});
+  runs.push_back(trace);
+  return runs;
+}
+
+// Routing: R = 1..3 replica arrays with writes, the mirror+parity
+// parity path (an element whose data copy and replica both failed), and
+// copy affinity away from a fail-slow primary.
+std::vector<StageRun> routing_family() {
+  std::vector<StageRun> runs;
+  for (const auto& [n, replicas] : {std::pair{5, 1}, {4, 2}, {5, 3}}) {
+    StageRun run = stage_run(mirror_r(n, "shifted", replicas), {0});
+    run.online.mix.write_fraction = 0.25;
+    runs.push_back(run);
+  }
+  runs.push_back(stage_run(mirror_r(5, "traditional", 3), {1, 7}));
+  StageRun parity =
+      stage_run(layout::Architecture::mirror_with_parity(4, true), {0, 4});
+  parity.online.mix.write_fraction = 0.25;
+  runs.push_back(parity);
+  for (const int replicas : {1, 2}) {
+    StageRun affinity = stage_run(mirror_r(4, "shifted", replicas), {0});
+    affinity.array.fault_overrides[2].slow_factor = 8.0;
+    affinity.online.arrival.max_requests = 400;
+    affinity.online.hedge.enabled = true;
+    affinity.online.hedge.warmup_samples = 4;
+    affinity.online.hedge.hedge_reads = false;
+    runs.push_back(affinity);
+  }
+  return runs;
+}
+
+// QoS admission: strict, fixed and adaptive, with an SLO target and a
+// write mix, on both arrangements.
+std::vector<StageRun> qos_family() {
+  std::vector<StageRun> runs;
+  for (const bool shifted : {true, false}) {
+    for (const auto policy :
+         {workload::RebuildPolicy::kStrictPriority,
+          workload::RebuildPolicy::kFixedBudget,
+          workload::RebuildPolicy::kAdaptive}) {
+      StageRun run = stage_run(layout::Architecture::mirror(4, shifted), {0});
+      run.online.arrival.rate_hz = 40.0;
+      run.online.arrival.max_requests = 200;
+      run.online.mix.write_fraction = 0.3;
+      run.online.qos.policy = policy;
+      run.online.qos.p99_target_s = 0.1;
+      run.online.qos.rebuild_budget =
+          policy == workload::RebuildPolicy::kFixedBudget ? 2 : 0;
+      runs.push_back(run);
+    }
+  }
+  return runs;
+}
+
+// Batched vs per-event drains: the same open-loop runs with the flag on
+// and off, and a transient-fault array that refuses batching per disk.
+// Only the unobserved runs can batch.
+std::vector<StageRun> drain_family() {
+  std::vector<StageRun> runs;
+  for (const bool batch : {true, false}) {
+    for (const bool shifted : {true, false}) {
+      StageRun run =
+          stage_run(layout::Architecture::mirror(5, shifted), {1}, 4);
+      run.online.batch_drains = batch;
+      runs.push_back(run);
+    }
+    StageRun trace = stage_run(layout::Architecture::mirror(4, true), {0}, 4);
+    trace.online.batch_drains = batch;
+    trace.online.arrival.kind = workload::ArrivalKind::kTrace;
+    for (int k = 0; k < 60; ++k)
+      trace.online.arrival.trace.push_back({0.5 + 0.05 * k, false});
+    runs.push_back(trace);
+    StageRun faulty =
+        stage_run(layout::Architecture::mirror(4, true), {0}, 4);
+    faulty.array.fault_overrides[3].transient_read_error_p = 0.1;
+    faulty.array.fault_overrides[3].seed = 4;
+    faulty.online.batch_drains = batch;
+    runs.push_back(faulty);
+  }
+  return runs;
+}
+
+// Hedging: deadline-budgeted duplicates for reads queued to a fail-slow
+// data disk, at R = 1 and R = 2, with and without copy affinity, a
+// tight hedge budget, a milder limp (the original piece can win), and
+// the slow disk dying with hedged pieces still queued on it.
+std::vector<StageRun> hedge_family() {
+  std::vector<StageRun> runs;
+  auto hedged = [](layout::Architecture arch, std::vector<int> failed,
+                   double slow) {
+    StageRun run = stage_run(std::move(arch), std::move(failed));
+    run.array.fault_overrides[2].slow_factor = slow;
+    run.online.arrival.max_requests = 400;
+    run.online.hedge.enabled = true;
+    run.online.hedge.warmup_samples = 4;
+    run.online.hedge.affinity_routing = false;
+    return run;
+  };
+  for (const int replicas : {1, 2})
+    runs.push_back(hedged(mirror_r(4, "shifted", replicas), {0}, 8.0));
+  StageRun affinity = hedged(mirror_r(4, "shifted", 2), {0}, 8.0);
+  affinity.online.hedge.affinity_routing = true;
+  runs.push_back(affinity);
+  StageRun budget = hedged(mirror_r(4, "shifted", 1), {0}, 8.0);
+  budget.online.hedge.max_outstanding_hedges = 1;
+  runs.push_back(budget);
+  runs.push_back(hedged(mirror_r(4, "traditional", 1), {0}, 3.0));
+  StageRun dies =
+      hedged(layout::Architecture::mirror_with_parity(4, true), {0}, 8.0);
+  dies.online.second_failure_at_s = 3.0;
+  dies.online.second_failure_disk = 2;
+  runs.push_back(dies);
+  return runs;
+}
+
+// Failure handling: configured second failures (mirror+parity, R = 2),
+// scheduled fail-stops within and beyond tolerance, a third failure that
+// leaves the rebuild unplannable, latent sectors, and transient errors
+// on a disk that dies mid-attempt.
+std::vector<StageRun> failure_family() {
+  std::vector<StageRun> runs;
+  StageRun second =
+      stage_run(layout::Architecture::mirror_with_parity(4, true), {0});
+  second.online.second_failure_at_s = 1.0;
+  second.online.second_failure_disk = 5;
+  second.online.mix.write_fraction = 0.2;
+  runs.push_back(second);
+  StageRun second_r2 = stage_run(mirror_r(4, "shifted", 2), {0});
+  second_r2.online.second_failure_at_s = 0.8;
+  second_r2.online.second_failure_disk = 3;
+  runs.push_back(second_r2);
+  StageRun fail_stop =
+      stage_run(layout::Architecture::mirror_with_parity(4, true), {0});
+  fail_stop.array.fault_overrides[5].fail_at_s = 1.0;
+  runs.push_back(fail_stop);
+  // Under light load the fail-stop lands on a rebuild read instead.
+  fail_stop.array.fault_overrides[5].fail_at_s = 0.3;
+  fail_stop.online.arrival.rate_hz = 5.0;
+  runs.push_back(fail_stop);
+  StageRun beyond = stage_run(layout::Architecture::mirror(3, true), {0});
+  beyond.array.fault_overrides[3].fail_at_s = 0.5;
+  runs.push_back(beyond);
+  StageRun third = second;
+  third.array.fault_overrides[2].fail_at_s = 1.5;
+  runs.push_back(third);
+  StageRun latent =
+      stage_run(layout::Architecture::mirror_with_parity(4, true), {0});
+  latent.array.fault.latent_error_rate = 0.05;
+  latent.array.fault.transient_read_error_p = 0.05;
+  latent.array.fault.seed = 6;
+  runs.push_back(latent);
+  // The serving phase of the two chaos scenarios whose transient retry
+  // fires after its disk died mid-attempt: a rebuild job (seed
+  // 17185907742160080638, transients on d0 until it dies at t = 1) and
+  // a user read (seed 1687788257818005432, d2 dies at t = 1.2).
+  const struct {
+    std::uint64_t seed;
+    int primary, transient_disk;
+    double from_s, until_s, second_at_s;
+    int latent_disk;
+  } retries[] = {{17185907742160080638ULL, 8, 0, 0.8, 3.4, 1.0, -1},
+                 {1687788257818005432ULL, 1, 2, 0.1, 1.6, 1.2, 7}};
+  for (const auto& c : retries) {
+    StageRun retry = stage_run(
+        layout::Architecture::mirror_with_parity(4, true), {c.primary}, 4);
+    retry.array.seed = c.seed;
+    retry.array.logical_element_bytes =
+        array::ArrayConfig{}.logical_element_bytes;
+    disk::FaultProfile& p = retry.array.fault_overrides[c.transient_disk];
+    p.transient_read_error_p = 0.3;
+    p.transient_write_error_p = 0.3;
+    p.transient_from_s = c.from_s;
+    p.transient_until_s = c.until_s;
+    p.seed = c.seed;
+    if (c.latent_disk >= 0) {
+      retry.array.fault_overrides[c.latent_disk].latent_error_rate = 0.01;
+      retry.array.fault_overrides[c.latent_disk].seed = c.seed;
+    }
+    retry.online.arrival.rate_hz = 120.0;
+    retry.online.arrival.max_requests = 800;
+    retry.online.arrival.seed = c.seed;
+    retry.online.second_failure_at_s = c.second_at_s;
+    retry.online.second_failure_disk = c.transient_disk;
+    runs.push_back(retry);
+  }
+  return runs;
+}
+
+// One digest per engine stage family, recorded from the engine as one
+// function body before it became a class. A family whose digest moves
+// names the stage whose behaviour changed (docs/SERVING.md, "Engine
+// stages").
+TEST(OnlineGolden, EngineStageDigestsArePinned) {
+  const struct {
+    const char* family;
+    std::vector<StageRun> (*runs)();
+    std::uint64_t digest;
+  } families[] = {
+      {"arrival", arrival_family, 0x73e78963a0cebb35ull},
+      {"routing", routing_family, 0x74115feb33eb109eull},
+      {"qos", qos_family, 0xec053585094d0478ull},
+      {"drains", drain_family, 0xd05c20bc9f0ec8d9ull},
+      {"hedging", hedge_family, 0x9b41be8f205e3a39ull},
+      {"failure", failure_family, 0xfa83faae9d15f175ull},
+  };
+  for (const auto& f : families) {
+    const std::uint64_t digest = family_digest(f.runs());
+    EXPECT_EQ(digest, f.digest) << f.family << " = 0x" << std::hex << digest;
   }
 }
 

@@ -218,13 +218,21 @@ Result<array::ArrayConfig> array_cfg_from(const Flags& flags,
   const CommonOptions c = common_from(flags, d);
   auto arch = arch_from(c, replicas);
   if (!arch.is_ok()) return arch.status();
+  // Sizes the array and its disks would otherwise assert on (or, for a
+  // negative or NaN --element-mb, convert to an integer undefinedly).
+  const int content_bytes = flags.get_int("content-bytes", 256);
+  const double element_bytes = flags.get_double("element-mb", 4.0) * 1e6;
+  if (c.stacks < 1) return invalid_argument("--stacks must be >= 1");
+  if (content_bytes < 1)
+    return invalid_argument("--content-bytes must be >= 1");
+  if (!(element_bytes >= 1.0 && element_bytes < 1e18))
+    return invalid_argument(
+        "--element-mb must be finite and at least one byte (1e-6)");
   array::ArrayConfig cfg;
   cfg.arch = std::move(arch).take();
   cfg.stripes = c.stacks * cfg.arch.total_disks();
-  cfg.content_bytes =
-      static_cast<std::size_t>(flags.get_int("content-bytes", 256));
-  cfg.logical_element_bytes = static_cast<std::uint64_t>(
-      flags.get_double("element-mb", 4.0) * 1'000'000);
+  cfg.content_bytes = static_cast<std::size_t>(content_bytes);
+  cfg.logical_element_bytes = static_cast<std::uint64_t>(element_bytes);
   cfg.seed = c.seed;
   return cfg;
 }
