@@ -22,22 +22,22 @@ int main(int argc, char** argv) {
 
   std::printf("== Traditional mirror (paper Fig. 1) ==\n");
   const auto traditional = make_arrangement("traditional", n).take();
-  std::printf("%s\n", render_arrays(*traditional).c_str());
+  std::printf("%s\n", render_arrays(traditional).c_str());
   std::printf("properties: %s\n\n",
-              evaluate_properties(*traditional).to_string().c_str());
+              evaluate_properties(traditional).to_string().c_str());
 
   std::printf("== Shifted mirror (paper Fig. 3) ==\n");
   const auto shifted = make_arrangement("shifted", n).take();
-  std::printf("%s\n", render_arrays(*shifted).c_str());
+  std::printf("%s\n", render_arrays(shifted).c_str());
   std::printf("properties: %s\n",
-              evaluate_properties(*shifted).to_string().c_str());
+              evaluate_properties(shifted).to_string().c_str());
   std::printf("formula check: replica of a(i,j) sits at b(<i+j>%%%d, i)\n\n",
               n);
 
   std::printf("== Iterated transformation family (paper Fig. 8) ==\n");
   for (int k = 1; k <= 6; ++k) {
     auto arr = make_iterated(n, k);
-    const auto report = evaluate_properties(*arr);
+    const auto report = evaluate_properties(arr);
     std::printf("after %d transformation(s): %s%s\n", k,
                 report.to_string().c_str(),
                 report.all() ? "   <- usable shifted-mirror layout" : "");
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   std::printf("\nArrangements after 1, 3, 5 transformations:\n");
   for (int k = 1; k <= 5; k += 2) {
     auto arr = make_iterated(n, k);
-    std::printf("%s\n", render_arrays(*arr).c_str());
+    std::printf("%s\n", render_arrays(arr).c_str());
   }
   return 0;
 }

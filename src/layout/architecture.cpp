@@ -23,8 +23,37 @@ Result<Architecture> Architecture::mirror_named(int n,
   if (replicas < 1)
     return invalid_argument(
         "mirror architecture needs at least one replica array");
-  auto arr = AlgorithmRegistry::global().make(layout, n);
-  if (!arr.is_ok()) return arr.status();
+  auto spec = parse_layout_spec(layout);
+  if (!spec.is_ok()) return spec.status();
+  auto first = AlgorithmRegistry::global().make(spec.value(), n);
+  if (!first.is_ok()) return first.status();
+  std::vector<Arrangement> arrays;
+  arrays.reserve(static_cast<std::size_t>(replicas));
+  arrays.push_back(std::move(first).take());
+  if (replicas >= 2) {
+    const std::string& name = spec.value().name;
+    if (name != "traditional" && name != "shifted")
+      return invalid_argument("layout '" + layout +
+                              "' has no multi-replica form; R >= 2 takes "
+                              "only traditional and shifted");
+    const std::vector<int> units = units_mod(n, replicas);
+    if (name == "shifted" && static_cast<int>(units.size()) < replicas)
+      return invalid_argument(
+          "n = " + std::to_string(n) + " has only " +
+          std::to_string(units.size()) + " units; cannot build " +
+          std::to_string(replicas) + " orthogonal shifted replica arrays");
+    for (int r = 2; r <= replicas; ++r) {
+      if (name == "traditional") {
+        arrays.push_back(arrays.front());
+        continue;
+      }
+      const int c = units[static_cast<std::size_t>(r - 1)];
+      auto made = Arrangement::from_map(
+          arrays.front().name(), n,
+          [n, c](Pos p) { return affine_shift(n, c, p); });
+      arrays.push_back(std::move(made).take());
+    }
+  }
   Architecture a;
   a.kind_ = ArchKind::kMirror;
   a.n_ = n;
@@ -32,24 +61,8 @@ Result<Architecture> Architecture::mirror_named(int n,
   a.replicas_ = replicas;
   a.total_disks_ = (replicas + 1) * n;
   a.layout_spec_ = layout;
-  a.arrangement_ = std::move(arr).take();
-  if (replicas >= 2) {
-    const std::string& name = a.arrangement_->descriptor().name;
-    if (name != "traditional" && name != "shifted")
-      return invalid_argument("layout '" + layout +
-                              "' has no multi-replica form; R >= 2 takes "
-                              "only traditional and shifted");
-    if (name == "shifted") {
-      a.multipliers_ = units_mod(n, replicas);
-      if (static_cast<int>(a.multipliers_.size()) < replicas)
-        return invalid_argument(
-            "n = " + std::to_string(n) + " has only " +
-            std::to_string(a.multipliers_.size()) + " units; cannot build " +
-            std::to_string(replicas) + " orthogonal shifted replica arrays");
-      for (const int c : a.multipliers_)
-        a.inverses_.push_back(inverse_mod(c, n));
-    }
-  }
+  a.arrays_ =
+      std::make_shared<const std::vector<Arrangement>>(std::move(arrays));
   return a;
 }
 
@@ -58,8 +71,13 @@ Result<Architecture> Architecture::mirror_with_parity_named(
   auto base = mirror_named(n, layout);
   if (!base.is_ok()) return base.status();
   Architecture a = std::move(base).take();
-  if (!a.arrangement_->descriptor().supports_second_failure)
-    return failed_precondition("layout '" + a.arrangement_->name() +
+  // mirror_named resolved the spec, so its descriptor is registered.
+  const LayoutDescriptor* desc =
+      AlgorithmRegistry::global()
+          .find(parse_layout_spec(layout).value().name)
+          .value();
+  if (!desc->supports_second_failure)
+    return failed_precondition("layout '" + a.arrangement()->name() +
                                "' does not support the second-failure "
                                "(mirror + parity) machinery");
   a.kind_ = ArchKind::kMirrorParity;
@@ -127,9 +145,9 @@ std::string Architecture::name() const {
     case ArchKind::kMirror:
       return (replicas_ == 1 ? "mirror-"
                              : std::to_string(replicas_ + 1) + "-mirror-") +
-             arrangement_->name();
+             arrangement()->name();
     case ArchKind::kMirrorParity:
-      return "mirror-parity-" + arrangement_->name();
+      return "mirror-parity-" + arrangement()->name();
     case ArchKind::kRaid5: return "raid5";
     case ArchKind::kRaid6: return "raid6-shortened";
   }
@@ -178,26 +196,6 @@ int Architecture::array_of(int disk) const {
     case DiskRole::kParity: return -1;
   }
   return -1;
-}
-
-Pos Architecture::replica_of(int array_r, int data_disk_index, int row) const {
-  assert(is_mirror());
-  assert(array_r >= 1 && array_r <= replicas_);
-  const Pos local =
-      multipliers_.empty()
-          ? arrangement_->mirror_of(data_disk_index, row)
-          : affine_shift(n_,
-                         multipliers_[static_cast<std::size_t>(array_r - 1)],
-                         {data_disk_index, row});
-  return {array_r * n_ + local.disk, local.row};
-}
-
-Pos Architecture::replicated_by(int array_r, int local, int row) const {
-  assert(is_mirror());
-  assert(array_r >= 1 && array_r <= replicas_);
-  if (multipliers_.empty()) return arrangement_->data_of(local, row);
-  return affine_unshift(n_, inverses_[static_cast<std::size_t>(array_r - 1)],
-                        {local, row});
 }
 
 }  // namespace sma::layout

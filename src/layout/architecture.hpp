@@ -7,10 +7,11 @@
 //
 // A mirror kind keeps R >= 1 replica arrays (R = 1 is the paper's
 // mirror method, R = 2 the three-mirror method of GFS and Ceph, the
-// paper's Section VIII future work). Under the traditional layout every
-// replica array is the identity; under shifted, replica array r uses
-// the affine map a(i, j) -> (<i + c_r j>_n, i) with c_r the r-th unit
-// mod n (layout::affine_shift), so array 1 is the paper's shifted
+// paper's Section VIII future work), each one Arrangement table. Under
+// the traditional layout every replica array is the identity; under
+// shifted, replica array r uses the affine map
+// a(i, j) -> (<i + c_r j>_n, i) with c_r the r-th unit mod n
+// (layout::affine_shift), so array 1 is the paper's shifted
 // arrangement and any R failed disks leave every element a live copy.
 //
 // Global disk numbering:
@@ -20,6 +21,7 @@
 //   raid6 (shortened):     [0, n) data, {n, n+1} parity (P, Q)
 #pragma once
 
+#include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,7 +90,9 @@ class Architecture {
 
   /// Arrangement of replica array 1 (the registry layout); nullptr for
   /// RAID-5/6.
-  const RegistryArrangement* arrangement() const { return arrangement_.get(); }
+  const Arrangement* arrangement() const {
+    return arrays_ ? &arrays_->front() : nullptr;
+  }
 
   // --- global disk index helpers -------------------------------------
   int data_disk(int i) const;
@@ -104,7 +108,10 @@ class Architecture {
 
   /// Global position of the copy of data element a(i, j) in replica
   /// array r (1..R); mirror kinds only.
-  Pos replica_of(int array_r, int data_disk_index, int row) const;
+  Pos replica_of(int array_r, int data_disk_index, int row) const {
+    const Pos local = replica_array(array_r).mirror_of(data_disk_index, row);
+    return {array_r * n_ + local.disk, local.row};
+  }
   /// Copy c of a(i, j): c = 0 is the data copy, c = r the replica in
   /// array r.
   Pos copy_of(int c, int data_disk_index, int row) const {
@@ -113,10 +120,17 @@ class Architecture {
   }
   /// Which data element cell (local, row) of replica array r holds;
   /// mirror kinds only. Returned Pos.disk is the *data disk index*.
-  Pos replicated_by(int array_r, int local, int row) const;
+  Pos replicated_by(int array_r, int local, int row) const {
+    return replica_array(array_r).data_of(local, row);
+  }
 
  private:
   Architecture() = default;
+  const Arrangement& replica_array(int array_r) const {
+    assert(is_mirror());
+    assert(array_r >= 1 && array_r <= replicas_);
+    return (*arrays_)[static_cast<std::size_t>(array_r - 1)];
+  }
 
   ArchKind kind_ = ArchKind::kMirror;
   int n_ = 0;
@@ -124,11 +138,8 @@ class Architecture {
   int total_disks_ = 0;
   int replicas_ = 0;
   std::string layout_spec_;
-  std::shared_ptr<const RegistryArrangement> arrangement_;
-  /// Shifted with R >= 2: multipliers_[r-1] = c_r and its inverse.
-  /// Empty otherwise: every replica array uses `arrangement_`.
-  std::vector<int> multipliers_;
-  std::vector<int> inverses_;
+  /// Replica array r's arrangement at [r - 1]; shared by copies.
+  std::shared_ptr<const std::vector<Arrangement>> arrays_;
 };
 
 }  // namespace sma::layout

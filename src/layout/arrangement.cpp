@@ -9,126 +9,66 @@
 namespace sma::layout {
 
 namespace {
-int mod(int x, int m) {
-  const int r = x % m;
-  return r < 0 ? r + m : r;
-}
+/// One step of the Fig. 8 transform: column q.disk becomes a row,
+/// loop-shifted by q.row.
+Pos shift_step(int n, Pos q) { return {(q.disk + q.row) % n, q.disk}; }
 }  // namespace
 
-Pos MirrorArrangement::data_of(int mirror_disk, int mirror_row) const {
-  const auto partner = partner_of(mirror_disk, mirror_row);
-  return partner ? *partner : Pos{-1, -1};
-}
-
-std::optional<Pos> MirrorArrangement::partner_of(int mirror_disk,
-                                                 int mirror_row) const {
-  const int size = n();
-  for (int i = 0; i < size; ++i) {
-    for (int j = 0; j < size; ++j) {
-      const Pos p = mirror_of(i, j);
-      if (p.disk == mirror_disk && p.row == mirror_row) return Pos{i, j};
-    }
-  }
-  return std::nullopt;
-}
-
-bool MirrorArrangement::is_bijection() const {
-  const int size = n();
-  std::vector<std::vector<bool>> seen(
-      static_cast<std::size_t>(size),
-      std::vector<bool>(static_cast<std::size_t>(size), false));
-  for (int i = 0; i < size; ++i) {
-    for (int j = 0; j < size; ++j) {
-      const Pos p = mirror_of(i, j);
-      if (p.disk < 0 || p.disk >= size || p.row < 0 || p.row >= size)
-        return false;
-      auto cell = seen[static_cast<std::size_t>(p.disk)]
-                      [static_cast<std::size_t>(p.row)];
-      if (cell) return false;
-      seen[static_cast<std::size_t>(p.disk)][static_cast<std::size_t>(p.row)] =
-          true;
-    }
-  }
-  return true;
-}
-
-TableArrangement::TableArrangement(std::string name,
-                                   std::vector<std::vector<Pos>> table)
-    : name_(std::move(name)), table_(std::move(table)) {
-  const int size = static_cast<int>(table_.size());
-  assert(size >= 1);
-  inverse_.assign(static_cast<std::size_t>(size),
-                  std::vector<Pos>(static_cast<std::size_t>(size), {-1, -1}));
-  for (int i = 0; i < size; ++i) {
-    assert(static_cast<int>(table_[static_cast<std::size_t>(i)].size()) ==
-           size);
-    for (int j = 0; j < size; ++j) {
-      const Pos p = table_[static_cast<std::size_t>(i)]
-                          [static_cast<std::size_t>(j)];
-      assert(p.disk >= 0 && p.disk < size && p.row >= 0 && p.row < size);
-      auto& inv = inverse_[static_cast<std::size_t>(p.disk)]
-                          [static_cast<std::size_t>(p.row)];
-      assert(inv.disk == -1 && "table arrangement is not a bijection");
-      inv = {i, j};
-    }
-  }
-}
-
-Pos TableArrangement::mirror_of(int data_disk, int data_row) const {
-  return table_[static_cast<std::size_t>(data_disk)]
-               [static_cast<std::size_t>(data_row)];
-}
-
-Pos TableArrangement::data_of(int mirror_disk, int mirror_row) const {
-  return inverse_[static_cast<std::size_t>(mirror_disk)]
-                 [static_cast<std::size_t>(mirror_row)];
-}
-
-ArrangementPtr apply_shift_transform(const MirrorArrangement& prev) {
-  const int n = prev.n();
-  std::vector<std::vector<Pos>> table(
-      static_cast<std::size_t>(n),
-      std::vector<Pos>(static_cast<std::size_t>(n)));
+Result<Arrangement> Arrangement::from_map(
+    std::string name, int n, const std::function<Pos(Pos)>& map) {
+  if (n < 1)
+    return invalid_argument("arrangement '" + name + "' needs n >= 1");
+  Arrangement arr;
+  arr.name_ = std::move(name);
+  arr.n_ = n;
+  const std::size_t cells = static_cast<std::size_t>(n) * n;
+  arr.mirror_.resize(cells);
+  arr.data_.assign(cells, Pos{-1, -1});
+  const auto element = [](Pos p) {
+    return "a(" + std::to_string(p.disk) + ", " + std::to_string(p.row) + ")";
+  };
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
-      const Pos q = prev.mirror_of(i, j);
-      // One more application of: column index becomes row, row shifts
-      // the destination column.
-      table[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = {
-          mod(q.disk + q.row, n), q.disk};
+      const Pos m = map({i, j});
+      if (m.disk < 0 || m.disk >= n || m.row < 0 || m.row >= n)
+        return failed_precondition(
+            "arrangement '" + arr.name_ + "' sends " + element({i, j}) +
+            " off the " + std::to_string(n) + " x " + std::to_string(n) +
+            " grid");
+      Pos& source = arr.data_[arr.cell(m.disk, m.row)];
+      if (source.disk >= 0)
+        return failed_precondition(
+            "arrangement '" + arr.name_ + "' is not a bijection at n = " +
+            std::to_string(n) + ": " + element(source) + " and " +
+            element({i, j}) + " share mirror cell (" +
+            std::to_string(m.disk) + ", " + std::to_string(m.row) + ")");
+      source = {i, j};
+      arr.mirror_[arr.cell(i, j)] = m;
     }
   }
-  return std::make_unique<TableArrangement>(prev.name() + "+shift",
-                                            std::move(table));
+  return arr;
 }
 
-ArrangementPtr make_iterated(int n, int iterations) {
+Arrangement apply_shift_transform(const Arrangement& prev) {
+  const int n = prev.n();
+  auto made = Arrangement::from_map(prev.name() + "+shift", n, [&](Pos p) {
+    return shift_step(n, prev.mirror_of(p.disk, p.row));
+  });
+  return std::move(made).take();
+}
+
+Arrangement make_iterated(int n, int iterations) {
   assert(iterations >= 0);
-  std::vector<std::vector<Pos>> identity(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      identity[static_cast<std::size_t>(i)].push_back({i, j});
-  ArrangementPtr current =
-      std::make_unique<TableArrangement>("identity", std::move(identity));
-  for (int step = 0; step < iterations; ++step)
-    current = apply_shift_transform(*current);
-  // Give the composite a concise name.
-  std::vector<std::vector<Pos>> table(
-      static_cast<std::size_t>(n),
-      std::vector<Pos>(static_cast<std::size_t>(n)));
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      table[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          current->mirror_of(i, j);
-  return std::make_unique<TableArrangement>(
-      "iterated(" + std::to_string(iterations) + ")", std::move(table));
+  const std::string name = "iterated(" + std::to_string(iterations) + ")";
+  auto made = Arrangement::from_map(name, n, [&](Pos q) {
+    for (int step = 0; step < iterations; ++step) q = shift_step(n, q);
+    return q;
+  });
+  return std::move(made).take();
 }
 
-Result<ArrangementPtr> make_arrangement(const std::string& kind, int n) {
-  if (n < 1) return invalid_argument("arrangement needs n >= 1");
-  auto arr = AlgorithmRegistry::global().make(kind, n);
-  if (!arr.is_ok()) return arr.status();
-  return ArrangementPtr(std::move(arr).take());
+Result<Arrangement> make_arrangement(const std::string& kind, int n) {
+  return AlgorithmRegistry::global().make(kind, n);
 }
 
 namespace {
@@ -164,23 +104,6 @@ std::vector<int> units_mod(int n, int count) {
   return units;
 }
 
-int inverse_mod(int c, int n) {
-  // Extended Euclid on (n, c).
-  int t = 0;
-  int new_t = 1;
-  int r = n;
-  int new_r = mod(c, n);
-  while (new_r != 0) {
-    const int q = r / new_r;
-    t -= q * new_t;
-    std::swap(t, new_t);
-    r -= q * new_r;
-    std::swap(r, new_r);
-  }
-  assert(n == 1 || (r == 1 && "multiplier not coprime to n"));
-  return mod(t, n);
-}
-
 bool iterate_satisfies_p1p2(int n, int iterations) {
   if (n == 1) return true;
   const auto [fk, fk1] = fibonacci_mod(iterations, n);
@@ -196,7 +119,7 @@ bool iterate_satisfies_p3(int n, int iterations) {
   return gcd(fk1 == 0 ? n : fk1, n) == 1;
 }
 
-std::string render_arrays(const MirrorArrangement& arr) {
+std::string render_arrays(const Arrangement& arr) {
   const int n = arr.n();
   // Label elements 1..n*n row-major as the paper's figures do.
   auto label = [&](int disk, int row) { return row * n + disk + 1; };

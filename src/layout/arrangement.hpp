@@ -1,6 +1,6 @@
 // Mirror-array element arrangements — the paper's core contribution.
 //
-// A MirrorArrangement is a bijection telling where the replica of data
+// An Arrangement is a bijection telling where the replica of data
 // element a(i, j) (data disk i, row j) lives inside the mirror disk
 // array. The paper's shifted arrangement is
 //
@@ -11,11 +11,12 @@
 // identity map. Iterating the paper's transformation function (Section
 // VI-E, Fig. 8) yields a family of further arrangements. Every concrete
 // arrangement, the paper's two included, is a layout-registry
-// descriptor (layout/registry.hpp).
+// descriptor's map (layout/registry.hpp), tabulated once over the
+// n x n grid together with its inverse.
 #pragma once
 
-#include <memory>
-#include <optional>
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,67 +43,47 @@ inline Pos affine_shift(int n, int c, Pos data) {
   return {(data.disk + c * data.row) % n, data.disk};
 }
 
-/// Inverse of affine_shift given c^{-1} mod n: cell (d, w) holds
-/// a(w, c^{-1} (d - w)).
-inline Pos affine_unshift(int n, int c_inverse, Pos cell) {
-  const int j = (c_inverse * (cell.disk - cell.row)) % n;
-  return {cell.row, j < 0 ? j + n : j};
-}
-
 /// The units of Z_n (multipliers coprime to n) in increasing order, at
 /// most `count` of them. Every multiplier is 0 for n = 1, whose one-cell
 /// grid any number of replica arrays shares.
 std::vector<int> units_mod(int n, int count);
 
-/// c^{-1} mod n for a unit c (0 for n = 1).
-int inverse_mod(int c, int n);
-
-class MirrorArrangement {
+/// One element arrangement: the n x n placement table of a bijection
+/// and its inverse, so either lookup is one indexed load. from_map is
+/// the only way to build one and proves the bijection, so every
+/// Arrangement is one.
+class Arrangement final {
  public:
-  virtual ~MirrorArrangement() = default;
+  /// Tabulate `map`, the mirror cell of each data element a(i, j),
+  /// calling it once per element (i outer, j inner).
+  /// kInvalidArgument for n < 1; kFailedPrecondition when the map
+  /// leaves the n x n grid or sends two elements to one cell.
+  static Result<Arrangement> from_map(std::string name, int n,
+                                      const std::function<Pos(Pos)>& map);
 
-  virtual std::string name() const = 0;
-  virtual int n() const = 0;
+  const std::string& name() const { return name_; }
+  int n() const { return n_; }
 
   /// Mirror-array position of the replica of data element a(i, j).
-  virtual Pos mirror_of(int data_disk, int data_row) const = 0;
-
-  /// Inverse: which data element the mirror cell (disk, row) replicates.
-  /// Default implementation searches via partner_of; subclasses override
-  /// with closed forms where available. Only valid on bijective
-  /// arrangements — for unvalidated maps use partner_of, which reports
-  /// the malformed case instead of handing back a sentinel.
-  virtual Pos data_of(int mirror_disk, int mirror_row) const;
-
-  /// Inverse by exhaustive search, safe on malformed (non-bijective)
-  /// maps: nullopt when no data element maps to the mirror cell.
-  std::optional<Pos> partner_of(int mirror_disk, int mirror_row) const;
-
-  /// True when mirror_of is a bijection on the n x n grid (sanity check
-  /// used by tests and by IteratedArrangement construction).
-  bool is_bijection() const;
-};
-
-using ArrangementPtr = std::unique_ptr<MirrorArrangement>;
-
-/// Arrangement given by an explicit n x n table (mirror position per
-/// data element); the table-backed reference for the iterated
-/// transformation family and a base for experimenting with custom
-/// layouts.
-class TableArrangement final : public MirrorArrangement {
- public:
-  /// table[i][j] = mirror position of a(i, j); must be a bijection.
-  TableArrangement(std::string name, std::vector<std::vector<Pos>> table);
-
-  std::string name() const override { return name_; }
-  int n() const override { return static_cast<int>(table_.size()); }
-  Pos mirror_of(int data_disk, int data_row) const override;
-  Pos data_of(int mirror_disk, int mirror_row) const override;
+  Pos mirror_of(int data_disk, int data_row) const {
+    return mirror_[cell(data_disk, data_row)];
+  }
+  /// Which data element the mirror cell (disk, row) replicates.
+  Pos data_of(int mirror_disk, int mirror_row) const {
+    return data_[cell(mirror_disk, mirror_row)];
+  }
 
  private:
+  Arrangement() = default;
+  std::size_t cell(int disk, int row) const {
+    return static_cast<std::size_t>(disk) * static_cast<std::size_t>(n_) +
+           static_cast<std::size_t>(row);
+  }
+
   std::string name_;
-  std::vector<std::vector<Pos>> table_;      // [disk][row] -> mirror pos
-  std::vector<std::vector<Pos>> inverse_;    // [m.disk][m.row] -> data pos
+  int n_ = 0;
+  std::vector<Pos> mirror_;  // [i n + j] -> mirror cell of a(i, j)
+  std::vector<Pos> data_;    // [d n + w] -> data element cell (d, w) holds
 };
 
 /// Apply the paper's transformation function once: the arrangement that
@@ -110,16 +91,16 @@ class TableArrangement final : public MirrorArrangement {
 /// *row* (Fig. 8's step). Formally, if the input arrangement places the
 /// replica of a(i, j) at position q, the output places it at
 /// shift(q) = (<q.disk + q.row>_n, q.disk).
-ArrangementPtr apply_shift_transform(const MirrorArrangement& prev);
+Arrangement apply_shift_transform(const Arrangement& prev);
 
 /// The arrangement after `iterations` applications of the transform to
 /// the identity. iterations == 1 gives the shifted arrangement.
-ArrangementPtr make_iterated(int n, int iterations);
+Arrangement make_iterated(int n, int iterations);
 
 /// Factory by registry spec ("traditional", "shifted", "lrc:groups=2",
 /// "iterated:3", ...) — resolves through AlgorithmRegistry::global()
 /// (see layout/registry.hpp for the descriptor API).
-Result<ArrangementPtr> make_arrangement(const std::string& kind, int n);
+Result<Arrangement> make_arrangement(const std::string& kind, int n);
 
 /// Closed form of the iterated transform. The transform acts linearly
 /// on coordinates: T(i, j) = (i + j, i) mod n, i.e. the matrix
@@ -137,6 +118,6 @@ bool iterate_satisfies_p3(int n, int iterations);
 /// Render the data array and mirror array element labels side by side in
 /// the style of the paper's Figs. 1 and 3 (labels 1..n*n, row-major in
 /// the data array).
-std::string render_arrays(const MirrorArrangement& arr);
+std::string render_arrays(const Arrangement& arr);
 
 }  // namespace sma::layout

@@ -74,23 +74,22 @@ std::uint64_t count_valid_arrangements(int n) {
   return count_latin_squares(n) * ipow(factorial(n), n);
 }
 
-ArrangementPtr arrangement_from_latin_square(const std::vector<int>& square,
-                                             int n) {
+Arrangement arrangement_from_latin_square(const std::vector<int>& square,
+                                          int n) {
   assert(static_cast<int>(square.size()) == n * n);
-  std::vector<std::vector<Pos>> table(
-      static_cast<std::size_t>(n), std::vector<Pos>(static_cast<std::size_t>(n)));
-  std::vector<int> next_row(static_cast<std::size_t>(n), 0);
   // Scan data elements column-major (disk i, then row j) and give each
   // element the next free row on its target mirror disk.
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      const int disk = square[static_cast<std::size_t>(i) * n + j];
-      assert(disk >= 0 && disk < n);
-      table[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          Pos{disk, next_row[static_cast<std::size_t>(disk)]++};
-    }
+  std::vector<Pos> cells;
+  cells.reserve(square.size());
+  std::vector<int> next_row(static_cast<std::size_t>(n), 0);
+  for (const int disk : square) {
+    assert(disk >= 0 && disk < n);
+    cells.push_back({disk, next_row[static_cast<std::size_t>(disk)]++});
   }
-  return std::make_unique<TableArrangement>("latin-derived", std::move(table));
+  auto made = Arrangement::from_map("latin-derived", n, [&](Pos p) {
+    return cells[static_cast<std::size_t>(p.disk) * n + p.row];
+  });
+  return std::move(made).take();
 }
 
 ArrangementCensus census_all_arrangements(int n) {
@@ -103,16 +102,11 @@ ArrangementCensus census_all_arrangements(int n) {
   std::iota(perm.begin(), perm.end(), 0);
   do {
     ++census.total;
-    std::vector<std::vector<Pos>> table(
-        static_cast<std::size_t>(n),
-        std::vector<Pos>(static_cast<std::size_t>(n)));
-    for (int i = 0; i < n; ++i)
-      for (int j = 0; j < n; ++j) {
-        const int target = perm[static_cast<std::size_t>(i) * n + j];
-        table[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-            Pos{target / n, target % n};
-      }
-    TableArrangement arr("census", std::move(table));
+    auto made = Arrangement::from_map("census", n, [&](Pos p) {
+      const int target = perm[static_cast<std::size_t>(p.disk) * n + p.row];
+      return Pos{target / n, target % n};
+    });
+    const Arrangement& arr = made.value();
     const bool p1 = check_property1(arr).is_ok();
     if (!p1) continue;
     ++census.p1;

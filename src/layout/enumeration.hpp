@@ -45,8 +45,8 @@ void for_each_latin_square(
 /// Build a concrete valid arrangement from a Latin square plus a row
 /// assignment choice: rows are assigned in first-come order per mirror
 /// disk (a canonical representative of the (n!)^n family).
-ArrangementPtr arrangement_from_latin_square(const std::vector<int>& square,
-                                             int n);
+Arrangement arrangement_from_latin_square(const std::vector<int>& square,
+                                          int n);
 
 /// Brute-force census over ALL bijective arrangements of the n x n
 /// grid (n <= 3 — (n*n)! grows fast). Returns counts of bijections

@@ -4,7 +4,7 @@
 
 namespace sma::layout {
 
-Status check_property1(const MirrorArrangement& arr) {
+Status check_property1(const Arrangement& arr) {
   const int n = arr.n();
   for (int data_disk = 0; data_disk < n; ++data_disk) {
     std::vector<bool> hit(static_cast<std::size_t>(n), false);
@@ -20,7 +20,7 @@ Status check_property1(const MirrorArrangement& arr) {
   return Status::ok();
 }
 
-Status check_property2(const MirrorArrangement& arr) {
+Status check_property2(const Arrangement& arr) {
   const int n = arr.n();
   for (int mirror_disk = 0; mirror_disk < n; ++mirror_disk) {
     std::vector<bool> hit(static_cast<std::size_t>(n), false);
@@ -36,7 +36,7 @@ Status check_property2(const MirrorArrangement& arr) {
   return Status::ok();
 }
 
-Status check_property3(const MirrorArrangement& arr) {
+Status check_property3(const Arrangement& arr) {
   const int n = arr.n();
   for (int row = 0; row < n; ++row) {
     std::vector<bool> hit(static_cast<std::size_t>(n), false);
@@ -52,9 +52,8 @@ Status check_property3(const MirrorArrangement& arr) {
   return Status::ok();
 }
 
-PropertyReport evaluate_properties(const MirrorArrangement& arr) {
+PropertyReport evaluate_properties(const Arrangement& arr) {
   PropertyReport report;
-  report.bijective = arr.is_bijection();
   report.p1 = check_property1(arr).is_ok();
   report.p2 = check_property2(arr).is_ok();
   report.p3 = check_property3(arr).is_ok();
@@ -62,8 +61,7 @@ PropertyReport evaluate_properties(const MirrorArrangement& arr) {
 }
 
 std::string PropertyReport::to_string() const {
-  std::string s;
-  s += bijective ? "bijective " : "NOT-bijective ";
+  std::string s = "bijective ";
   s += p1 ? "P1 " : "!P1 ";
   s += p2 ? "P2 " : "!P2 ";
   s += p3 ? "P3" : "!P3";

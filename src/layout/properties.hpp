@@ -21,22 +21,24 @@
 namespace sma::layout {
 
 /// OK, or kFailedPrecondition naming the first violated disk.
-Status check_property1(const MirrorArrangement& arr);
-Status check_property2(const MirrorArrangement& arr);
-Status check_property3(const MirrorArrangement& arr);
+Status check_property1(const Arrangement& arr);
+Status check_property2(const Arrangement& arr);
+Status check_property3(const Arrangement& arr);
 
+/// Every Arrangement is a bijection (Arrangement::from_map proves it),
+/// so the report covers P1..P3 alone.
 struct PropertyReport {
-  bool bijective = false;
   bool p1 = false;
   bool p2 = false;
   bool p3 = false;
 
   /// All of P1..P3 (the paper's requirements for an arrangement that is
   /// "equally powerful" to the shifted one).
-  bool all() const { return bijective && p1 && p2 && p3; }
+  bool all() const { return p1 && p2 && p3; }
+  /// "bijective P1 P2 P3" style, with "!" marking a violated property.
   std::string to_string() const;
 };
 
-PropertyReport evaluate_properties(const MirrorArrangement& arr);
+PropertyReport evaluate_properties(const Arrangement& arr);
 
 }  // namespace sma::layout

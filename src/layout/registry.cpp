@@ -98,19 +98,6 @@ Result<LayoutSpec> parse_layout_spec(std::string_view spec) {
   return out;
 }
 
-RegistryArrangement::RegistryArrangement(const LayoutDescriptor* desc,
-                                         LayoutConfig cfg, std::string display)
-    : desc_(desc), cfg_(cfg), display_(std::move(display)) {}
-
-Pos RegistryArrangement::mirror_of(int data_disk, int data_row) const {
-  return desc_->map(cfg_, {data_disk, data_row});
-}
-
-Pos RegistryArrangement::data_of(int mirror_disk, int mirror_row) const {
-  if (desc_->inverse) return desc_->inverse(cfg_, {mirror_disk, mirror_row});
-  return MirrorArrangement::data_of(mirror_disk, mirror_row);
-}
-
 AlgorithmRegistry& AlgorithmRegistry::global() {
   static AlgorithmRegistry* registry = [] {
     auto* r = new AlgorithmRegistry();
@@ -121,13 +108,6 @@ AlgorithmRegistry& AlgorithmRegistry::global() {
       d.name = "traditional";
       d.summary = "RAID-1 identity: each data disk has one partner mirror";
       d.map = [](const LayoutConfig&, Pos p) { return p; };
-      d.inverse = [](const LayoutConfig&, Pos p) { return p; };
-      d.rebuild_read_set = [](const LayoutConfig& cfg, int i) {
-        std::vector<Pos> reads;
-        reads.reserve(static_cast<std::size_t>(cfg.n));
-        for (int j = 0; j < cfg.n; ++j) reads.push_back({i, j});
-        return reads;
-      };
       (void)r->add(std::move(d));
     }
 
@@ -138,16 +118,6 @@ AlgorithmRegistry& AlgorithmRegistry::global() {
       d.summary = "paper's shifted arrangement: P1-P3, one-read rebuild";
       d.map = [](const LayoutConfig& cfg, Pos p) {
         return affine_shift(cfg.n, 1, p);
-      };
-      d.inverse = [](const LayoutConfig& cfg, Pos p) {
-        return affine_unshift(cfg.n, 1, p);
-      };
-      d.rebuild_read_set = [](const LayoutConfig& cfg, int i) {
-        std::vector<Pos> reads;
-        reads.reserve(static_cast<std::size_t>(cfg.n));
-        for (int j = 0; j < cfg.n; ++j)
-          reads.push_back({mod(i + j, cfg.n), i});
-        return reads;
       };
       (void)r->add(std::move(d));
     }
@@ -179,14 +149,6 @@ AlgorithmRegistry& AlgorithmRegistry::global() {
         const auto f = fibonacci_triple_mod(cfg.iterations, cfg.n);
         return Pos{mod(f.next * p.disk + f.cur * p.row, cfg.n),
                    mod(f.cur * p.disk + f.prev * p.row, cfg.n)};
-      };
-      // Cassini: det [[F(k+1),F(k)],[F(k),F(k-1)]] = (-1)^k, so the
-      // inverse is +/-[[F(k-1),-F(k)],[-F(k),F(k+1)]] mod n.
-      d.inverse = [](const LayoutConfig& cfg, Pos p) {
-        const auto f = fibonacci_triple_mod(cfg.iterations, cfg.n);
-        const int sign = cfg.iterations % 2 == 0 ? 1 : -1;
-        return Pos{mod(sign * (f.prev * p.disk - f.cur * p.row), cfg.n),
-                   mod(sign * (-f.cur * p.disk + f.next * p.row), cfg.n)};
       };
       (void)r->add(std::move(d));
     }
@@ -228,20 +190,6 @@ AlgorithmRegistry& AlgorithmRegistry::global() {
         const int group_size = cfg.n / cfg.groups;
         const int base = (p.disk / group_size) * group_size;
         return Pos{base + mod(p.disk - base + p.row, group_size), p.row};
-      };
-      d.inverse = [](const LayoutConfig& cfg, Pos p) {
-        const int group_size = cfg.n / cfg.groups;
-        const int base = (p.disk / group_size) * group_size;
-        return Pos{base + mod(p.disk - base - p.row, group_size), p.row};
-      };
-      d.rebuild_read_set = [](const LayoutConfig& cfg, int i) {
-        const int group_size = cfg.n / cfg.groups;
-        const int base = (i / group_size) * group_size;
-        std::vector<Pos> reads;
-        reads.reserve(static_cast<std::size_t>(cfg.n));
-        for (int j = 0; j < cfg.n; ++j)
-          reads.push_back({base + mod(i - base + j, group_size), j});
-        return reads;
       };
       (void)r->add(std::move(d));
     }
@@ -288,12 +236,6 @@ AlgorithmRegistry& AlgorithmRegistry::global() {
                        mod(local + p.row, group_size),
                    p.row};
       };
-      d.inverse = [](const LayoutConfig& cfg, Pos p) {
-        const int group_size = cfg.n / cfg.groups;
-        const int group = mod(p.disk / group_size - p.row, cfg.groups);
-        const int local = mod(p.disk % group_size - p.row, group_size);
-        return Pos{group * group_size + local, p.row};
-      };
       (void)r->add(std::move(d));
     }
 
@@ -309,16 +251,6 @@ AlgorithmRegistry& AlgorithmRegistry::global() {
       d.summary = "zigzag shifts: one-access rebuild, minimal displacement";
       d.map = [](const LayoutConfig& cfg, Pos p) {
         return Pos{mod(p.disk + zigzag_shift(p.row), cfg.n), p.row};
-      };
-      d.inverse = [](const LayoutConfig& cfg, Pos p) {
-        return Pos{mod(p.disk - zigzag_shift(p.row), cfg.n), p.row};
-      };
-      d.rebuild_read_set = [](const LayoutConfig& cfg, int i) {
-        std::vector<Pos> reads;
-        reads.reserve(static_cast<std::size_t>(cfg.n));
-        for (int j = 0; j < cfg.n; ++j)
-          reads.push_back({mod(i + zigzag_shift(j), cfg.n), j});
-        return reads;
       };
       (void)r->add(std::move(d));
     }
@@ -359,15 +291,15 @@ Result<const LayoutDescriptor*> AlgorithmRegistry::find(
 
 std::vector<std::string> AlgorithmRegistry::names() const { return order_; }
 
-Result<RegistryArrangementPtr> AlgorithmRegistry::make(std::string_view spec,
-                                                       int n) const {
+Result<Arrangement> AlgorithmRegistry::make(std::string_view spec,
+                                            int n) const {
   auto parsed = parse_layout_spec(spec);
   if (!parsed.is_ok()) return parsed.status();
   return make(parsed.value(), n);
 }
 
-Result<RegistryArrangementPtr> AlgorithmRegistry::make(const LayoutSpec& spec,
-                                                       int n) const {
+Result<Arrangement> AlgorithmRegistry::make(const LayoutSpec& spec,
+                                            int n) const {
   auto found = find(spec.name);
   if (!found.is_ok()) return found.status();
   const LayoutDescriptor* desc = found.value();
@@ -398,34 +330,9 @@ Result<RegistryArrangementPtr> AlgorithmRegistry::make(const LayoutSpec& spec,
                             "' takes no parameters");
   }
 
-  auto arr = std::make_unique<RegistryArrangement>(
-      desc, cfg, desc->display_name ? desc->display_name(cfg) : desc->name);
-  if (!arr->is_bijection())
-    return failed_precondition("layout '" + arr->name() +
-                               "' is not a bijection at n = " +
-                               std::to_string(n));
-  return arr;
-}
-
-std::vector<Pos> rebuild_reads(const RegistryArrangement& arr,
-                               int failed_data_disk) {
-  const auto& desc = arr.descriptor();
-  if (desc.rebuild_read_set)
-    return desc.rebuild_read_set(arr.config(), failed_data_disk);
-  std::vector<Pos> reads;
-  reads.reserve(static_cast<std::size_t>(arr.n()));
-  for (int j = 0; j < arr.n(); ++j)
-    reads.push_back(arr.mirror_of(failed_data_disk, j));
-  return reads;
-}
-
-int rebuild_read_accesses(const RegistryArrangement& arr,
-                          int failed_data_disk) {
-  std::vector<int> per_disk(static_cast<std::size_t>(arr.n()), 0);
-  int max = 0;
-  for (const Pos& read : rebuild_reads(arr, failed_data_disk))
-    max = std::max(max, ++per_disk[static_cast<std::size_t>(read.disk)]);
-  return max;
+  return Arrangement::from_map(
+      desc->display_name ? desc->display_name(cfg) : desc->name, n,
+      [&](Pos p) { return desc->map(cfg, p); });
 }
 
 }  // namespace sma::layout

@@ -11,19 +11,20 @@
 //   * a pure `map(config, logical) -> Pos` placement function,
 //   * an optional `configure(params)` hook validating parameters
 //     ("lrc:groups=2" style), and
-//   * capability flags: `supports_second_failure` (usable under the
-//     parity-protected double-failure machinery) and an optional
-//     `rebuild_read_set` (closed-form minimal read set for a failed
-//     data disk — layouts with rebuild locality, like LRC, enumerate
-//     it without scanning the map).
+//   * a capability flag, `supports_second_failure` (usable under the
+//     parity-protected double-failure machinery).
+//
+// AlgorithmRegistry::make tabulates the map once into an Arrangement
+// (layout/arrangement.hpp), which proves the bijection and answers
+// both lookup directions from its table.
 //
 // Built-in descriptors: the paper's two arrangements (traditional and
 // shifted), the iterated transformation family in closed form, plus
 // three exotic layouts from the related-work line-up — an LRC-style
 // local-group layout, a pyramid/RAID-7-style two-level layout, and a
 // zigzag rebuild-optimal layout ("On Codes for Optimal Rebuilding
-// Access"). Adding a layout is <50 LoC: write the map (and ideally its
-// inverse), register a descriptor — see docs/LAYOUTS.md.
+// Access"). Adding a layout is <50 LoC: write the map, register a
+// descriptor — see docs/LAYOUTS.md.
 #pragma once
 
 #include <functional>
@@ -79,48 +80,17 @@ struct LayoutDescriptor {
   /// data element a(pos.disk, pos.row). Must be a bijection of the
   /// n x n grid (enforced by AlgorithmRegistry::make).
   std::function<Pos(const LayoutConfig&, Pos)> map;
-  /// Optional closed-form inverse of `map`; when absent lookups fall
-  /// back to MirrorArrangement::partner_of's grid search.
-  std::function<Pos(const LayoutConfig&, Pos)> inverse;
   /// Optional parameter hook: validate/normalize `params` into `cfg`
   /// (cfg.n is pre-filled). Specs with parameters are rejected when the
   /// descriptor has no configure hook.
   std::function<Status(const LayoutParams& params, LayoutConfig& cfg)>
       configure;
-  /// Optional capability: closed-form minimal mirror-array read set for
-  /// rebuilding a failed data disk (one Pos per lost element). Layouts
-  /// with rebuild locality (LRC groups) enumerate it directly; when
-  /// absent, rebuild_reads() derives it from `map`.
-  std::function<std::vector<Pos>(const LayoutConfig&, int failed_data_disk)>
-      rebuild_read_set;
   /// Display name for an instance ("iterated(3)"); defaults to `name`.
   std::function<std::string(const LayoutConfig&)> display_name;
   /// Key a bare spec value binds to ("iterated:3" == both spellings of
   /// "iterated:iterations=3").
   std::string default_param;
 };
-
-/// A MirrorArrangement backed by a registry descriptor.
-class RegistryArrangement final : public MirrorArrangement {
- public:
-  RegistryArrangement(const LayoutDescriptor* desc, LayoutConfig cfg,
-                      std::string display);
-
-  std::string name() const override { return display_; }
-  int n() const override { return cfg_.n; }
-  Pos mirror_of(int data_disk, int data_row) const override;
-  Pos data_of(int mirror_disk, int mirror_row) const override;
-
-  const LayoutDescriptor& descriptor() const { return *desc_; }
-  const LayoutConfig& config() const { return cfg_; }
-
- private:
-  const LayoutDescriptor* desc_;  // owned by the registry
-  LayoutConfig cfg_;
-  std::string display_;
-};
-
-using RegistryArrangementPtr = std::unique_ptr<RegistryArrangement>;
 
 class AlgorithmRegistry {
  public:
@@ -140,27 +110,16 @@ class AlgorithmRegistry {
   /// Layout names, registration order.
   std::vector<std::string> names() const;
 
-  /// Resolve a spec ("lrc:groups=2"), run the configure hook, check the
-  /// map is a bijection of the n x n grid, and build the arrangement.
-  Result<RegistryArrangementPtr> make(std::string_view spec, int n) const;
+  /// Resolve a spec ("lrc:groups=2"), run the configure hook, and
+  /// tabulate the map over the n x n grid (Arrangement::from_map: n^2
+  /// map calls, kFailedPrecondition unless it is a bijection).
+  Result<Arrangement> make(std::string_view spec, int n) const;
   /// Same, from an already-parsed spec.
-  Result<RegistryArrangementPtr> make(const LayoutSpec& spec, int n) const;
+  Result<Arrangement> make(const LayoutSpec& spec, int n) const;
 
  private:
   std::vector<std::string> order_;  // registration order
   std::map<std::string, LayoutDescriptor> descriptors_;
 };
-
-/// The mirror-array element reads needed to rebuild failed data disk
-/// `failed_data_disk` of one stripe: the descriptor's closed-form
-/// rebuild_read_set when it has one, else derived from the map. The
-/// paper's read-access metric is the max per-disk count of this set.
-std::vector<Pos> rebuild_reads(const RegistryArrangement& arr,
-                               int failed_data_disk);
-
-/// Max per-disk read count of rebuild_reads — the per-stripe rebuild
-/// element reads the bench compares layouts by.
-int rebuild_read_accesses(const RegistryArrangement& arr,
-                          int failed_data_disk);
 
 }  // namespace sma::layout

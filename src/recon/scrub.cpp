@@ -69,7 +69,7 @@ Result<ScrubReport> scrub(array::DiskArray& arr, const ScrubOptions& opts) {
   // pair are bad. Runs before pass 1: repaired pairs agree again and
   // are not re-flagged as mismatches.
   obs::Observer* const ob = opts.observer.get();
-  if (opts.verify_checksums && arr.checksums_enabled()) {
+  if (arr.checksums_enabled()) {
     auto flag = [&](int logical, int s, int row) {
       ++report.checksum_mismatches;
       if (ob != nullptr) {

@@ -61,11 +61,10 @@ struct ScrubReport {
   }
 };
 
+/// The checksum verification pass (pass 0) runs whenever the array
+/// keeps per-element checksums (ArrayConfig::checksums); without them
+/// the scrub is the plain replica/parity comparison.
 struct ScrubOptions {
-  /// Run the checksum verification pass (pass 0) when the array keeps
-  /// per-element checksums. No-op — and the scrub is bit-identical to
-  /// the plain one — when ArrayConfig::checksums is off.
-  bool verify_checksums = true;
   /// Borrowed observer: emits a kCorruption trace event per checksum
   /// mismatch.
   obs::Attach observer;

@@ -26,6 +26,13 @@
 //    piece has not completed by then a duplicate is issued to the
 //    partner copy and the first completion wins.
 //
+// With one replica array and affinity_routing on, no hedge fires: a
+// read that still reaches a flagged disk does so because its only
+// other copy is failed or flagged too, so there is no alternate to
+// hedge to (both hedge cells of sma_chaos.csv report 0 hedged reads).
+// With affinity_routing off, reads keep queueing to the flagged disk
+// and hedges fire.
+//
 // Typed kFailSlow / kHedge trace events mark flag flips and hedge
 // issues when an observer is attached. See docs/CHAOS.md.
 #pragma once

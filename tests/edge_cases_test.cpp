@@ -54,9 +54,9 @@ TEST(Edge, NEqualsTwoShiftedIsSwapColumns) {
   // n=2: the shifted arrangement maps a(i,j) -> b(<i+j>_2, i); still
   // all three properties, and the rebuild is 2x parallel.
   const auto arr = layout::make_arrangement("shifted", 2).take();
-  EXPECT_TRUE(layout::evaluate_properties(*arr).all());
-  EXPECT_EQ(arr->mirror_of(0, 1), (layout::Pos{1, 0}));
-  EXPECT_EQ(arr->mirror_of(1, 1), (layout::Pos{0, 1}));
+  EXPECT_TRUE(layout::evaluate_properties(arr).all());
+  EXPECT_EQ(arr.mirror_of(0, 1), (layout::Pos{1, 0}));
+  EXPECT_EQ(arr.mirror_of(1, 1), (layout::Pos{0, 1}));
 }
 
 TEST(Edge, SingleStripeNoRotation) {

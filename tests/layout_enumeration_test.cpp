@@ -82,7 +82,7 @@ TEST(LatinDerived, ProducesAllThreeProperties) {
   for_each_latin_square(4, [&](const std::vector<int>& sq) {
     static int budget = 40;  // spot-check a prefix of the enumeration
     auto arr = arrangement_from_latin_square(sq, 4);
-    EXPECT_TRUE(evaluate_properties(*arr).all());
+    EXPECT_TRUE(evaluate_properties(arr).all());
     return --budget > 0;
   });
 }
@@ -96,13 +96,13 @@ TEST(LatinDerived, ShiftedArrangementIsLatinDerived) {
     for (int j = 0; j < n; ++j)
       square[static_cast<std::size_t>(i) * n + j] = (i + j) % n;
   auto arr = arrangement_from_latin_square(square, n);
-  EXPECT_TRUE(evaluate_properties(*arr).all());
+  EXPECT_TRUE(evaluate_properties(arr).all());
   // Same disk assignment as the shifted arrangement (rows may differ —
   // the canonical representative assigns rows in scan order).
   const auto shifted = make_arrangement("shifted", n).take();
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < n; ++j)
-      EXPECT_EQ(arr->mirror_of(i, j).disk, shifted->mirror_of(i, j).disk);
+      EXPECT_EQ(arr.mirror_of(i, j).disk, shifted.mirror_of(i, j).disk);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@ namespace sma::layout {
 namespace {
 
 /// The registry's arrangement for `spec` at order n.
-ArrangementPtr layout_of(const std::string& spec, int n) {
+Arrangement layout_of(const std::string& spec, int n) {
   return make_arrangement(spec, n).take();
 }
 
@@ -15,10 +15,10 @@ class ShiftedProps : public ::testing::TestWithParam<int> {};
 TEST_P(ShiftedProps, ShiftedSatisfiesAllThreeProperties) {
   const int n = GetParam();
   const auto arr = layout_of("shifted", n);
-  EXPECT_TRUE(check_property1(*arr).is_ok()) << "n=" << n;
-  EXPECT_TRUE(check_property2(*arr).is_ok()) << "n=" << n;
-  EXPECT_TRUE(check_property3(*arr).is_ok()) << "n=" << n;
-  EXPECT_TRUE(evaluate_properties(*arr).all());
+  EXPECT_TRUE(check_property1(arr).is_ok()) << "n=" << n;
+  EXPECT_TRUE(check_property2(arr).is_ok()) << "n=" << n;
+  EXPECT_TRUE(check_property3(arr).is_ok()) << "n=" << n;
+  EXPECT_TRUE(evaluate_properties(arr).all());
 }
 
 INSTANTIATE_TEST_SUITE_P(N, ShiftedProps,
@@ -28,11 +28,10 @@ TEST(Traditional, ViolatesP1P2ButSatisfiesP3) {
   // The identity arrangement keeps a data disk's replicas on one mirror
   // disk (breaking P1/P2 for n > 1) but each row is spread (P3 holds).
   const auto arr = layout_of("traditional", 4);
-  EXPECT_FALSE(check_property1(*arr).is_ok());
-  EXPECT_FALSE(check_property2(*arr).is_ok());
-  EXPECT_TRUE(check_property3(*arr).is_ok());
-  const auto report = evaluate_properties(*arr);
-  EXPECT_TRUE(report.bijective);
+  EXPECT_FALSE(check_property1(arr).is_ok());
+  EXPECT_FALSE(check_property2(arr).is_ok());
+  EXPECT_TRUE(check_property3(arr).is_ok());
+  const auto report = evaluate_properties(arr);
   EXPECT_FALSE(report.p1);
   EXPECT_FALSE(report.p2);
   EXPECT_TRUE(report.p3);
@@ -40,23 +39,23 @@ TEST(Traditional, ViolatesP1P2ButSatisfiesP3) {
 }
 
 TEST(Traditional, TrivialForNEqualsOne) {
-  EXPECT_TRUE(evaluate_properties(*layout_of("traditional", 1)).all());
+  EXPECT_TRUE(evaluate_properties(layout_of("traditional", 1)).all());
 }
 
 TEST(PropertyViolation, MessagesNameTheDisk) {
   const auto arr = layout_of("traditional", 3);
-  const Status p1 = check_property1(*arr);
+  const Status p1 = check_property1(arr);
   ASSERT_FALSE(p1.is_ok());
   EXPECT_NE(p1.message().find("P1 violated"), std::string::npos);
-  const Status p2 = check_property2(*arr);
+  const Status p2 = check_property2(arr);
   ASSERT_FALSE(p2.is_ok());
   EXPECT_NE(p2.message().find("P2 violated"), std::string::npos);
 }
 
 TEST(PropertyReport, ToStringReflectsFlags) {
-  EXPECT_EQ(evaluate_properties(*layout_of("shifted", 3)).to_string(),
+  EXPECT_EQ(evaluate_properties(layout_of("shifted", 3)).to_string(),
             "bijective P1 P2 P3");
-  EXPECT_EQ(evaluate_properties(*layout_of("traditional", 3)).to_string(),
+  EXPECT_EQ(evaluate_properties(layout_of("traditional", 3)).to_string(),
             "bijective !P1 !P2 P3");
 }
 
@@ -70,9 +69,9 @@ TEST(IteratedFamily, P1P2FollowTheFibonacciLaw) {
     for (int k = 0; k <= 8; ++k) {
       auto arr = make_iterated(n, k);
       const bool expect = iterate_satisfies_p1p2(n, k);
-      EXPECT_EQ(check_property1(*arr).is_ok(), expect)
+      EXPECT_EQ(check_property1(arr).is_ok(), expect)
           << "n=" << n << " k=" << k;
-      EXPECT_EQ(check_property2(*arr).is_ok(), expect)
+      EXPECT_EQ(check_property2(arr).is_ok(), expect)
           << "n=" << n << " k=" << k;
     }
   }
@@ -83,21 +82,21 @@ TEST(IteratedFamily, PaperClaimHoldsWhenFibCoprimeToN) {
   // P1/P2, because F(1)=1, F(3)=2, F(5)=5 are all coprime to 3.
   for (int k : {1, 3, 5}) {
     auto arr = make_iterated(3, k);
-    EXPECT_TRUE(check_property1(*arr).is_ok()) << "k=" << k;
-    EXPECT_TRUE(check_property2(*arr).is_ok()) << "k=" << k;
+    EXPECT_TRUE(check_property1(arr).is_ok()) << "k=" << k;
+    EXPECT_TRUE(check_property2(arr).is_ok()) << "k=" << k;
   }
   // ...but k=3 with even n is a counterexample to the blanket claim.
   auto arr = make_iterated(4, 3);
-  EXPECT_FALSE(check_property1(*arr).is_ok());
+  EXPECT_FALSE(check_property1(arr).is_ok());
 }
 
 TEST(IteratedFamily, NotAllOddIteratesSatisfyP3) {
   // Paper Fig. 8 (n = 3): the first and fifth arrangements satisfy P3
   // while the third does not.
   const int n = 3;
-  EXPECT_TRUE(check_property3(*make_iterated(n, 1)).is_ok());
-  EXPECT_FALSE(check_property3(*make_iterated(n, 3)).is_ok());
-  EXPECT_TRUE(check_property3(*make_iterated(n, 5)).is_ok());
+  EXPECT_TRUE(check_property3(make_iterated(n, 1)).is_ok());
+  EXPECT_FALSE(check_property3(make_iterated(n, 3)).is_ok());
+  EXPECT_TRUE(check_property3(make_iterated(n, 5)).is_ok());
 }
 
 TEST(IteratedFamily, P3FollowsTheFibonacciLaw) {
@@ -107,7 +106,7 @@ TEST(IteratedFamily, P3FollowsTheFibonacciLaw) {
   for (int n = 2; n <= 8; ++n) {
     for (int k = 0; k <= 8; ++k) {
       auto arr = make_iterated(n, k);
-      EXPECT_EQ(check_property3(*arr).is_ok(), iterate_satisfies_p3(n, k))
+      EXPECT_EQ(check_property3(arr).is_ok(), iterate_satisfies_p3(n, k))
           << "n=" << n << " k=" << k;
     }
   }
@@ -118,10 +117,9 @@ TEST(CustomArrangement, RowSwapViolatesP3Detected) {
   // b(j, i) = a(i, j) (pure transpose). P1/P2 hold (columns spread) but
   // P3 fails (a row's replicas all land on one mirror disk).
   const int n = 4;
-  std::vector<std::vector<Pos>> table(n, std::vector<Pos>(n));
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j) table[i][j] = Pos{j, i};
-  TableArrangement arr("transpose", std::move(table));
+  auto made = Arrangement::from_map("transpose", n,
+                                    [](Pos p) { return Pos{p.row, p.disk}; });
+  const Arrangement& arr = made.value();
   EXPECT_TRUE(check_property1(arr).is_ok());
   EXPECT_TRUE(check_property2(arr).is_ok());
   EXPECT_FALSE(check_property3(arr).is_ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "layout/architecture.hpp"
+#include "recon/plan.hpp"
 
 namespace sma::layout {
 namespace {
@@ -124,16 +125,12 @@ TEST(LayoutRegistry, EveryBuiltinIsABijectionWithConsistentInverse) {
         arr = reg.make(name + ":groups=1", n);
       }
       ASSERT_TRUE(arr.is_ok()) << name << " n=" << n;
-      const MirrorArrangement& a = *arr.value();
-      EXPECT_TRUE(a.is_bijection()) << name << " n=" << n;
+      const Arrangement& a = arr.value();
       for (int i = 0; i < n; ++i)
         for (int j = 0; j < n; ++j) {
           const Pos m = a.mirror_of(i, j);
           EXPECT_EQ(a.data_of(m.disk, m.row), (Pos{i, j}))
               << name << " n=" << n << " i=" << i << " j=" << j;
-          const auto partner = a.partner_of(m.disk, m.row);
-          ASSERT_TRUE(partner.has_value());
-          EXPECT_EQ(*partner, (Pos{i, j}));
         }
     }
   }
@@ -142,7 +139,7 @@ TEST(LayoutRegistry, EveryBuiltinIsABijectionWithConsistentInverse) {
 /// Mirror array of an n = 3 arrangement in the paper's figure notation:
 /// row r lists the labels held by mirror disks 0..2, where data element
 /// a(i, j) carries label 3j + i + 1 (1..9 row-major in the data array).
-std::vector<std::vector<int>> mirror_labels(const MirrorArrangement& arr) {
+std::vector<std::vector<int>> mirror_labels(const Arrangement& arr) {
   std::vector<std::vector<int>> rows(3, std::vector<int>(3, 0));
   for (int i = 0; i < 3; ++i)
     for (int j = 0; j < 3; ++j) {
@@ -156,11 +153,11 @@ std::vector<std::vector<int>> mirror_labels(const MirrorArrangement& arr) {
 TEST(LayoutRegistry, MatchesThePapersFiguresAndFormulas) {
   const auto& reg = AlgorithmRegistry::global();
   // Fig. 1: the traditional mirror array repeats the data array.
-  EXPECT_EQ(mirror_labels(*reg.make("traditional", 3).value()),
+  EXPECT_EQ(mirror_labels(reg.make("traditional", 3).value()),
             (std::vector<std::vector<int>>{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}));
   // Fig. 3: data disk 0's column {1, 4, 7} becomes mirror row 0, data
   // disk 1's column {2, 5, 8} mirror row 1 shifted by one, and so on.
-  EXPECT_EQ(mirror_labels(*reg.make("shifted", 3).value()),
+  EXPECT_EQ(mirror_labels(reg.make("shifted", 3).value()),
             (std::vector<std::vector<int>>{{1, 4, 7}, {8, 2, 5}, {6, 9, 3}}));
 
   for (int n : {1, 2, 3, 5, 6}) {
@@ -170,11 +167,11 @@ TEST(LayoutRegistry, MatchesThePapersFiguresAndFormulas) {
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < n; ++j) {
         // Identity: b(i, j) = a(i, j).
-        EXPECT_EQ(trad.value()->mirror_of(i, j), (Pos{i, j})) << n;
-        EXPECT_EQ(trad.value()->data_of(i, j), (Pos{i, j})) << n;
+        EXPECT_EQ(trad.value().mirror_of(i, j), (Pos{i, j})) << n;
+        EXPECT_EQ(trad.value().data_of(i, j), (Pos{i, j})) << n;
         // Shifted: b(<i+j>_n, i) = a(i, j), inverse b(i, j) = a(j, <i-j>_n).
-        EXPECT_EQ(shift.value()->mirror_of(i, j), (Pos{(i + j) % n, i})) << n;
-        EXPECT_EQ(shift.value()->data_of(i, j), (Pos{j, (i - j + n) % n}))
+        EXPECT_EQ(shift.value().mirror_of(i, j), (Pos{(i + j) % n, i})) << n;
+        EXPECT_EQ(shift.value().data_of(i, j), (Pos{j, (i - j + n) % n}))
             << n;
       }
   }
@@ -182,65 +179,43 @@ TEST(LayoutRegistry, MatchesThePapersFiguresAndFormulas) {
   // The iterated family's closed form matches the table built by
   // applying the Fig. 8 transform step by step to the identity.
   for (int n : {3, 5, 6}) {
-    const ArrangementPtr iter = make_iterated(n, 3);
+    const Arrangement iter = make_iterated(n, 3);
     auto arr = reg.make("iterated:3", n);
     ASSERT_TRUE(arr.is_ok()) << n;
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < n; ++j) {
-        EXPECT_EQ(arr.value()->mirror_of(i, j), iter->mirror_of(i, j)) << n;
-        EXPECT_EQ(arr.value()->data_of(i, j), iter->data_of(i, j)) << n;
+        EXPECT_EQ(arr.value().mirror_of(i, j), iter.mirror_of(i, j)) << n;
+        EXPECT_EQ(arr.value().data_of(i, j), iter.data_of(i, j)) << n;
       }
-    EXPECT_EQ(arr.value()->name(), iter->name());
+    EXPECT_EQ(arr.value().name(), iter.name());
   }
 }
 
 TEST(LayoutRegistry, RebuildReadAccessesMatchTheLayoutsStory) {
-  const auto& reg = AlgorithmRegistry::global();
   const struct {
     const char* spec;
     int expected;  // max per-disk element reads rebuilding data disk 0
   } cases[] = {{"traditional", 6}, {"shifted", 1}, {"zigzag", 1},
                {"lrc:groups=2", 2}, {"pyramid:groups=2", 1}};
   for (const auto& c : cases) {
-    auto arr = reg.make(c.spec, 6);
-    ASSERT_TRUE(arr.is_ok()) << c.spec;
-    EXPECT_EQ(rebuild_read_accesses(*arr.value(), 0), c.expected) << c.spec;
-    EXPECT_EQ(rebuild_reads(*arr.value(), 0).size(), 6u) << c.spec;
+    const auto arch = Architecture::mirror_named(6, c.spec).take();
+    const auto plan = recon::plan_reconstruction(arch, {0}).take();
+    EXPECT_EQ(plan.read_accesses(arch), c.expected) << c.spec;
+    EXPECT_EQ(plan.availability_reads.size(), 6u) << c.spec;
   }
 }
 
 TEST(LayoutRegistry, LrcRebuildReadSetStaysInsideTheGroup) {
-  const auto& reg = AlgorithmRegistry::global();
-  auto arr = reg.make("lrc:groups=2", 6);
-  ASSERT_TRUE(arr.is_ok());
-  const RegistryArrangement& regarr = *arr.value();
-  ASSERT_TRUE(regarr.descriptor().rebuild_read_set != nullptr);
-  // Failed data disk 1 lives in group 0 (disks 0..2): every read must
-  // come from that group's mirror columns.
-  for (const Pos& read : rebuild_reads(regarr, 1)) {
-    EXPECT_GE(read.disk, 0);
-    EXPECT_LT(read.disk, 3);
+  // Data disks 0..2 form group 0: rebuilding any of them reads only
+  // that group's mirror disks, global 6..8.
+  const auto arch = Architecture::mirror_named(6, "lrc:groups=2").take();
+  for (int failed = 0; failed < 3; ++failed) {
+    const auto plan = recon::plan_reconstruction(arch, {failed}).take();
+    for (const recon::ElementRead& read : plan.availability_reads) {
+      EXPECT_GE(read.logical_disk, 6) << failed;
+      EXPECT_LE(read.logical_disk, 8) << failed;
+    }
   }
-}
-
-TEST(LayoutRegistry, PartnerOfReportsMalformedMaps) {
-  // A deliberately non-bijective arrangement: every data element lands
-  // on mirror cell (0, 0). partner_of must report the uncovered cells
-  // instead of fabricating a data position.
-  class Collapsing final : public MirrorArrangement {
-   public:
-    std::string name() const override { return "collapsing"; }
-    int n() const override { return 3; }
-    Pos mirror_of(int, int) const override { return {0, 0}; }
-  };
-  const Collapsing bad;
-  EXPECT_FALSE(bad.is_bijection());
-  EXPECT_FALSE(bad.partner_of(1, 1).has_value());
-  EXPECT_FALSE(bad.partner_of(2, 0).has_value());
-  // The one covered cell reports the first data element that maps there.
-  const auto hit = bad.partner_of(0, 0);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, (Pos{0, 0}));
 }
 
 TEST(LayoutRegistry, MakeRejectsNonBijectiveDescriptors) {

@@ -115,7 +115,7 @@ TEST(MultiMirror, ReplicaArrayOneMatchesPaperShiftedArrangement) {
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 4; ++j) {
       const Pos mp = m.replica_of(1, i, j);
-      const Pos pp = paper->mirror_of(i, j);
+      const Pos pp = paper.mirror_of(i, j);
       EXPECT_EQ(mp.disk - 4, pp.disk);  // array 1 global offset = n
       EXPECT_EQ(mp.row, pp.row);
     }

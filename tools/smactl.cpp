@@ -332,10 +332,10 @@ int cmd_layout(const Flags& flags) {
     spec = "iterated:" + std::to_string(flags.get_int("iterations", 1));
   auto made = layout::make_arrangement(spec, c.n);
   if (!made.is_ok()) return usage(made.status().to_string().c_str());
-  const layout::ArrangementPtr arr = std::move(made).take();
-  std::printf("%s\n", layout::render_arrays(*arr).c_str());
+  const layout::Arrangement& arr = made.value();
+  std::printf("%s\n", layout::render_arrays(arr).c_str());
   std::printf("properties: %s\n",
-              layout::evaluate_properties(*arr).to_string().c_str());
+              layout::evaluate_properties(arr).to_string().c_str());
   return 0;
 }
 
