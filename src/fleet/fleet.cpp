@@ -71,6 +71,13 @@ Result<FleetReport> run_fleet(const FleetConfig& cfg) {
         "belongs to per-array runs)");
   if (cfg.repair_capacity_scale <= 0.0)
     return invalid_argument("repair_capacity_scale must be > 0");
+  // The closed-form fleet MTTDL reads both even with the timeline off,
+  // and recon::estimate_mttdl asserts on a non-positive one; !(x > 0)
+  // also rejects NaN.
+  if (!(cfg.timeline.disk_mttf_hours > 0.0) ||
+      !(cfg.timeline.repair_hours > 0.0))
+    return invalid_argument(
+        "timeline disk MTTF and repair time must be positive");
 
   auto cycle = resolve_layout_cycle(cfg);
   if (!cycle.is_ok()) return cycle.status();

@@ -44,7 +44,7 @@ struct Request {
   int pieces_left = 0;
   bool degraded = false;
   bool is_write = false;
-  double latency = -1.0;  // set at completion (record_latencies)
+  double latency = -1.0;  // set at completion; < 0 while outstanding
 };
 
 /// The (physical disk, job) pieces one user request fans out to.
@@ -676,18 +676,15 @@ class Engine {
     kick_waiting();
   }
 
-  // A user request fully completed: latency + SLO accounting (over
-  // completed requests, per the report contract) and, closed loop, the
-  // think-time re-arm of the issuing client.
+  // A user request fully completed: its latency stamp, the SLO count
+  // (over completed requests, per the report contract), the adaptive
+  // window and, closed loop, the think-time re-arm of the issuing
+  // client. The latency sets are built from the stamps after the run.
   void finish_request(Request& rq) {
     const double latency = sim_.now() - rq.arrival;
-    if (cfg_.record_latencies) rq.latency = latency;
+    rq.latency = latency;
     ++report_.requests_completed;
-    if (rq.is_write) {
-      write_latencies_.add(latency);
-    } else {
-      read_latencies_.add(latency);
-      if (rq.degraded) degraded_latencies_.add(latency);
+    if (!rq.is_write) {
       const double slo_target = cfg_.qos.p99_target_s;
       if (slo_target > 0.0 && latency > slo_target) ++report_.slo_violations;
       if (throttle_.adaptive()) window_.push_back(latency);
@@ -784,7 +781,10 @@ class Engine {
     user_bytes_served_.assign(ndisks, 0.0);
     retries_seen_.assign(ndisks, 0.0);
     for (std::size_t d = 0; d < ndisks; ++d) {
-      const std::string prefix = "d" + std::to_string(d) + ".";
+      // Appended: GCC 12's -O3 -Wrestrict misfires on "d" + std::string.
+      std::string prefix = "d";
+      prefix += std::to_string(d);
+      prefix += '.';
       const disk::SimDisk& sd = arr_.physical(static_cast<int>(d));
       metrics_->add_probe(prefix + "util",
                           WindowedRate(&sd.counters().busy_s, 1.0));
@@ -870,9 +870,6 @@ class Engine {
   std::vector<disk::RunAccess> batch_run_;  // scratch, reused per drain
 
   std::vector<Request> requests_;
-  SampleSet read_latencies_;
-  SampleSet degraded_latencies_;
-  SampleSet write_latencies_;
   // Foreground read latencies completed since the last control tick
   // (adaptive policy only).
   std::vector<double> window_;
@@ -922,24 +919,41 @@ Result<OnlineReport> Engine::run() {
   if (rebuild_remaining_ != 0)
     return internal_error("rebuild jobs left undispatched");
 
-  if (!read_latencies_.empty()) {
-    report_.mean_latency_s = read_latencies_.mean();
-    report_.p50_latency_s = read_latencies_.percentile(50);
-    report_.p95_latency_s = read_latencies_.percentile(95);
-    report_.p99_latency_s = read_latencies_.percentile(99);
-    report_.p999_latency_s = read_latencies_.percentile(99.9);
-    report_.max_latency_s = read_latencies_.max();
+  // Each set is sorted once from its completed requests' stamps. A
+  // sorted set depends only on its values, and a request's degraded
+  // flag never changes once it completes, so this equals adding each
+  // latency as it completed (docs/PERFORMANCE.md, "Latency statistics").
+  std::vector<double> reads, degraded, writes;
+  for (const Request& rq : requests_) {
+    if (rq.latency < 0.0) continue;  // never completed
+    if (rq.is_write) {
+      writes.push_back(rq.latency);
+    } else {
+      reads.push_back(rq.latency);
+      if (rq.degraded) degraded.push_back(rq.latency);
+    }
   }
-  if (!degraded_latencies_.empty())
-    report_.mean_degraded_latency_s = degraded_latencies_.mean();
-  if (!write_latencies_.empty()) {
-    report_.mean_write_latency_s = write_latencies_.mean();
-    report_.p99_write_latency_s = write_latencies_.percentile(99);
+  const SampleSet read_latencies(std::move(reads));
+  const SampleSet degraded_latencies(std::move(degraded));
+  const SampleSet write_latencies(std::move(writes));
+  if (!read_latencies.empty()) {
+    report_.mean_latency_s = read_latencies.mean();
+    report_.p50_latency_s = read_latencies.percentile(50);
+    report_.p95_latency_s = read_latencies.percentile(95);
+    report_.p99_latency_s = read_latencies.percentile(99);
+    report_.p999_latency_s = read_latencies.percentile(99.9);
+    report_.max_latency_s = read_latencies.max();
   }
-  if (cfg_.qos.p99_target_s > 0.0 && !read_latencies_.empty())
+  if (!degraded_latencies.empty())
+    report_.mean_degraded_latency_s = degraded_latencies.mean();
+  if (!write_latencies.empty()) {
+    report_.mean_write_latency_s = write_latencies.mean();
+    report_.p99_write_latency_s = write_latencies.percentile(99);
+  }
+  if (cfg_.qos.p99_target_s > 0.0 && !read_latencies.empty())
     report_.slo_violation_pct = 100.0 *
                                 static_cast<double>(report_.slo_violations) /
-                                static_cast<double>(read_latencies_.count());
+                                static_cast<double>(read_latencies.count());
   if (throttle_.enabled()) report_.final_rebuild_budget = throttle_.budget();
   if (cfg_.record_latencies) {
     report_.latencies.reserve(requests_.size());

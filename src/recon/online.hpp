@@ -54,11 +54,14 @@ struct OnlineConfig {
   /// copies.
   double second_failure_at_s = -1.0;
   int second_failure_disk = -1;
-  /// Record every request's completion latency into
-  /// OnlineReport::latencies, indexed by issue order. Pure bookkeeping:
-  /// it draws no randomness and schedules no events, so the rest of the
-  /// report is bit-identical either way (held by test). The fleet layer
-  /// uses it to attribute latencies to logical volumes.
+  /// Copy every request's completion latency into
+  /// OnlineReport::latencies, indexed by issue order. The engine stamps
+  /// the latency on every completion either way and builds the read,
+  /// degraded and write sets from those stamps after the run, so this
+  /// is a copy only: it draws no randomness and schedules no events,
+  /// and the rest of the report is bit-identical either way (held by
+  /// test). The fleet layer uses it to attribute latencies to logical
+  /// volumes.
   bool record_latencies = false;
   /// Batch idle-disk rebuild drains into one kernel event per run
   /// instead of one per element (SimDisk::submit_run_while). Applies
@@ -160,7 +163,7 @@ struct OnlineReport {
   /// kStateChange trace event when an observer is attached).
   int state_changes = 0;
 
-  /// Per-request completion latencies in issue order, recorded only
+  /// Per-request completion latencies in issue order, copied here only
   /// when OnlineConfig::record_latencies is set (empty otherwise).
   /// A request that died without completing holds -1.
   std::vector<double> latencies;

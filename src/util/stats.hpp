@@ -45,9 +45,10 @@ class SampleSet {
   /// and +0.0 (equal under <) may swap places.
   explicit SampleSet(std::vector<double> samples);
 
-  /// Sorted insert, for incremental use: O(count()) per call, so
-  /// filling a set of n samples this way costs O(n²). Use the vector
-  /// constructor when every sample is known up front.
+  /// Sorted insert: O(count()) per call, so filling a set of n samples
+  /// this way costs O(n²). No code under src/ fills a set with it any
+  /// more; every set there is built from a vector. It stays for
+  /// benchmark/'s recompositions and the stats tests.
   void add(double x);
   void reserve(std::size_t n) { samples_.reserve(n); }
   std::size_t count() const { return samples_.size(); }

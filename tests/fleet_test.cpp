@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 
 #include "array/disk_array.hpp"
@@ -126,6 +127,26 @@ TEST(FleetReport, RejectsBadConfigs) {
   cfg = small_fleet();
   cfg.arrays = 0;
   EXPECT_EQ(run_fleet(cfg).status().code(), ErrorCode::kInvalidArgument);
+}
+
+// The closed-form fleet MTTDL runs before the timeline (and without
+// it), and recon::estimate_mttdl asserts on a non-positive rate: the
+// fleet must refuse such a rate itself, never abort.
+TEST(FleetReport, RejectsNonPositiveMttfBeforeTheMttdlEstimate) {
+  for (const bool timeline : {true, false}) {
+    SCOPED_TRACE(timeline ? "timeline on" : "timeline off");
+    FleetConfig cfg = small_fleet();
+    cfg.run_timeline = timeline;
+    cfg.timeline.disk_mttf_hours = 0.0;
+    EXPECT_EQ(run_fleet(cfg).status().code(), ErrorCode::kInvalidArgument);
+    cfg.timeline.disk_mttf_hours = std::nan("");
+    EXPECT_EQ(run_fleet(cfg).status().code(), ErrorCode::kInvalidArgument);
+    cfg = small_fleet();
+    cfg.run_timeline = timeline;
+    cfg.failed_arrays = 0;  // nothing rebuilds, so nothing derives it
+    cfg.timeline.repair_hours = 0.0;
+    EXPECT_EQ(run_fleet(cfg).status().code(), ErrorCode::kInvalidArgument);
+  }
 }
 
 TEST(FleetReport, ArrangementMixMatchesItsLayoutSpecs) {

@@ -15,6 +15,7 @@
 #include "obs/trace_sink.hpp"
 #include "recon/executor.hpp"
 #include "recon/failure.hpp"
+#include "util/stats.hpp"
 
 namespace sma::recon {
 namespace {
@@ -98,10 +99,14 @@ TEST(Online, ZeroLoadRebuildEqualsTheBatchExecutorsReadMakespan) {
     ASSERT_TRUE(served.is_ok()) << served.status().to_string();
     EXPECT_EQ(served.value().requests_issued, 0u);
     EXPECT_GT(served.value().rebuild_done_s, 0.0);
+    std::string failed_list = std::to_string(failed[0]);
+    if (failed.size() > 1) {
+      failed_list += ',';
+      failed_list += std::to_string(failed[1]);
+    }
     EXPECT_EQ(served.value().rebuild_done_s, rebuilt.value().read_makespan_s)
         << arch.name() << " n=" << arch.n() << " R=" << arch.replicas()
-        << " failed " << failed[0]
-        << (failed.size() > 1 ? "," + std::to_string(failed[1]) : "");
+        << " failed " << failed_list;
   };
   std::size_t cases = 0;
   for (int n = 3; n <= 7; ++n) {
@@ -140,6 +145,87 @@ TEST(Online, CompletesRebuildAndCollectsLatencies) {
   EXPECT_GT(report.value().mean_latency_s, 0.0);
   EXPECT_GE(report.value().p99_latency_s, report.value().p50_latency_s);
   EXPECT_GE(report.value().max_latency_s, report.value().p99_latency_s);
+}
+
+// The report's read statistics are one SampleSet over the completed
+// reads; a set built from the per-request record must agree bit for
+// bit. Read-only runs, so every completed entry is a read. Two cases
+// stress the bookkeeping: a second failure reroutes orphaned reads
+// (marking some degraded after arrival), and hedging without copy
+// affinity (HedgeOnline.HedgedReadsFireWithoutCopyAffinity's setup)
+// completes pairs whose losers must not count again.
+TEST(Online, StatisticsMatchTheRecordedLatencies) {
+  struct Case {
+    const char* name;
+    array::ArrayConfig array;
+    OnlineConfig online;
+  };
+  std::vector<Case> cases;
+  for (const bool shifted : {true, false}) {
+    Case c{shifted ? "shifted" : "traditional",
+           cfg_for(layout::Architecture::mirror(4, shifted), 4), {}};
+    c.online.arrival.rate_hz = 60;
+    c.online.arrival.max_requests = 800;
+    cases.push_back(c);
+  }
+  {
+    const auto r2 = layout::Architecture::mirror_named(4, "shifted", 2);
+    Case c{"adaptive R=2", cfg_for(r2.value()), {}};
+    c.online.arrival.max_requests = 400;
+    c.online.qos.policy = workload::RebuildPolicy::kAdaptive;
+    c.online.qos.p99_target_s = 0.1;
+    cases.push_back(c);
+  }
+  {
+    Case c{"second failure",
+           cfg_for(layout::Architecture::mirror_with_parity(4, true)), {}};
+    c.online.arrival.rate_hz = 40;
+    c.online.arrival.max_requests = 300;
+    c.online.arrival.seed = 33;
+    c.online.second_failure_at_s = 1.0;
+    c.online.second_failure_disk = 5;
+    cases.push_back(c);
+  }
+  {
+    Case c{"hedged without affinity",
+           cfg_for(layout::Architecture::mirror(4, true), 4), {}};
+    c.array.fault_overrides[2].slow_factor = 8.0;
+    c.online.arrival.rate_hz = 150;
+    c.online.arrival.max_requests = 1500;
+    c.online.arrival.seed = 11;
+    c.online.hedge.enabled = true;
+    c.online.hedge.warmup_samples = 8;
+    c.online.hedge.affinity_routing = false;
+    cases.push_back(c);
+  }
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.online.record_latencies = true;
+    array::DiskArray arr(c.array);
+    arr.fail_physical(0);
+    const auto r = run_online_reconstruction(arr, c.online);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    const OnlineReport& rep = r.value();
+    std::vector<double> completed;
+    for (const double lat : rep.latencies)
+      if (lat >= 0.0) completed.push_back(lat);
+    const SampleSet set(std::move(completed));
+    ASSERT_FALSE(set.empty());
+    EXPECT_EQ(set.count(), rep.requests_completed);
+    EXPECT_EQ(set.mean(), rep.mean_latency_s);
+    EXPECT_EQ(set.percentile(50), rep.p50_latency_s);
+    EXPECT_EQ(set.percentile(95), rep.p95_latency_s);
+    EXPECT_EQ(set.percentile(99), rep.p99_latency_s);
+    EXPECT_EQ(set.percentile(99.9), rep.p999_latency_s);
+    EXPECT_EQ(set.max(), rep.max_latency_s);
+    if (c.online.second_failure_disk >= 0) {
+      EXPECT_TRUE(rep.second_failure_injected);
+      EXPECT_GT(rep.degraded_reads, 0u);
+    }
+    if (c.online.hedge.enabled) {
+      EXPECT_GT(rep.hedged_reads, 0u);
+    }
+  }
 }
 
 TEST(Online, DeterministicForFixedSeed) {

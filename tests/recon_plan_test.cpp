@@ -259,10 +259,15 @@ TEST(Plan, ReadsAreDeduplicated) {
   for (const auto& arch : planner_grid()) {
     for (const auto& failed : planner_failure_sets(arch)) {
       auto plan = plan_reconstruction(arch, failed);
-      const std::string where =
-          arch.name() + " n=" + std::to_string(arch.n()) + " failed " +
-          std::to_string(failed[0]) +
-          (failed.size() > 1 ? "," + std::to_string(failed[1]) : "");
+      std::string where = arch.name();
+      where += " n=";
+      where += std::to_string(arch.n());
+      where += " failed ";
+      where += std::to_string(failed[0]);
+      if (failed.size() > 1) {
+        where += ',';
+        where += std::to_string(failed[1]);
+      }
       const bool tolerated =
           static_cast<int>(failed.size()) <= arch.fault_tolerance();
       ASSERT_EQ(plan.is_ok(), tolerated) << where;

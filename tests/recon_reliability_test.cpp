@@ -120,9 +120,16 @@ TEST(FatalCounts, MirrorParityNoFatalPairs) {
 
 std::string describe(const layout::Architecture& arch,
                      const std::vector<int>& failed) {
-  std::string out = arch.name() + " n=" + std::to_string(arch.n()) + " {";
-  for (const int d : failed) out += " " + std::to_string(d);
-  return out + " }";
+  std::string out = arch.name();
+  out += " n=";
+  out += std::to_string(arch.n());
+  out += " {";
+  for (const int d : failed) {
+    out += ' ';
+    out += std::to_string(d);
+  }
+  out += " }";
+  return out;
 }
 
 TEST(RecoverableDifferential, AgreesWithTheReferenceOnEveryCoveredSet) {

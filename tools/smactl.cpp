@@ -52,6 +52,7 @@
 //   smactl chaos     --soak=N [--threads=K] [--seed=<u64>] [--n=4]
 //                    [--arrangement=shifted|traditional]
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -401,6 +402,17 @@ int cmd_faults(const Flags& flags) {
   cfg.fault.slow_factor = flags.get_double("slow", 1.0);
   cfg.fault.seed = static_cast<std::uint64_t>(flags.get_int("fault-seed", 1));
   cfg.io_max_retries = flags.get_int("retries", 2);
+  // The chaos grammar's ranges, with the inert values allowed: a NaN
+  // fails every comparison, so each check is written to reject it.
+  const auto in_unit = [](double p) { return p >= 0.0 && p <= 1.0; };
+  const double slow = cfg.fault.slow_factor;
+  if (!in_unit(cfg.fault.latent_error_rate))
+    return usage("--latent must lie in [0, 1]");
+  if (!in_unit(cfg.fault.transient_read_error_p))
+    return usage("--transient must lie in [0, 1]");
+  if (!(slow >= 1.0 && std::isfinite(slow)))
+    return usage("--slow must be finite and >= 1");
+  if (cfg.io_max_retries < 0) return usage("--retries must be >= 0");
   array::DiskArray arr(cfg);
   arr.initialize();
   auto failed = flags.get_int_list("fail");
@@ -1102,6 +1114,9 @@ int cmd_reliability(const Flags& flags) {
   recon::MttdlParams params;
   params.disk_mttf_hours = flags.get_double("mttf-h", 1.0e6);
   params.mttr_hours = flags.get_double("mttr-h", 1.0);
+  // estimate_mttdl asserts on these; !(x > 0) also rejects NaN.
+  if (!(params.disk_mttf_hours > 0.0)) return usage("--mttf-h must be > 0");
+  if (!(params.mttr_hours > 0.0)) return usage("--mttr-h must be > 0");
   const auto report = recon::estimate_mttdl(arch, params);
   std::printf("%s: avg fatal 2nd = %.2f, avg fatal 3rd = %.2f, "
               "MTTR %.3f h -> MTTDL %.3e years\n",
@@ -1240,6 +1255,7 @@ int cmd_repair(const Flags& flags) {
 
 int cmd_update_penalty(const Flags& flags) {
   const int n = flags.get_int("n", 5);
+  if (n < 1) return usage("--n must be >= 1");
   const ec::EvenOddCodec evenodd(n);
   const ec::RdpCodec rdp(n);
   const ec::Codec* codecs[] = {&evenodd, &rdp};
