@@ -1,6 +1,7 @@
 #include "fleet/timeline.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -32,15 +33,17 @@ struct ArrayActor {
 Result<TimelineReport> run_failure_timeline(const layout::Architecture& arch,
                                             const TimelineConfig& cfg) {
   if (cfg.arrays <= 0) return invalid_argument("timeline needs arrays > 0");
-  if (cfg.horizon_hours <= 0.0 || cfg.disk_mttf_hours <= 0.0 ||
-      cfg.repair_hours <= 0.0)
+  if (!(cfg.horizon_hours > 0.0) || !(cfg.disk_mttf_hours > 0.0) ||
+      !(cfg.repair_hours > 0.0))
     return invalid_argument(
         "timeline horizon, disk MTTF and repair time must be positive");
   if (cfg.domain_size < 0)
     return invalid_argument("timeline domain_size must be >= 0");
-  if (cfg.domain_size > 0 && cfg.domain_hazard_factor < 1.0)
+  if (cfg.domain_size > 0 && !(std::isfinite(cfg.domain_hazard_factor) &&
+                               cfg.domain_hazard_factor >= 1.0))
     return invalid_argument(
-        "timeline domain_hazard_factor must be >= 1 with domains enabled");
+        "timeline domain_hazard_factor must be finite and >= 1 with domains "
+        "enabled");
 
   const int disks = arch.total_disks();
   obs::Observer* const ob = cfg.observer.get();

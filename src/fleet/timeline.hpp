@@ -47,7 +47,8 @@ struct TimelineConfig {
   /// Pending failure draws are redrawn (memorylessness makes that
   /// distribution-exact) whenever the domain's stress changes.
   /// domain_size 0 (or factor 1) = independent arrays, bit-identical
-  /// to the pre-domain timeline.
+  /// to the pre-domain timeline. With domains on, the factor must be
+  /// finite and >= 1.
   int domain_size = 0;
   double domain_hazard_factor = 1.0;
   /// Borrowed observer: per-array lifecycle transitions, fleet

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "gf/region.hpp"
@@ -17,6 +17,31 @@ std::uint64_t request_seed(std::uint64_t base, int request) {
   return splitmix64(s);
 }
 
+/// Apply one acked write of `fresh` to data element a(i, j) of stripe
+/// s: fold the parity delta (parity ^= old ^ fresh) from the data
+/// copy's old bytes, write every copy, and record the new checksums
+/// when the array keeps them. `delta` is content_bytes of scratch.
+void write_element(array::DiskArray& arr, int s, int i, int j,
+                   std::span<const std::uint8_t> fresh,
+                   std::span<std::uint8_t> delta) {
+  const auto& arch = arr.arch();
+  if (arch.has_parity()) {
+    auto data = arr.content(arch.data_disk(i), s, j);
+    std::copy(data.begin(), data.end(), delta.begin());
+    gf::region_xor(fresh, delta);
+    gf::region_xor(delta, arr.content(arch.parity_disk(), s, j));
+    if (arr.checksums_enabled())
+      arr.update_element_checksum(arch.parity_disk(), s, j);
+  }
+  for (int c = 0; c <= arch.replicas(); ++c) {
+    const layout::Pos at = arch.copy_of(c, i, j);
+    auto copy = arr.content(at.disk, s, at.row);
+    std::copy(fresh.begin(), fresh.end(), copy.begin());
+    if (arr.checksums_enabled())
+      arr.update_element_checksum(at.disk, s, at.row);
+  }
+}
+
 }  // namespace
 
 Result<CrashWorkloadReport> run_crash_workload(array::DiskArray& arr,
@@ -24,10 +49,6 @@ Result<CrashWorkloadReport> run_crash_workload(array::DiskArray& arr,
   const auto& arch = arr.arch();
   if (!arch.is_mirror())
     return invalid_argument("crash workload supports the mirror architectures");
-  // Each request writes the data copy and one replica (resync's pairs).
-  if (arch.replicas() != 1)
-    return invalid_argument(
-        "crash workload writes pairs: one replica array only");
   if (cfg.requests <= 0) return invalid_argument("requests must be positive");
   if (arr.crashed())
     return failed_precondition("crash workload on a powered-off array");
@@ -38,6 +59,7 @@ Result<CrashWorkloadReport> run_crash_workload(array::DiskArray& arr,
   const std::size_t eb = arr.config().content_bytes;
   std::vector<std::uint8_t> fresh(eb);
   std::vector<std::uint8_t> delta(eb);
+  std::vector<array::Op> ops;
 
   for (int req = 0; req < cfg.requests; ++req) {
     const int i = static_cast<int>(
@@ -46,34 +68,18 @@ Result<CrashWorkloadReport> run_crash_workload(array::DiskArray& arr,
         rng.next_below(static_cast<std::uint64_t>(arr.stripes())));
     const int j = static_cast<int>(
         rng.next_below(static_cast<std::uint64_t>(arch.rows())));
-    const int dd = arch.data_disk(i);
-    const layout::Pos rp = arch.replica_of(1, i, j);
 
     fill_pattern(request_seed(cfg.seed, req), fresh.data(), fresh.size());
 
-    // Apply the request's bytes to contents first, then time the writes:
-    // if the crash fires inside this batch, execute() garbles exactly
-    // the slots whose writes never completed.
-    auto data = arr.content(dd, s, j);
-    if (arch.has_parity()) {
-      // Parity delta: parity ^= old ^ new.
-      std::copy(data.begin(), data.end(), delta.begin());
-      gf::region_xor(fresh, delta);
-      gf::region_xor(delta, arr.content(arch.parity_disk(), s, j));
+    // Apply the request's bytes to contents first, then time the writes
+    // (every copy, then parity): if the crash fires inside this batch,
+    // execute() garbles exactly the slots whose writes never completed.
+    write_element(arr, s, i, j, fresh, delta);
+    ops.clear();
+    for (int c = 0; c <= arch.replicas(); ++c) {
+      const layout::Pos at = arch.copy_of(c, i, j);
+      ops.push_back({at.disk, s, at.row, disk::IoKind::kWrite});
     }
-    std::copy(fresh.begin(), fresh.end(), data.begin());
-    auto mirror = arr.content(rp.disk, s, rp.row);
-    std::copy(fresh.begin(), fresh.end(), mirror.begin());
-    if (arr.checksums_enabled()) {
-      arr.update_element_checksum(dd, s, j);
-      arr.update_element_checksum(rp.disk, s, rp.row);
-      if (arch.has_parity())
-        arr.update_element_checksum(arch.parity_disk(), s, j);
-    }
-
-    std::vector<array::Op> ops;
-    ops.push_back({dd, s, j, disk::IoKind::kWrite});
-    ops.push_back({rp.disk, s, rp.row, disk::IoKind::kWrite});
     if (arch.has_parity())
       ops.push_back({arch.parity_disk(), s, j, disk::IoKind::kWrite});
 
@@ -104,9 +110,8 @@ Result<std::vector<InjectedCorruption>> inject_silent_corruption(
   if (!arr.failed_physical().empty())
     return failed_precondition("inject_silent_corruption on a degraded array");
   if (kind != SilentCorruption::kBitRot) {
-    if (!arch.is_mirror() || arch.replicas() != 1)
-      return invalid_argument(
-          "lost/misdirected writes need a mirror with one replica array");
+    if (!arch.is_mirror())
+      return invalid_argument("lost/misdirected writes need a mirror");
     if (!arr.checksums_enabled())
       return failed_precondition(
           "lost/misdirected writes are checksum-vs-content divergences; "
@@ -140,30 +145,20 @@ Result<std::vector<InjectedCorruption>> inject_silent_corruption(
       continue;
     }
 
+    // Both modes ack a write of `fresh` to a(i, j) — every copy, the
+    // parity delta and the checksums land — but the data-copy write
+    // itself never reaches its slot: the media keeps `old` under the
+    // fresh checksum.
     const int i = static_cast<int>(
         rng.next_below(static_cast<std::uint64_t>(arch.n())));
     const int dd = arch.data_disk(i);
-    const layout::Pos rp = arch.replica_of(1, i, j);
     auto data = arr.content(dd, s, j);
     std::copy(data.begin(), data.end(), old.begin());
     fill_pattern(rng.next_u64(), fresh.data(), fresh.size());
 
     if (kind == SilentCorruption::kLostWrite) {
-      // The request reached the replica and the parity, and was acked —
-      // but the data-copy write never hit media. Stored checksum says
-      // `fresh`, media still holds `old`.
-      auto mirror = arr.content(rp.disk, s, rp.row);
-      std::copy(fresh.begin(), fresh.end(), mirror.begin());
-      arr.update_element_checksum(rp.disk, s, rp.row);
-      if (arch.has_parity()) {
-        std::copy(old.begin(), old.end(), delta.begin());
-        gf::region_xor(fresh, delta);
-        gf::region_xor(delta, arr.content(arch.parity_disk(), s, j));
-        arr.update_element_checksum(arch.parity_disk(), s, j);
-      }
-      std::copy(fresh.begin(), fresh.end(), data.begin());
-      arr.update_element_checksum(dd, s, j);  // the ack covers the intent
-      std::copy(old.begin(), old.end(), data.begin());  // ...media disagrees
+      write_element(arr, s, i, j, fresh, delta);
+      std::copy(old.begin(), old.end(), data.begin());
       used_stripes.insert(s);
       injected.push_back({kind, dd, s, j});
       continue;
@@ -172,30 +167,20 @@ Result<std::vector<InjectedCorruption>> inject_silent_corruption(
     // Misdirected: the data-copy write landed one slot over on the same
     // physical disk, clobbering whatever lived there. Two divergences:
     // the starved target (checksum=fresh, content=old) and the
-    // clobbered neighbor (content=fresh under its own checksum).
+    // clobbered neighbor (content=fresh under its own checksum). Keep
+    // each injection independently repairable: the neighbor must lie
+    // outside the victim's stripe, which holds every copy of the victim
+    // and its parity row, and outside every stripe injected so far.
     const int phys = arr.physical_disk(dd, s);
     const std::int64_t sl = arr.slot(s, j);
     const std::int64_t nsl =
         sl + 1 < arr.physical(phys).slot_count() ? sl + 1 : sl - 1;
     const int ns = static_cast<int>(nsl / arch.rows());
     const int nj = static_cast<int>(nsl % arch.rows());
-    if (ns != s && used_stripes.count(ns) > 0) continue;
+    if (ns == s || used_stripes.count(ns) > 0) continue;
     const int nlogical = arr.logical_disk(phys, ns);
-    // Keep each injection independently repairable: the neighbor must
-    // not be the victim's own replica or parity input row mate.
-    if (ns == s && (nlogical == rp.disk || nlogical == dd)) continue;
 
-    auto mirror = arr.content(rp.disk, s, rp.row);
-    std::copy(fresh.begin(), fresh.end(), mirror.begin());
-    arr.update_element_checksum(rp.disk, s, rp.row);
-    if (arch.has_parity()) {
-      std::copy(old.begin(), old.end(), delta.begin());
-      gf::region_xor(fresh, delta);
-      gf::region_xor(delta, arr.content(arch.parity_disk(), s, j));
-      arr.update_element_checksum(arch.parity_disk(), s, j);
-    }
-    std::copy(fresh.begin(), fresh.end(), data.begin());
-    arr.update_element_checksum(dd, s, j);
+    write_element(arr, s, i, j, fresh, delta);
     std::copy(old.begin(), old.end(), data.begin());
     auto neighbor = arr.physical(phys).content(nsl);
     std::copy(fresh.begin(), fresh.end(), neighbor.begin());

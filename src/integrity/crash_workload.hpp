@@ -3,11 +3,13 @@
 // The timing-only workload executors (workload/) never touch stored
 // bytes, but crash experiments need content honesty: the crash victim's
 // torn/lost/misdirected bytes must be *observable* afterward. Each
-// request here applies the new bytes to the data copy, its replica, and
-// the parity delta (checksums maintained when enabled) and then issues
-// the three timed writes through DiskArray::execute — so an armed crash
-// point garbles exactly the slots whose writes were in flight, and the
-// dirty-region log records exactly the regions with outstanding intent.
+// request here applies the new bytes to every copy of one data element
+// (the data copy and one per replica array) and the parity delta
+// (checksums maintained when enabled), then issues the timed writes —
+// copies in order, parity last — through DiskArray::execute, so an
+// armed crash point garbles exactly the slots whose writes were in
+// flight, and the dirty-region log records exactly the regions with
+// outstanding intent.
 //
 // The injectors model the three classic silent-corruption modes on an
 // otherwise healthy array; recon::scrub with checksums is expected to
@@ -25,8 +27,8 @@
 namespace sma::integrity {
 
 struct CrashWorkloadConfig {
-  /// Element-write requests to issue (each touches data + mirror +
-  /// parity when present).
+  /// Element-write requests to issue (each touches every copy + parity
+  /// when present).
   int requests = 100;
   std::uint64_t seed = 1;
   /// Clear the dirty-region log every k requests, modeling a quiesce
@@ -51,8 +53,9 @@ struct CrashWorkloadReport {
 };
 
 /// Run the workload until `requests` are issued or the array crashes.
-/// Mirror architectures only. The array is left exactly as the crash
-/// (if any) left it: powered off, divergent copies in dirty regions.
+/// Mirror architectures, any replica count. The array is left exactly
+/// as the crash (if any) left it: powered off, divergent copies in
+/// dirty regions.
 Result<CrashWorkloadReport> run_crash_workload(array::DiskArray& arr,
                                                const CrashWorkloadConfig& cfg);
 
@@ -76,8 +79,9 @@ struct InjectedCorruption {
 /// Inject `count` corruptions of `kind`, one per distinct stripe (so
 /// redundancy partners stay intact and every injection is repairable).
 /// kLostWrite / kMisdirectedWrite require checksums enabled — they
-/// *are* checksum-vs-content divergences by definition. count must not
-/// exceed the stripe count.
+/// *are* checksum-vs-content divergences by definition: an acked write
+/// reaches every other copy, the parity and the checksums, but not the
+/// data copy. count must not exceed the stripe count.
 Result<std::vector<InjectedCorruption>> inject_silent_corruption(
     array::DiskArray& arr, Rng& rng, int count, SilentCorruption kind);
 

@@ -8,22 +8,10 @@
 
 namespace sma::integrity {
 
-namespace {
-
-bool equal_spans(std::span<const std::uint8_t> a,
-                 std::span<const std::uint8_t> b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-}
-
-}  // namespace
-
 Result<ResyncReport> resync(array::DiskArray& arr, const ResyncOptions& opts) {
   const auto& arch = arr.arch();
   if (!arch.is_mirror())
     return invalid_argument("resync supports the mirror architectures");
-  // Reconciliation compares the data copy with one replica.
-  if (arch.replicas() != 1)
-    return invalid_argument("resync reconciles pairs: one replica array only");
   if (arr.crashed())
     return failed_precondition("resync on a powered-off array; power_cycle() first");
 
@@ -47,25 +35,36 @@ Result<ResyncReport> resync(array::DiskArray& arr, const ResyncOptions& opts) {
 
   obs::Observer* ob = opts.observer.get();
   const int n = arch.n();
+  const int copies = arch.replicas() + 1;
   auto disk_live = [&](int logical, int s) {
     return !arr.physical(arr.physical_disk(logical, s)).failed();
   };
+  // Where copy c of the element being reconciled lives (scratch sized
+  // once: no allocation per element), and whether every copy is live.
+  std::vector<layout::Pos> at(static_cast<std::size_t>(copies));
+  auto locate_live = [&](int s, int i, int j) {
+    bool live = true;
+    for (int c = 0; c < copies; ++c) {
+      at[c] = arch.copy_of(c, i, j);
+      live = live && disk_live(at[c].disk, s);
+    }
+    return live;
+  };
+  auto copy_content = [&](int s, int c) {
+    return arr.content(at[c].disk, s, at[c].row);
+  };
 
-  // Phase 1 (timed): stream both copies of every pair — and the parity
-  // element — of every suspect stripe.
+  // Phase 1 (timed): stream every copy of every element whose copies
+  // are all live — and the parity element — of every suspect stripe.
   std::vector<array::Op> reads;
   for (const auto& [r, range] : regions) {
     (void)r;
     for (int s = range.first; s < range.second; ++s) {
-      for (int i = 0; i < n; ++i) {
-        const int dd = arch.data_disk(i);
-        for (int j = 0; j < arch.rows(); ++j) {
-          const layout::Pos rp = arch.replica_of(1, i, j);
-          if (!disk_live(dd, s) || !disk_live(rp.disk, s)) continue;
-          reads.push_back({dd, s, j, disk::IoKind::kRead});
-          reads.push_back({rp.disk, s, rp.row, disk::IoKind::kRead});
-        }
-      }
+      for (int i = 0; i < n; ++i)
+        for (int j = 0; j < arch.rows(); ++j)
+          if (locate_live(s, i, j))
+            for (int c = 0; c < copies; ++c)
+              reads.push_back({at[c].disk, s, at[c].row, disk::IoKind::kRead});
       if (arch.has_parity() && disk_live(arch.parity_disk(), s))
         for (int j = 0; j < arch.rows(); ++j)
           reads.push_back({arch.parity_disk(), s, j, disk::IoKind::kRead});
@@ -84,77 +83,72 @@ Result<ResyncReport> resync(array::DiskArray& arr, const ResyncOptions& opts) {
   for (const auto& [r, range] : regions) {
     for (int s = range.first; s < range.second; ++s) {
       ++report.stripes_scanned;
-      bool all_pairs_live = true;
+      bool all_copies_live = true;
       for (int i = 0; i < n; ++i) {
-        const int dd = arch.data_disk(i);
         for (int j = 0; j < arch.rows(); ++j) {
-          const layout::Pos rp = arch.replica_of(1, i, j);
-          if (!disk_live(dd, s) || !disk_live(rp.disk, s)) {
+          if (!locate_live(s, i, j)) {
             ++report.pairs_skipped;
-            all_pairs_live = false;
+            all_copies_live = false;
             continue;
           }
           ++report.pairs_compared;
-          auto data = arr.content(dd, s, j);
-          auto mirror = arr.content(rp.disk, s, rp.row);
-          if (equal_spans(data, mirror)) continue;
+          bool agree = true;
+          for (int c = 1; c < copies && agree; ++c)
+            agree = std::ranges::equal(copy_content(s, 0), copy_content(s, c));
+          if (agree) continue;
           ++report.diverged;
           if (ob != nullptr) {
             obs::TraceEvent ev;
             ev.kind = obs::EventKind::kCorruption;
             ev.t_s = read_stats.end_s;
-            ev.disk = arr.physical_disk(dd, s);
+            ev.disk = arr.physical_disk(at[0].disk, s);
             ev.stripe = s;
             ev.slot = arr.slot(s, j);
             ob->emit(ev);
           }
-          // Arbitrate: checksum-consistent copy wins; data copy wins
-          // the un-attributable cases (md's primary-copy rule).
-          bool data_wins = true;
-          if (arr.checksums_enabled()) {
-            const bool d_ok = arr.element_checksum_ok(dd, s, j);
-            const bool m_ok = arr.element_checksum_ok(rp.disk, s, rp.row);
-            if (!d_ok && m_ok) data_wins = false;
-          }
-          if (data_wins) {
-            std::copy(data.begin(), data.end(), mirror.begin());
-            writes.push_back({rp.disk, s, rp.row, disk::IoKind::kWrite});
-          } else {
-            std::copy(mirror.begin(), mirror.end(), data.begin());
-            writes.push_back({dd, s, j, disk::IoKind::kWrite});
-          }
-          ++report.copies_rewritten;
-          if (arr.checksums_enabled()) {
-            // Commit the survivor as the authoritative version: a
-            // checksum recording an intent that never reached media
-            // would otherwise fail verification forever.
-            arr.update_element_checksum(dd, s, j);
-            arr.update_element_checksum(rp.disk, s, rp.row);
+          // Arbitrate: the first checksum-consistent copy wins; the data
+          // copy wins the un-attributable cases (md's primary-copy rule).
+          int winner = 0;
+          if (arr.checksums_enabled())
+            for (int c = 0; c < copies; ++c)
+              if (arr.element_checksum_ok(at[c].disk, s, at[c].row)) {
+                winner = c;
+                break;
+              }
+          const auto value = copy_content(s, winner);
+          for (int c = 0; c < copies; ++c) {
+            auto dst = copy_content(s, c);
+            if (c != winner && !std::ranges::equal(dst, value)) {
+              std::copy(value.begin(), value.end(), dst.begin());
+              writes.push_back(
+                  {at[c].disk, s, at[c].row, disk::IoKind::kWrite});
+              ++report.copies_rewritten;
+            }
+            // Commit the survivor as the authoritative version on every
+            // copy: a checksum recording an intent that never reached
+            // media would otherwise fail verification forever.
+            if (arr.checksums_enabled())
+              arr.update_element_checksum(at[c].disk, s, at[c].row);
           }
         }
       }
       // Parity of a suspect stripe is recomputed, never trusted: the
       // crash may have interrupted the parity write of the same
-      // request that tore a copy.
+      // request that tore a copy. It needs every data copy, which a
+      // stripe whose every element had all copies live has.
       if (arch.has_parity() && disk_live(arch.parity_disk(), s) &&
-          all_pairs_live) {
-        bool data_live = true;
-        for (int i = 0; i < n && data_live; ++i)
-          data_live = disk_live(arch.data_disk(i), s);
-        if (data_live) {
-          for (int j = 0; j < arch.rows(); ++j) {
-            gf::region_zero(expect);
-            for (int i = 0; i < n; ++i)
-              gf::region_xor(arr.content(arch.data_disk(i), s, j), expect);
-            auto parity = arr.content(arch.parity_disk(), s, j);
-            if (equal_spans(expect, parity)) continue;
-            std::copy(expect.begin(), expect.end(), parity.begin());
-            writes.push_back(
-                {arch.parity_disk(), s, j, disk::IoKind::kWrite});
-            ++report.parity_rewritten;
-            if (arr.checksums_enabled())
-              arr.update_element_checksum(arch.parity_disk(), s, j);
-          }
+          all_copies_live) {
+        for (int j = 0; j < arch.rows(); ++j) {
+          gf::region_zero(expect);
+          for (int i = 0; i < n; ++i)
+            gf::region_xor(arr.content(arch.data_disk(i), s, j), expect);
+          auto parity = arr.content(arch.parity_disk(), s, j);
+          if (std::ranges::equal(expect, parity)) continue;
+          std::copy(expect.begin(), expect.end(), parity.begin());
+          writes.push_back({arch.parity_disk(), s, j, disk::IoKind::kWrite});
+          ++report.parity_rewritten;
+          if (arr.checksums_enabled())
+            arr.update_element_checksum(arch.parity_disk(), s, j);
         }
       }
     }

@@ -975,13 +975,13 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
         "online reconstruction expects at most " +
         std::to_string(arch.fault_tolerance()) + " failed disk(s), got " +
         std::to_string(initial_failed.size()));
-  if (cfg.mix.write_fraction < 0 || cfg.mix.write_fraction > 1)
+  if (!(cfg.mix.write_fraction >= 0 && cfg.mix.write_fraction <= 1))
     return invalid_argument("write_fraction must lie in [0, 1]");
   if (cfg.qos.rebuild_budget < 0 || cfg.qos.min_budget < 0)
     return invalid_argument("rebuild budgets must be non-negative");
   if (cfg.qos.policy == workload::RebuildPolicy::kAdaptive &&
-      (cfg.qos.p99_target_s <= 0 || cfg.qos.control_interval_s <= 0 ||
-       cfg.qos.raise_headroom <= 0 || cfg.qos.raise_headroom > 1))
+      (!(cfg.qos.p99_target_s > 0) || !(cfg.qos.control_interval_s > 0) ||
+       !(cfg.qos.raise_headroom > 0 && cfg.qos.raise_headroom <= 1)))
     return invalid_argument(
         "adaptive throttle needs p99_target_s > 0, control_interval_s > 0 "
         "and raise_headroom in (0, 1]");

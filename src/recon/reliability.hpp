@@ -104,7 +104,7 @@ struct MonteCarloParams {
   std::vector<int> enclosure_of;
   /// Failure-rate multiplier applied to a live disk while any disk of
   /// its enclosure is failed (shared fans / power / vibration). 1.0 is
-  /// inert.
+  /// inert; it must be finite and >= 1.
   double enclosure_hazard_factor = 1.0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "gf/region.hpp"
@@ -20,11 +22,6 @@ void row_xor_except(const array::DiskArray& arr, int stripe, int row,
   }
 }
 
-bool equal_spans(std::span<const std::uint8_t> a,
-                 std::span<const std::uint8_t> b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-}
-
 }  // namespace
 
 Result<ScrubReport> scrub(array::DiskArray& arr) {
@@ -35,9 +32,6 @@ Result<ScrubReport> scrub(array::DiskArray& arr, const ScrubOptions& opts) {
   const auto& arch = arr.arch();
   if (!arch.is_mirror())
     return invalid_argument("scrub supports the mirror architectures");
-  // Arbitration compares the data copy with one replica (and parity).
-  if (arch.replicas() != 1)
-    return invalid_argument("scrub arbitrates pairs: one replica array only");
   if (!arr.failed_physical().empty())
     return failed_precondition("scrub requires all disks healthy");
   if (arr.crashed())
@@ -45,8 +39,25 @@ Result<ScrubReport> scrub(array::DiskArray& arr, const ScrubOptions& opts) {
         "scrub on a powered-off array; power_cycle() first");
 
   ScrubReport report;
-  const std::size_t eb = arr.config().content_bytes;
-  std::vector<std::uint8_t> expect(eb);
+  const int copies = arch.replicas() + 1;
+  std::vector<std::uint8_t> expect(arr.config().content_bytes);
+  // Per-element scratch, sized once so the walk allocates nothing per
+  // element: where copy c of the element under scrutiny lives, and
+  // whether the current pass trusts it.
+  std::vector<layout::Pos> at(static_cast<std::size_t>(copies));
+  std::vector<char> good(static_cast<std::size_t>(copies));
+  auto locate = [&](int i, int j) {
+    for (int c = 0; c < copies; ++c) at[c] = arch.copy_of(c, i, j);
+  };
+  auto copy_content = [&](int s, int c) {
+    return arr.content(at[c].disk, s, at[c].row);
+  };
+  // Copy `expect` over an element, keeping its checksum in step.
+  auto write_expect = [&](int logical, int s, int row) {
+    auto dst = arr.content(logical, s, row);
+    std::copy(expect.begin(), expect.end(), dst.begin());
+    if (arr.checksums_enabled()) arr.update_element_checksum(logical, s, row);
+  };
 
   // Timing: every element of every disk read once, streaming per disk.
   // The verifying pass adds no timed I/O: checksums are out-of-band
@@ -61,15 +72,55 @@ Result<ScrubReport> scrub(array::DiskArray& arr, const ScrubOptions& opts) {
   report.makespan_s = stats.elapsed_s();
   report.logical_bytes_read = stats.logical_bytes_read;
 
+  // The repair ladder both passes share, for the located copies of
+  // a(i, j) in stripe s; `ok` is the pass's test of an element, `good`
+  // holds it per copy. The value is the `trusted` copy's; with none, the
+  // parity row's, if the row's other elements pass `ok` and no good copy
+  // contradicts it (two corruptions in one row); else undecidable. Each
+  // copy that is not good or differs is rewritten, then passed to `rewrote`.
+  auto repair = [&](int s, int i, int j, int trusted, auto&& ok,
+                    auto&& rewrote) {
+    bool decided = trusted >= 0;
+    if (decided) {
+      auto src = copy_content(s, trusted);
+      std::copy(src.begin(), src.end(), expect.begin());
+    } else if (arch.has_parity() && ok(arch.parity_disk(), s, j)) {
+      decided = true;
+      for (int k = 0; k < arch.n() && decided; ++k)
+        decided = k == i || ok(arch.data_disk(k), s, j);
+      if (decided) {
+        row_xor_except(arr, s, j, i, expect);
+        gf::region_xor(arr.content(arch.parity_disk(), s, j), expect);
+        for (int c = 0; c < copies; ++c) {
+          if (!good[c]) continue;
+          decided = std::ranges::equal(copy_content(s, c), expect);
+          if (decided) break;
+        }
+      }
+    }
+    if (!decided) {
+      ++report.undecidable;
+      return;
+    }
+    for (int c = 0; c < copies; ++c) {
+      if (good[c] && std::ranges::equal(copy_content(s, c), expect)) continue;
+      write_expect(at[c].disk, s, at[c].row);
+      rewrote(c);
+    }
+  };
+
   // Pass 0 (verifying scrub): recompute every element's fingerprint
   // against the out-of-band store. A checksum mismatch attributes the
-  // corruption to a specific copy — which replica comparison alone
-  // cannot — so repair copies from the partner whose checksum matches
-  // its content, falling back to the parity row when both copies of a
-  // pair are bad. Runs before pass 1: repaired pairs agree again and
-  // are not re-flagged as mismatches.
+  // corruption to a specific copy — which comparing copies alone cannot
+  // — so the first copy whose checksum matches its content rewrites the
+  // bad ones; with none, the parity row does, when every input element
+  // is itself checksum-verified. Runs before pass 1: repaired copies
+  // agree again and are not re-flagged as mismatches.
   obs::Observer* const ob = opts.observer.get();
   if (arr.checksums_enabled()) {
+    auto verified = [&](int logical, int s, int row) {
+      return arr.element_checksum_ok(logical, s, row);
+    };
     auto flag = [&](int logical, int s, int row) {
       ++report.checksum_mismatches;
       if (ob != nullptr) {
@@ -85,62 +136,31 @@ Result<ScrubReport> scrub(array::DiskArray& arr, const ScrubOptions& opts) {
     for (int s = 0; s < arr.stripes(); ++s) {
       for (int i = 0; i < arch.n(); ++i) {
         for (int j = 0; j < arch.rows(); ++j) {
-          const int dd = arch.data_disk(i);
-          const layout::Pos rp = arch.replica_of(1, i, j);
-          const bool d_ok = arr.element_checksum_ok(dd, s, j);
-          const bool m_ok = arr.element_checksum_ok(rp.disk, s, rp.row);
-          if (d_ok && m_ok) continue;
-          if (!d_ok) flag(dd, s, j);
-          if (!m_ok) flag(rp.disk, s, rp.row);
-          auto data = arr.content(dd, s, j);
-          auto mirror = arr.content(rp.disk, s, rp.row);
-          if (d_ok != m_ok) {
-            // Exactly one checksum-verified copy: it is authoritative.
-            if (d_ok) {
-              std::copy(data.begin(), data.end(), mirror.begin());
-              arr.update_element_checksum(rp.disk, s, rp.row);
-            } else {
-              std::copy(mirror.begin(), mirror.end(), data.begin());
-              arr.update_element_checksum(dd, s, j);
-            }
-            ++report.repaired_by_checksum;
-            continue;
+          locate(i, j);
+          int trusted = -1;
+          bool all_good = true;
+          for (int c = 0; c < copies; ++c) {
+            good[c] = verified(at[c].disk, s, at[c].row);
+            if (!good[c]) flag(at[c].disk, s, at[c].row);
+            if (good[c] && trusted < 0) trusted = c;
+            all_good = all_good && good[c];
           }
-          // Both copies bad: rebuild the value through the parity row,
-          // usable only when every input element is itself
-          // checksum-verified.
-          bool parity_path = arch.has_parity() &&
-                             arr.element_checksum_ok(arch.parity_disk(), s, j);
-          for (int k = 0; parity_path && k < arch.n(); ++k)
-            if (k != i && !arr.element_checksum_ok(arch.data_disk(k), s, j))
-              parity_path = false;
-          if (parity_path) {
-            row_xor_except(arr, s, j, i, expect);
-            gf::region_xor(arr.content(arch.parity_disk(), s, j), expect);
-            std::copy(expect.begin(), expect.end(), data.begin());
-            std::copy(expect.begin(), expect.end(), mirror.begin());
-            arr.update_element_checksum(dd, s, j);
-            arr.update_element_checksum(rp.disk, s, rp.row);
-            report.repaired_by_checksum += 2;
-          } else {
-            ++report.undecidable;
-          }
+          if (!all_good)
+            repair(s, i, j, trusted, verified,
+                   [&](int) { ++report.repaired_by_checksum; });
         }
       }
       if (arch.has_parity()) {
         const int pd = arch.parity_disk();
         for (int j = 0; j < arch.rows(); ++j) {
-          if (arr.element_checksum_ok(pd, s, j)) continue;
+          if (verified(pd, s, j)) continue;
           flag(pd, s, j);
           bool row_ok = true;
           for (int k = 0; k < arch.n(); ++k)
-            if (!arr.element_checksum_ok(arch.data_disk(k), s, j))
-              row_ok = false;
+            row_ok = row_ok && verified(arch.data_disk(k), s, j);
           if (row_ok) {
             row_xor_except(arr, s, j, /*skip_disk=*/-1, expect);
-            auto parity = arr.content(pd, s, j);
-            std::copy(expect.begin(), expect.end(), parity.begin());
-            arr.update_element_checksum(pd, s, j);
+            write_expect(pd, s, j);
             ++report.repaired_by_checksum;
           } else {
             ++report.undecidable;
@@ -150,144 +170,112 @@ Result<ScrubReport> scrub(array::DiskArray& arr, const ScrubOptions& opts) {
     }
   }
 
-  // Every pass-1/2 rewrite keeps the checksum store in step with the
-  // new content (no-op on arrays without checksums).
-  auto commit_sum = [&](int logical, int s, int row) {
-    if (arr.checksums_enabled()) arr.update_element_checksum(logical, s, row);
+  auto readable = [&](int logical, int s, int row) {
+    return !arr.element_latent(logical, s, row);
   };
-
   for (int s = 0; s < arr.stripes(); ++s) {
-    // Whether the parity arbitration of data element i in row j can be
-    // evaluated: every other data element of the row — and the parity
-    // element — must be readable. (Always true with inert profiles.)
-    auto parity_path_readable = [&](int skip_i, int j) -> bool {
-      if (arr.element_latent(arch.parity_disk(), s, j)) return false;
-      for (int k = 0; k < arch.n(); ++k) {
-        if (k == skip_i) continue;
-        if (arr.element_latent(arch.data_disk(k), s, j)) return false;
-      }
-      return true;
-    };
-
-    // Pass 1: data vs replica, with parity arbitration. Unreadable
-    // sectors are arbitration input: a pair with one unreadable copy is
-    // decided by the readable one (rewrite + remap), a pair with both
-    // copies unreadable falls back to the parity row.
+    // Pass 1: the copies of each element against each other. Unreadable
+    // sectors are arbitration input: while the readable copies agree,
+    // the first of them rewrites (remaps) the unreadable ones. Copies
+    // that disagree are a mismatch, decided by a strict majority of the
+    // copies, else by the parity row. With one replica array a split
+    // has no majority, so only parity decides; with every copy
+    // unreadable the parity row rebuilds them all.
     for (int i = 0; i < arch.n(); ++i) {
       for (int j = 0; j < arch.rows(); ++j) {
         ++report.elements_scanned;
-        auto data = arr.content(arch.data_disk(i), s, j);
-        const layout::Pos rp = arch.replica_of(1, i, j);
-        auto mirror = arr.content(rp.disk, s, rp.row);
-
-        const bool data_unreadable =
-            arr.element_latent(arch.data_disk(i), s, j);
-        const bool mirror_unreadable = arr.element_latent(rp.disk, s, rp.row);
-        if (data_unreadable || mirror_unreadable) {
-          report.unreadable_sectors +=
-              static_cast<std::uint64_t>(data_unreadable) +
-              static_cast<std::uint64_t>(mirror_unreadable);
-          if (data_unreadable != mirror_unreadable) {
-            // One readable copy survives: it is authoritative.
-            if (data_unreadable) {
-              std::copy(mirror.begin(), mirror.end(), data.begin());
-              arr.clear_element_latent(arch.data_disk(i), s, j);
-              commit_sum(arch.data_disk(i), s, j);
-            } else {
-              std::copy(data.begin(), data.end(), mirror.begin());
-              arr.clear_element_latent(rp.disk, s, rp.row);
-              commit_sum(rp.disk, s, rp.row);
-            }
-            ++report.remapped;
-          } else if (arch.has_parity() && parity_path_readable(i, j)) {
-            // Both copies unreadable: rebuild the value from the
-            // parity row and rewrite both in place.
-            row_xor_except(arr, s, j, i, expect);
-            gf::region_xor(arr.content(arch.parity_disk(), s, j), expect);
-            std::copy(expect.begin(), expect.end(), data.begin());
-            std::copy(expect.begin(), expect.end(), mirror.begin());
-            arr.clear_element_latent(arch.data_disk(i), s, j);
-            arr.clear_element_latent(rp.disk, s, rp.row);
-            commit_sum(arch.data_disk(i), s, j);
-            commit_sum(rp.disk, s, rp.row);
-            report.remapped += 2;
-          } else {
-            ++report.undecidable;
+        locate(i, j);
+        int first = -1;
+        bool agree = true;
+        bool all_readable = true;
+        for (int c = 0; c < copies; ++c) {
+          good[c] = readable(at[c].disk, s, at[c].row);
+          if (!good[c]) {
+            ++report.unreadable_sectors;
+            all_readable = false;
+          } else if (first < 0) {
+            first = c;
+          } else if (agree) {
+            agree = std::ranges::equal(copy_content(s, first),
+                                       copy_content(s, c));
           }
-          continue;
         }
-
-        if (equal_spans(data, mirror)) continue;
-        ++report.mismatches;
-
-        if (!arch.has_parity() || !parity_path_readable(i, j)) {
-          ++report.undecidable;
-          continue;
+        if (agree && all_readable) continue;
+        int trusted = first;
+        if (!agree) {
+          ++report.mismatches;
+          // The first copy of a strict majority: its equal copies all
+          // come after it.
+          trusted = -1;
+          for (int c = 0; c < copies && trusted < 0; ++c) {
+            int votes = good[c] ? 1 : 0;
+            for (int o = c + 1; o < copies && votes > 0; ++o)
+              if (good[o] &&
+                  std::ranges::equal(copy_content(s, c), copy_content(s, o)))
+                ++votes;
+            if (2 * votes > copies) trusted = c;
+          }
         }
-        // True value per the parity row (single bad copy per row
-        // assumed): data(i) == row_xor_except(i) ^ parity.
-        row_xor_except(arr, s, j, i, expect);
-        gf::region_xor(arr.content(arch.parity_disk(), s, j), expect);
-        if (equal_spans(expect, data)) {
-          std::copy(data.begin(), data.end(), mirror.begin());
-          commit_sum(rp.disk, s, rp.row);
-          ++report.repaired_mirror;
-        } else if (equal_spans(expect, mirror)) {
-          std::copy(mirror.begin(), mirror.end(), data.begin());
-          commit_sum(arch.data_disk(i), s, j);
-          ++report.repaired_data;
-        } else {
-          // Neither copy matches the parity reconstruction: more than
-          // one corruption interacts in this row.
-          ++report.undecidable;
-        }
+        repair(s, i, j, trusted, readable, [&](int c) {
+          if (!good[c]) {
+            arr.clear_element_latent(at[c].disk, s, at[c].row);
+            ++report.remapped;
+          } else if (c == 0) {
+            ++report.repaired_data;
+          } else {
+            ++report.repaired_mirror;
+          }
+        });
       }
     }
     // Pass 2: parity column against the (now repaired) data rows. Only
-    // rewrite when every data/mirror pair of the row agrees and is
-    // readable, so a lone corrupted parity element is distinguishable
-    // from an undecidable data corruption.
+    // rewrite when every copy of every element of the row is readable
+    // and agrees, so a lone corrupted parity element is distinguishable
+    // from an undecidable data corruption. An unreadable parity element
+    // is recomputed and its sector remapped; a readable one is rewritten
+    // only when it disagrees.
     if (arch.has_parity()) {
+      const int pd = arch.parity_disk();
       for (int j = 0; j < arch.rows(); ++j) {
-        bool row_pairs_usable = true;
-        for (int i = 0; i < arch.n(); ++i) {
-          const layout::Pos rp = arch.replica_of(1, i, j);
-          if (arr.element_latent(arch.data_disk(i), s, j) ||
-              arr.element_latent(rp.disk, s, rp.row) ||
-              !equal_spans(arr.content(arch.data_disk(i), s, j),
-                           arr.content(rp.disk, s, rp.row)))
-            row_pairs_usable = false;
+        bool usable = true;
+        for (int i = 0; i < arch.n() && usable; ++i) {
+          locate(i, j);
+          for (int c = 0; c < copies && usable; ++c)
+            usable = readable(at[c].disk, s, at[c].row) &&
+                     (c == 0 || std::ranges::equal(copy_content(s, 0),
+                                                   copy_content(s, c)));
         }
-        if (!row_pairs_usable) continue;
-        auto parity = arr.content(arch.parity_disk(), s, j);
-        if (arr.element_latent(arch.parity_disk(), s, j)) {
-          // Unreadable parity element: recompute it from the (agreed,
-          // readable) data row and remap the sector.
-          ++report.unreadable_sectors;
-          row_xor_except(arr, s, j, /*skip_disk=*/-1, expect);
-          std::copy(expect.begin(), expect.end(), parity.begin());
-          arr.clear_element_latent(arch.parity_disk(), s, j);
-          commit_sum(arch.parity_disk(), s, j);
-          ++report.remapped;
-          continue;
-        }
+        if (!usable) continue;
         row_xor_except(arr, s, j, /*skip_disk=*/-1, expect);
-        if (!equal_spans(expect, parity)) {
-          std::copy(expect.begin(), expect.end(), parity.begin());
-          commit_sum(arch.parity_disk(), s, j);
+        if (!readable(pd, s, j)) {
+          ++report.unreadable_sectors;
+          arr.clear_element_latent(pd, s, j);
+          ++report.remapped;
+        } else if (std::ranges::equal(expect, arr.content(pd, s, j))) {
+          continue;
+        } else {
           ++report.repaired_parity;
         }
+        write_expect(pd, s, j);
       }
     }
   }
   return report;
 }
 
-std::vector<InjectedError> inject_latent_errors(array::DiskArray& arr,
-                                                Rng& rng, int count) {
+Result<std::vector<InjectedError>> inject_latent_errors(array::DiskArray& arr,
+                                                        Rng& rng, int count) {
+  const auto& arch = arr.arch();
+  const std::int64_t elements = static_cast<std::int64_t>(arch.total_disks()) *
+                                arr.stripes() * arch.rows();
+  if (count < 0 || count > elements) {
+    std::string msg = "latent error count must be in [0, ";
+    msg += std::to_string(elements);
+    msg += "]: one distinct element per error";
+    return invalid_argument(msg);
+  }
   std::vector<InjectedError> injected;
   std::set<std::tuple<int, int, int>> used;
-  const auto& arch = arr.arch();
   const std::size_t eb = arr.config().content_bytes;
   while (static_cast<int>(injected.size()) < count) {
     const int logical = static_cast<int>(

@@ -228,7 +228,8 @@ Result<Table> scrub_sweep(int n, const std::vector<int>& error_counts,
         // Per-case seed derived from the case parameters only, so the
         // injected error set is independent of scheduling.
         Rng rng(static_cast<std::uint64_t>(c.errors) + 99);
-        inject_latent_errors(arr, rng, c.errors);
+        const auto injected = inject_latent_errors(arr, rng, c.errors);
+        if (!injected.is_ok()) return injected.status();
         auto report = recon::scrub(arr);
         if (!report.is_ok()) return report.status();
         const auto& r = report.value();

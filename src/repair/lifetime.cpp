@@ -36,15 +36,16 @@ bool contains(const std::vector<int>& v, int x) {
 
 Result<MonteCarloReport> simulate_mttdl(const layout::Architecture& arch,
                                         const MonteCarloParams& params) {
-  if (params.disk_mttf_hours <= 0.0)
+  if (!(params.disk_mttf_hours > 0.0))
     return invalid_argument("disk_mttf_hours must be positive");
-  if (params.mttr_hours <= 0.0)
+  if (!(params.mttr_hours > 0.0))
     return invalid_argument("mttr_hours must be positive");
   if (params.trials <= 0) return invalid_argument("trials must be positive");
-  if (params.enclosure_hazard_factor < 1.0)
+  if (!(std::isfinite(params.enclosure_hazard_factor) &&
+        params.enclosure_hazard_factor >= 1.0))
     return invalid_argument(
-        "enclosure_hazard_factor must be >= 1.0 (a failed neighbor never "
-        "makes a disk more reliable)");
+        "enclosure_hazard_factor must be finite and >= 1.0 (a failed "
+        "neighbor never makes a disk more reliable)");
   const int total = arch.total_disks();
   if (!params.enclosure_of.empty() &&
       static_cast<int>(params.enclosure_of.size()) != total)

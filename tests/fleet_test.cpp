@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "array/disk_array.hpp"
 #include "fleet/timeline.hpp"
@@ -307,6 +308,23 @@ TEST(FleetTimeline, RejectsBadConfigs) {
   cfg.domain_hazard_factor = 0.5;
   EXPECT_EQ(run_failure_timeline(arch, cfg).status().code(),
             ErrorCode::kInvalidArgument);
+  // NaN fails every guard; an infinite domain factor is refused too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double factor : {nan, std::numeric_limits<double>::infinity()}) {
+    cfg.domain_hazard_factor = factor;
+    EXPECT_EQ(run_failure_timeline(arch, cfg).status().code(),
+              ErrorCode::kInvalidArgument)
+        << factor;
+  }
+  cfg.domain_hazard_factor = 4.0;
+  for (double TimelineConfig::*field :
+       {&TimelineConfig::horizon_hours, &TimelineConfig::disk_mttf_hours,
+        &TimelineConfig::repair_hours}) {
+    TimelineConfig bad = cfg;
+    bad.*field = nan;
+    EXPECT_EQ(run_failure_timeline(arch, bad).status().code(),
+              ErrorCode::kInvalidArgument);
+  }
 }
 
 TEST(FleetTimeline, InertDomainConfigsMatchIndependentArrays) {

@@ -141,7 +141,9 @@ TEST(Inject, ProducesRequestedDistinctCorruptions) {
   array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   Rng rng(11);
-  const auto injected = inject_latent_errors(arr, rng, 12);
+  const auto result = inject_latent_errors(arr, rng, 12);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const auto& injected = result.value();
   EXPECT_EQ(injected.size(), 12u);
   // Every injection must actually corrupt (verify_all fails now).
   EXPECT_FALSE(arr.verify_all().is_ok());
@@ -151,11 +153,30 @@ TEST(Inject, ProducesRequestedDistinctCorruptions) {
   EXPECT_EQ(distinct.size(), 12u);
 }
 
+TEST(Inject, RejectsACountOutsideTheElementRange) {
+  // mirror(3): 6 disks x 6 stripes x 3 rows = 108 elements. A larger
+  // count has no distinct elements left to draw; a negative one means
+  // nothing. Both are refused before any byte is touched.
+  array::DiskArray arr(cfg_for(layout::Architecture::mirror(3, true)));
+  arr.initialize();
+  Rng rng(5);
+  for (const int count : {-3, 109, 200}) {
+    const auto injected = inject_latent_errors(arr, rng, count);
+    EXPECT_EQ(injected.status().code(), ErrorCode::kInvalidArgument)
+        << "count " << count;
+  }
+  EXPECT_TRUE(arr.verify_all().is_ok());  // nothing was touched
+  const auto every = inject_latent_errors(arr, rng, 108);
+  ASSERT_TRUE(every.is_ok()) << every.status().to_string();
+  EXPECT_EQ(every.value().size(), 108u);
+  EXPECT_TRUE(inject_latent_errors(arr, rng, 0).value().empty());
+}
+
 TEST(Scrub, InjectThenScrubThenVerifyEndToEnd) {
   array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(5, true)));
   arr.initialize();
   Rng rng(3);
-  inject_latent_errors(arr, rng, 5);
+  ASSERT_TRUE(inject_latent_errors(arr, rng, 5).is_ok());
   auto report = scrub(arr);
   ASSERT_TRUE(report.is_ok());
   // Some injections may share a row (undecidable); re-scrub after a

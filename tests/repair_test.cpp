@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -549,6 +550,25 @@ TEST(MonteCarlo, RejectsMeaninglessParameters) {
   params.enclosure_of = {0, 1};  // wrong length
   EXPECT_EQ(recon::simulate_mttdl(arch, params).status().code(),
             ErrorCode::kInvalidArgument);
+  // NaN fails every guard; an infinite enclosure factor is refused too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double recon::MonteCarloParams::*field :
+       {&recon::MonteCarloParams::disk_mttf_hours,
+        &recon::MonteCarloParams::mttr_hours}) {
+    params = mc_params();
+    params.*field = nan;
+    EXPECT_EQ(recon::simulate_mttdl(arch, params).status().code(),
+              ErrorCode::kInvalidArgument);
+  }
+  params = mc_params();
+  params.enclosure_of.assign(static_cast<std::size_t>(arch.total_disks()), 0);
+  for (const double factor : {nan, inf}) {
+    params.enclosure_hazard_factor = factor;
+    EXPECT_EQ(recon::simulate_mttdl(arch, params).status().code(),
+              ErrorCode::kInvalidArgument)
+        << factor;
+  }
 }
 
 TEST(MonteCarlo, DeterministicUnderFixedSeed) {

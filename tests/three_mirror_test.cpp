@@ -1,7 +1,8 @@
 // R >= 2 replica arrays (the three-mirror method at R = 2) through the
 // one mirror stack: layout::Architecture, recon::plan_reconstruction,
-// recon::reconstruct, workload::run_degraded_reads and
-// recon::run_online_reconstruction.
+// recon::reconstruct, workload::run_degraded_reads,
+// recon::run_online_reconstruction, and the integrity layer
+// (recon::scrub, integrity::resync, the crash workload, the injectors).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -751,28 +752,43 @@ TEST(ThreeMirrorEntryPoints, ServeEveryCopyOrReject) {
     EXPECT_EQ(workload::run_raid_write_workload(arr, {}).status().code(),
               ErrorCode::kInvalidArgument);
   }
-  // Pairwise arbitration (scrub, resync, the crash workload, lost and
-  // misdirected writes) models two copies: rejected.
+  // Integrity: scrub, resync, the crash workload and every silent
+  // corruption mode walk all three copies of an element.
   {
     array::DiskArray arr(acfg);
     arr.initialize();
-    EXPECT_EQ(recon::scrub(arr).status().code(), ErrorCode::kInvalidArgument);
-    EXPECT_EQ(integrity::resync(arr, {}).status().code(),
-              ErrorCode::kInvalidArgument);
+    const auto clean = recon::scrub(arr);
+    ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
+    EXPECT_TRUE(clean.value().clean());
+    EXPECT_EQ(clean.value().elements_scanned, 4u * 4 * 12);
+    const auto rs = integrity::resync(arr, {});
+    ASSERT_TRUE(rs.is_ok()) << rs.status().to_string();
+    EXPECT_EQ(rs.value().diverged, 0u);
+    EXPECT_EQ(rs.value().elements_read, 3u * 4 * 4 * 12);  // every copy
     integrity::CrashWorkloadConfig ccfg;
-    EXPECT_EQ(integrity::run_crash_workload(arr, ccfg).status().code(),
-              ErrorCode::kInvalidArgument);
+    const auto cw = integrity::run_crash_workload(arr, ccfg);
+    ASSERT_TRUE(cw.is_ok()) << cw.status().to_string();
+    EXPECT_EQ(cw.value().element_writes,
+              3u * static_cast<std::uint64_t>(ccfg.requests));
+    EXPECT_TRUE(arr.verify_consistency().is_ok());
+    EXPECT_TRUE(arr.verify_checksums().is_ok());
     Rng rng(1);
-    EXPECT_EQ(integrity::inject_silent_corruption(
-                  arr, rng, 1, integrity::SilentCorruption::kLostWrite)
-                  .status()
-                  .code(),
-              ErrorCode::kInvalidArgument);
-    // Bit rot and latent errors touch one element of any role.
-    EXPECT_TRUE(integrity::inject_silent_corruption(
-                    arr, rng, 1, integrity::SilentCorruption::kBitRot)
-                    .is_ok());
-    EXPECT_EQ(recon::inject_latent_errors(arr, rng, 2).size(), 2u);
+    for (const auto kind : {integrity::SilentCorruption::kLostWrite,
+                            integrity::SilentCorruption::kMisdirectedWrite,
+                            integrity::SilentCorruption::kBitRot}) {
+      const auto injected =
+          integrity::inject_silent_corruption(arr, rng, 1, kind);
+      ASSERT_TRUE(injected.is_ok()) << injected.status().to_string();
+      const auto sc = recon::scrub(arr);
+      ASSERT_TRUE(sc.is_ok()) << sc.status().to_string();
+      EXPECT_EQ(sc.value().checksum_mismatches, injected.value().size());
+      EXPECT_EQ(sc.value().repaired_by_checksum, injected.value().size());
+      EXPECT_EQ(sc.value().undecidable, 0u);
+      EXPECT_TRUE(arr.verify_consistency().is_ok());
+      EXPECT_TRUE(arr.verify_checksums().is_ok());
+    }
+    // Latent errors touch one element of any role.
+    EXPECT_EQ(recon::inject_latent_errors(arr, rng, 2).value().size(), 2u);
   }
   // Rebuild and repair: a data disk and a disk of each replica array.
   for (const std::vector<int>& failed :
@@ -790,6 +806,143 @@ TEST(ThreeMirrorEntryPoints, ServeEveryCopyOrReject) {
     EXPECT_TRUE(chaos::check_lifecycle(orch.lifecycle(), arch, ctx).is_ok());
     EXPECT_TRUE(arr.verify_all().is_ok());
     EXPECT_TRUE(arr.verify_checksums().is_ok());
+  }
+}
+
+// --- integrity at R >= 2: scrub, resync, crash points, injectors --------
+
+/// Every replica array the R >= 2 integrity tests cover: shifted and
+/// traditional, n = 3..6, R = 2 and (where the layout builds) R = 3.
+std::vector<array::ArrayConfig> integrity_cfgs() {
+  std::vector<array::ArrayConfig> out;
+  for (int n = 3; n <= 6; ++n)
+    for (const bool shifted : {true, false})
+      for (const int replicas : {2, 3}) {
+        if (shifted && phi(n) < replicas) continue;
+        auto cfg = array_cfg(n, replicas, shifted);
+        cfg.seed = 7;
+        out.push_back(cfg);
+      }
+  return out;
+}
+
+TEST(ThreeMirrorIntegrity, MajorityRepairsACorruptCopyWithoutParity) {
+  for (const auto& cfg : integrity_cfgs()) {
+    SCOPED_TRACE(cfg.arch.name() + " R=" +
+                 std::to_string(cfg.arch.replicas()));
+    const int copies = cfg.arch.replicas() + 1;
+    array::DiskArray arr(cfg);
+    arr.initialize();
+    // One corrupt copy per element, every copy index in turn, each in
+    // its own stripe: the other copies outvote it.
+    for (int c = 0; c < copies; ++c) {
+      const Pos at = cfg.arch.copy_of(c, c % cfg.arch.n(), 1);
+      arr.content(at.disk, c, at.row)[3] ^= 0x5A;
+    }
+    const auto rep = recon::scrub(arr);
+    ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+    EXPECT_EQ(rep.value().mismatches, static_cast<std::uint64_t>(copies));
+    EXPECT_EQ(rep.value().repaired_data, 1u);
+    EXPECT_EQ(rep.value().repaired_mirror,
+              static_cast<std::uint64_t>(copies - 1));
+    EXPECT_EQ(rep.value().undecidable, 0u);
+    EXPECT_TRUE(arr.verify_all().is_ok());
+    const auto again = recon::scrub(arr);
+    ASSERT_TRUE(again.is_ok());
+    EXPECT_TRUE(again.value().clean());
+
+    // Copies split with no strict majority: detected, left undecided.
+    const int split = copies / 2 + copies % 2;  // >= half of the copies
+    for (int c = 0; c < split; ++c) {
+      const Pos at = cfg.arch.copy_of(c, 0, 0);
+      arr.content(at.disk, 0, at.row)[0] ^= static_cast<std::uint8_t>(1 + c);
+    }
+    const auto undecided = recon::scrub(arr);
+    ASSERT_TRUE(undecided.is_ok());
+    EXPECT_EQ(undecided.value().mismatches, 1u);
+    EXPECT_EQ(undecided.value().undecidable, 1u);
+  }
+}
+
+TEST(ThreeMirrorIntegrity, EveryCrashPointResyncsClean) {
+  // Each request writes all R + 1 copies, so a crash can tear an
+  // element between any two of them. A full resync reconciles every
+  // stripe. The dirty-region resync re-reads only logged regions; a
+  // misdirected victim write may clobber a neighbor slot in a clean
+  // region, which the verifying scrub after it repairs.
+  for (const auto& base : integrity_cfgs()) {
+    const int writes_per_request = base.arch.replicas() + 1;
+    integrity::CrashWorkloadConfig wcfg;
+    wcfg.requests = 12;
+    wcfg.quiesce_every = 4;
+    wcfg.seed = 11;
+    for (int k = 0; k < wcfg.requests * writes_per_request; ++k) {
+      for (const bool full : {true, false}) {
+        SCOPED_TRACE(base.arch.name() + " R=" +
+                     std::to_string(base.arch.replicas()) + " crash after " +
+                     std::to_string(k) + (full ? " full" : " dirty"));
+        auto cfg = base;
+        cfg.checksums = true;
+        cfg.drl_region_stripes = 2;
+        cfg.fault.crash_after_writes = k;
+        cfg.fault.seed = static_cast<std::uint64_t>(k) + 1;
+        array::DiskArray arr(cfg);
+        arr.initialize();
+        const auto cw = integrity::run_crash_workload(arr, wcfg);
+        ASSERT_TRUE(cw.is_ok()) << cw.status().to_string();
+        ASSERT_TRUE(cw.value().crashed);
+        ASSERT_TRUE(arr.power_cycle().is_ok());
+        integrity::ResyncOptions opts;
+        opts.full = full;
+        const auto rs = integrity::resync(arr, opts);
+        ASSERT_TRUE(rs.is_ok()) << rs.status().to_string();
+        EXPECT_EQ(rs.value().pairs_skipped, 0u);
+        if (!full) {
+          const auto sc = recon::scrub(arr);
+          ASSERT_TRUE(sc.is_ok()) << sc.status().to_string();
+          EXPECT_EQ(sc.value().undecidable, 0u);
+        }
+        EXPECT_TRUE(arr.verify_consistency().is_ok());
+        EXPECT_TRUE(arr.verify_checksums().is_ok());
+        chaos::OracleContext ctx;
+        EXPECT_TRUE(chaos::check_resync_clean(arr, ctx).is_ok());
+      }
+    }
+  }
+}
+
+TEST(ThreeMirrorIntegrity, VerifyingScrubRepairsEveryLostAndMisdirectedWrite) {
+  for (const auto& base : integrity_cfgs()) {
+    for (const auto kind : {integrity::SilentCorruption::kLostWrite,
+                            integrity::SilentCorruption::kMisdirectedWrite}) {
+      SCOPED_TRACE(base.arch.name() + " R=" +
+                   std::to_string(base.arch.replicas()) + " kind " +
+                   std::to_string(static_cast<int>(kind)));
+      auto cfg = base;
+      cfg.checksums = true;
+      array::DiskArray arr(cfg);
+      arr.initialize();
+      Rng rng(static_cast<std::uint64_t>(cfg.arch.total_disks()) * 7 +
+              static_cast<std::uint64_t>(kind));
+      const auto injected =
+          integrity::inject_silent_corruption(arr, rng, 3, kind);
+      ASSERT_TRUE(injected.is_ok()) << injected.status().to_string();
+      const auto expected =
+          static_cast<std::uint64_t>(injected.value().size());
+      EXPECT_EQ(expected,
+                kind == integrity::SilentCorruption::kLostWrite ? 3u : 6u);
+      EXPECT_FALSE(arr.verify_checksums().is_ok());
+      const auto sc = recon::scrub(arr);
+      ASSERT_TRUE(sc.is_ok()) << sc.status().to_string();
+      EXPECT_EQ(sc.value().checksum_mismatches, expected);
+      EXPECT_EQ(sc.value().repaired_by_checksum, expected);
+      EXPECT_EQ(sc.value().undecidable, 0u);
+      EXPECT_TRUE(arr.verify_checksums().is_ok());
+      EXPECT_TRUE(arr.verify_consistency().is_ok());
+      const auto again = recon::scrub(arr);
+      ASSERT_TRUE(again.is_ok());
+      EXPECT_TRUE(again.value().clean());
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "array/disk_array.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace_sink.hpp"
@@ -255,6 +257,18 @@ TEST(AdaptiveThrottle, ValidatesControllerParameters) {
   cfg.qos.raise_headroom = 0.9;
   cfg.qos.rebuild_budget = -1;
   EXPECT_FALSE(run_online(cfg).is_ok());
+  cfg.qos.rebuild_budget = 0;
+  // NaN fails every guard, the write fraction's included.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double QosConfig::*field :
+       {&QosConfig::p99_target_s, &QosConfig::control_interval_s,
+        &QosConfig::raise_headroom}) {
+    recon::OnlineConfig bad = cfg;
+    bad.qos.*field = nan;
+    EXPECT_EQ(run_online(bad).status().code(), ErrorCode::kInvalidArgument);
+  }
+  cfg.mix.write_fraction = nan;
+  EXPECT_EQ(run_online(cfg).status().code(), ErrorCode::kInvalidArgument);
 }
 
 // --- inert defaults: the QoS surface must not perturb the baseline ----

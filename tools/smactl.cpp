@@ -500,11 +500,14 @@ int cmd_qos(const Flags& flags) {
     ocfg.arrival.trace = std::move(points).take();
   }
   ocfg.mix.write_fraction = flags.get_double("writes", 0.0);
+  if (!(ocfg.mix.write_fraction >= 0.0 && ocfg.mix.write_fraction <= 1.0))
+    return usage("--writes must lie in [0, 1]");
   auto policy = workload::rebuild_policy_from(flags.get("policy", "adaptive"));
   if (!policy.is_ok()) return usage(policy.status().to_string().c_str());
   ocfg.qos.policy = policy.value();
   ocfg.qos.rebuild_budget = flags.get_int("budget", 0);
   ocfg.qos.p99_target_s = flags.get_double("p99-ms", 120.0) / 1e3;
+  if (!(ocfg.qos.p99_target_s >= 0.0)) return usage("--p99-ms must be >= 0");
   ocfg.qos.control_interval_s = flags.get_double("interval", 0.25);
   if (!ObserverScope::interval_ok(flags))
     return usage("--interval must be >= 0");
@@ -592,7 +595,12 @@ int cmd_scrub(const Flags& flags) {
   arr.initialize();
   Rng rng(cfg.seed);
   const int errors = flags.get_int("errors", 10);
-  recon::inject_latent_errors(arr, rng, errors);
+  const auto injected = recon::inject_latent_errors(arr, rng, errors);
+  if (!injected.is_ok()) {
+    std::string msg = "--errors: ";
+    msg += injected.status().message();
+    return usage(msg.c_str());
+  }
   auto report = recon::scrub(arr);
   if (!report.is_ok()) {
     std::fprintf(stderr, "scrub: %s\n", report.status().to_string().c_str());
@@ -1140,6 +1148,8 @@ int cmd_repair(const Flags& flags) {
     recon::MonteCarloParams params;
     params.disk_mttf_hours = flags.get_double("mttf-h", 1.0e6);
     params.mttr_hours = flags.get_double("mttr-h", 10.0);
+    if (!(params.disk_mttf_hours > 0.0)) return usage("--mttf-h must be > 0");
+    if (!(params.mttr_hours > 0.0)) return usage("--mttr-h must be > 0");
     params.trials = mc_trials;
     params.seed = c.seed;
     params.spare_replenish_hours = flags.get_double("replenish-h", 0.0);
@@ -1161,6 +1171,9 @@ int cmd_repair(const Flags& flags) {
         params.enclosure_of[static_cast<std::size_t>(d)] = d / enclosure;
       params.enclosure_hazard_factor =
           flags.get_double("enclosure-factor", 10.0);
+      if (!(std::isfinite(params.enclosure_hazard_factor) &&
+            params.enclosure_hazard_factor >= 1.0))
+        return usage("--enclosure-factor must be finite and >= 1");
     }
 
     auto mc = recon::simulate_mttdl(arch, params);
@@ -1302,6 +1315,8 @@ int cmd_fleet(const Flags& flags) {
   cfg.seed = c.seed;
   cfg.threads = static_cast<std::size_t>(flags.get_int("threads", 4));
   cfg.timeline.horizon_hours = flags.get_double("horizon-h", 24.0 * 365.0);
+  if (!(cfg.timeline.horizon_hours > 0.0))
+    return usage("--horizon-h must be > 0");
   cfg.timeline.disk_mttf_hours = flags.get_double("mttf-h", 5.0e4);
   const auto res = fleet::run_fleet(cfg);
   if (!res.is_ok()) return usage(res.status().to_string().c_str());
