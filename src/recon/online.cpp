@@ -33,10 +33,33 @@ struct Job {
   bool is_hedge = false;
 };
 
+/// One rebuild read of a planning wave on one disk: the offset of its
+/// stripe within the stack period, and its row.
+struct PeriodRead {
+  int offset = 0;
+  int row = 0;
+};
+
+/// Where a disk's planning wave stands: the next read of its period,
+/// the first stripe of that read's period, and the reads left.
+struct WavePos {
+  std::size_t next = 0;
+  int base = 0;
+  std::size_t left = 0;
+};
+
 struct DiskQueue {
   std::deque<Job> user;
-  std::deque<Job> rebuild;
+  // Rebuild reads: the jobs put back after leaving service unfinished
+  // (the last one is served first), then the rest of the planning wave,
+  // which walks this disk's reads of one stack period period after
+  // period (Engine::plan_wave).
+  std::vector<Job> put_back;
+  std::vector<PeriodRead> period;
+  WavePos wave;
   bool busy = false;
+
+  std::size_t rebuild_size() const { return put_back.size() + wave.left; }
 };
 
 struct Request {
@@ -49,12 +72,6 @@ struct Request {
 
 /// The (physical disk, job) pieces one user request fans out to.
 using Pieces = std::vector<std::pair<int, Job>>;
-
-/// The compiled rebuild reads of one stack-rotation class (plan_stripe).
-struct StripeTemplate {
-  bool compiled = false;
-  std::vector<std::pair<int, int>> reads;  // (physical disk, row)
-};
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
@@ -102,7 +119,7 @@ class Engine {
         throttle_(cfg.qos, arr.total_disks()),
         fail_slow_(cfg.hedge, arr.total_disks()),
         queues_(static_cast<std::size_t>(arr.total_disks())),
-        plan_cache_(queues_.size()),
+        issue_order_(queues_.size()),
         lc_failed_(initial_failed_) {
     arr_.reset_timelines();
     if (arch_.replicas() >= 2) user_load_.assign(queues_.size(), 0);
@@ -134,49 +151,100 @@ class Engine {
  private:
   // --- rebuild planning ---------------------------------------------------
 
-  // (Re)plan the rebuild reads of one stripe against the failed set and
-  // enqueue them. Returns false on planning failure.
+  // A planning wave: plan the rebuild reads of every stripe against the
+  // failed set and make them each disk's wave. Returns false on planning
+  // failure; the wave then stops before the first stripe whose rotation
+  // class failed to plan.
   //
   // Stack rotation makes stripe geometry periodic: stripe s's failed
   // *logical* set — and therefore its plan and the physical placement of
-  // every planned read — depends only on s mod total_disks. A planning
-  // wave over the whole array compiles one template per rotation class
-  // (the (physical disk, row) pairs of its rebuild reads) and stamps it
-  // out per stripe at the stripe's slot base, instead of re-running the
-  // planner thousands of times. Templates are invalidated when the
-  // failed set changes (handle_disk_death). The physical failed set is
-  // likewise invariant within a wave; callers pass it in instead of
-  // re-materializing it per stripe.
-  bool plan_stripe(int s, const std::vector<int>& failed_phys) {
-    StripeTemplate& tpl = plan_cache_[static_cast<std::size_t>(s) %
-                                      plan_cache_.size()];
-    if (!tpl.compiled) {
-      tpl.reads.clear();
+  // every planned read — depends only on s mod total_disks. So a wave
+  // runs the planner once per rotation class, in stripe order, and files
+  // each planned read in its disk's period as (class, row). A disk's
+  // queue walks that period once per stack (wave_read), which yields its
+  // reads in stripe order and in plan order within a stripe, as if each
+  // stripe's plan were stamped out in turn. Setting a wave up costs one
+  // plan per class, not one job per read.
+  bool plan_wave(const std::vector<int>& failed_phys) {
+    const int period = arr_.total_disks();
+    const int classes = std::min(period, arr_.stripes());
+    for (DiskQueue& q : queues_) q.period.clear();
+    int planned = arr_.stripes();  // stripes the wave covers
+    for (int c = 0; c < classes; ++c) {
       failed_logical_.clear();
       for (const int p : failed_phys) {
-        const int l = arr_.logical_disk(p, s);
+        const int l = arr_.logical_disk(p, c);
         failed_logical_.insert(std::upper_bound(failed_logical_.begin(),
                                                 failed_logical_.end(), l),
                                l);
       }
-      auto planned = plan_reconstruction(arch_, failed_logical_);
-      if (!planned.is_ok()) return false;
-      for (const auto& read : planned.value().availability_reads)
-        tpl.reads.emplace_back(arr_.physical_disk(read.logical_disk, s),
-                               read.row);
-      tpl.compiled = true;
+      auto plan = plan_reconstruction(arch_, failed_logical_);
+      if (!plan.is_ok()) {
+        planned = c;
+        break;
+      }
+      auto& issue = issue_order_[static_cast<std::size_t>(c)];
+      issue.clear();
+      for (const auto& read : plan.value().availability_reads) {
+        const int phys = arr_.physical_disk(read.logical_disk, c);
+        queue(phys).period.push_back({c, read.row});
+        if (ob_ != nullptr) issue.emplace_back(phys, read.row);
+      }
     }
+    // Whole stacks, then the reads of a partial last stack's classes.
+    const auto stacks = static_cast<std::size_t>(planned / period);
+    const int tail = planned % period;
+    for (DiskQueue& q : queues_) {
+      std::size_t reads = stacks * q.period.size();
+      for (const PeriodRead& r : q.period) reads += r.offset < tail ? 1 : 0;
+      q.wave = {0, 0, reads};
+      rebuild_remaining_ += reads;
+    }
+    if (ob_ != nullptr) {
+      for (int s = 0; s < planned; ++s) {
+        for (const auto& [phys, row] :
+             issue_order_[static_cast<std::size_t>(s % period)]) {
+          Job job;
+          job.slot = arr_.slot(s, row);
+          job.stripe = s;
+          trace_job(obs::EventKind::kRebuildIssue, phys, job);
+        }
+      }
+    }
+    return planned == arr_.stripes();
+  }
+
+  // The read at `at` of a wave over `period`, as a rebuild job; steps
+  // `at` past it.
+  Job wave_read(const std::vector<PeriodRead>& period, WavePos& at) const {
+    const PeriodRead& r = period[at.next];
+    Job job;
+    job.stripe = at.base + r.offset;
     // arr.slot(s, row) is row-major: s * rows + row.
-    const std::int64_t slot_base = static_cast<std::int64_t>(s) * arch_.rows();
-    for (const auto& [phys, row] : tpl.reads) {
-      Job job;
-      job.slot = slot_base + row;
-      job.stripe = s;
-      queue(phys).rebuild.push_back(job);
-      if (ob_ != nullptr) trace_job(obs::EventKind::kRebuildIssue, phys, job);
+    job.slot = static_cast<std::int64_t>(job.stripe) * arch_.rows() + r.row;
+    if (++at.next == period.size()) {
+      at.next = 0;
+      at.base += arr_.total_disks();
     }
-    rebuild_remaining_ += tpl.reads.size();
-    return true;
+    --at.left;
+    return job;
+  }
+
+  // Step `q`'s wave past its next `count` reads.
+  void skip_wave(DiskQueue& q, std::size_t count) {
+    WavePos& at = q.wave;
+    at.left -= count;
+    at.next += count;
+    at.base += static_cast<int>(at.next / q.period.size()) * arr_.total_disks();
+    at.next %= q.period.size();
+  }
+
+  // The next rebuild read of `q`: the last put-back, else the wave's next.
+  Job pop_rebuild(DiskQueue& q) {
+    if (q.put_back.empty()) return wave_read(q.period, q.wave);
+    const Job job = q.put_back.back();
+    q.put_back.pop_back();
+    return job;
   }
 
   // Lifecycle tracking, derived through the header-inline
@@ -443,7 +511,10 @@ class Engine {
     if (arr_.physical(disk).failed()) return;
     DiskQueue& q = queue(disk);
     if (q.busy) return;
-    if (batching_ && q.user.empty() && q.rebuild.size() > 1 &&
+    // A put-back only ever sits on a disk that cannot batch (a transient
+    // retry needs a transient fault profile; handle_disk_death sweeps a
+    // fail-stop's at once), so a run is always a stretch of the wave.
+    if (batching_ && q.user.empty() && q.wave.left > 1 &&
         arr_.physical(disk).can_batch()) {
       drain_run(disk);
       return;
@@ -452,9 +523,8 @@ class Engine {
     if (!q.user.empty()) {
       job = q.user.front();
       q.user.pop_front();
-    } else if (!q.rebuild.empty() && throttle_.allow()) {
-      job = q.rebuild.front();
-      q.rebuild.pop_front();
+    } else if (q.rebuild_size() > 0 && throttle_.allow()) {
+      job = pop_rebuild(q);
       throttle_.on_issue();
     } else {
       return;
@@ -474,7 +544,7 @@ class Engine {
           q.user.push_front(job);
         } else {
           throttle_.on_complete();  // left service without completing
-          q.rebuild.push_front(job);
+          q.put_back.push_back(job);
         }
         ++report_.fail_stops_absorbed;
         handle_disk_death(disk);
@@ -513,48 +583,41 @@ class Engine {
   // path would have dispatched it (at a tie the arrival event carries
   // the earlier sequence number in both worlds, so the user job is
   // already queued when the completion fires). The first access is
-  // forced: this dispatch commits it regardless. Completions are retired
-  // at the run's end; that can only move a *global* milestone
+  // forced: this dispatch commits it regardless. The run is retired in
+  // one step at its end; that can only move a *global* milestone
   // (rebuild_remaining_ hitting zero) if the milestone op is the run's
-  // own last element, whose end time the event carries exactly.
+  // own last element, whose end time the event carries exactly. Under
+  // the batch gate nothing observes, throttles or replans meanwhile, so
+  // the event needs just the count.
   void drain_run(int disk) {
     DiskQueue& q = queue(disk);
     disk::SimDisk& d = arr_.physical(disk);
-    // Chunked scan so a drain bounded by a near arrival never walks the
-    // whole queue to take a short prefix.
+    // Chunked, so a drain bounded by a near arrival never walks the whole
+    // wave to take a short prefix. The chunks come from a copy of the
+    // wave position; the wave then steps past what the disk took.
     constexpr std::size_t kChunk = 64;
+    WavePos at = q.wave;
     std::size_t taken = 0;
     double end = 0.0;
     bool force_first = true;
-    for (;;) {
-      const std::size_t chunk = std::min(kChunk, q.rebuild.size() - taken);
-      if (chunk == 0) break;
+    while (at.left > 0) {
       batch_run_.clear();
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const Job& j = q.rebuild[taken + i];
-        batch_run_.push_back({j.kind, j.slot});
-      }
+      while (batch_run_.size() < kChunk && at.left > 0)
+        batch_run_.push_back(
+            {disk::IoKind::kRead, wave_read(q.period, at).slot});
       const disk::SimDisk::RunWhile rw = d.submit_run_while(
           batch_run_, sim_.now(), next_arrival_, force_first);
       if (rw.submitted > 0) end = rw.end;
       taken += rw.submitted;
-      if (rw.submitted < chunk) break;
+      if (rw.submitted < batch_run_.size()) break;
       force_first = false;
     }
-    // The taken prefix stays in the deque until the run completes: under
-    // the batch gate nothing can touch it meanwhile (this disk is busy,
-    // planning waves only happen at start and on a disk death,
-    // kick_waiting is throttle-only), so the completion event needs just
-    // the count — no per-job capture.
-    for (std::size_t i = 0; i < taken; ++i) throttle_.on_issue();
+    skip_wave(q, taken);
+    throttle_.on_issue(static_cast<int>(taken));
     q.busy = true;
     sim_.schedule_at(end, [this, disk, taken] {
-      DiskQueue& dq = queue(disk);
-      dq.busy = false;
-      for (std::size_t i = 0; i < taken; ++i) {
-        complete_job(dq.rebuild.front(), disk);
-        dq.rebuild.pop_front();
-      }
+      queue(disk).busy = false;
+      retire_rebuild(taken);
       dispatch(disk);
     });
   }
@@ -588,7 +651,7 @@ class Engine {
         q.user.push_front(job);
       } else {
         throttle_.on_complete();  // re-queued: budget frees meanwhile
-        q.rebuild.push_front(job);
+        q.put_back.push_back(job);
       }
     } else {
       ++report_.io_failures;
@@ -606,7 +669,7 @@ class Engine {
     for (int d = 0; d < arr_.total_disks(); ++d) {
       if (!throttle_.allow()) return;
       const DiskQueue& q = queue(d);
-      if (!q.busy && !q.rebuild.empty()) dispatch(d);
+      if (!q.busy && q.rebuild_size() > 0) dispatch(d);
     }
   }
 
@@ -659,9 +722,17 @@ class Engine {
       if (--rq.pieces_left == 0) finish_request(rq);
       return;
     }
-    --rebuild_remaining_;
-    throttle_.on_complete();
     if (ob_ != nullptr) trace_job(obs::EventKind::kRebuildComplete, disk, job);
+    retire_rebuild(1);
+  }
+
+  // Retire `count` rebuild reads that left service together: the reads
+  // left, the throttle's in-flight count and, with the last read, the
+  // rebuild-done milestone. complete_job retires one read, a batched
+  // run all of its reads at its end.
+  void retire_rebuild(std::size_t count) {
+    rebuild_remaining_ -= count;
+    throttle_.on_complete(static_cast<int>(count));
     if (rebuild_remaining_ == 0) {
       report_.rebuild_done_s = sim_.now();
       lc_failed_.clear();  // every lost element has a recovered copy
@@ -705,21 +776,17 @@ class Engine {
     set_state(true);
     // Forget every queued rebuild job (their stripes get replanned).
     for (DiskQueue& q : queues_) {
-      rebuild_remaining_ -= q.rebuild.size();
-      q.rebuild.clear();
+      rebuild_remaining_ -= q.rebuild_size();
+      q.put_back.clear();
     }
     // Replan ALL stripes for the full current failure set. This is
     // conservative: stripes whose first-failure reads had completed are
     // read again, a bounded overestimate of rebuild work that keeps the
     // planner the single source of truth for what the double-failure
     // rebuild needs.
-    for (StripeTemplate& tpl : plan_cache_) tpl.compiled = false;
-    const std::vector<int> failed_phys = arr_.failed_physical();
-    for (int s = 0; s < arr_.stripes(); ++s) {
-      if (!plan_stripe(s, failed_phys)) {
-        injection_failed_ = true;
-        return;
-      }
+    if (!plan_wave(arr_.failed_physical())) {
+      injection_failed_ = true;
+      return;
     }
     // Reroute queued user jobs of the dead disk.
     const std::deque<Job> orphans = std::move(queue(dead).user);
@@ -790,7 +857,7 @@ class Engine {
                           WindowedRate(&sd.counters().busy_s, 1.0));
       metrics_->add_probe(prefix + "qdepth", [this, d](double, double) {
         const DiskQueue& q = queues_[d];
-        return static_cast<double>(q.user.size() + q.rebuild.size()) +
+        return static_cast<double>(q.user.size() + q.rebuild_size()) +
                (q.busy ? 1.0 : 0.0);
       });
       metrics_->add_probe(prefix + "rebuild_mbps",
@@ -857,9 +924,11 @@ class Engine {
   // user-loaded live replica. Only R >= 2 has a choice to make.
   std::vector<int> user_load_;
   std::size_t rebuild_remaining_ = 0;
-  std::vector<StripeTemplate> plan_cache_;  // one per rotation class
-  std::vector<int> failed_logical_;         // scratch, reused per compile
-  std::vector<int> lc_failed_;              // the lifecycle's failed set
+  // Per rotation class, the (physical disk, row) of each planned read in
+  // plan order: the kRebuildIssue trace's order (filled while observing).
+  std::vector<std::vector<std::pair<int, int>>> issue_order_;
+  std::vector<int> failed_logical_;  // scratch, reused per class
+  std::vector<int> lc_failed_;       // the lifecycle's failed set
   bool injection_failed_ = false;
 
   // Event-batched drains (drain_run) and their preemption horizon: when
@@ -885,9 +954,8 @@ class Engine {
 };
 
 Result<OnlineReport> Engine::run() {
-  for (int s = 0; s < arr_.stripes(); ++s)
-    if (!plan_stripe(s, initial_failed_))
-      return internal_error("initial rebuild plan failed");
+  if (!plan_wave(initial_failed_))
+    return internal_error("initial rebuild plan failed");
   set_state(true);  // the initial failure, rebuild about to start
 
   if (inject_second_) {

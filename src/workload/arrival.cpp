@@ -1,5 +1,6 @@
 #include "workload/arrival.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -137,34 +138,41 @@ Result<ArrivalKind> arrival_kind_from(std::string_view name) {
 
 Result<std::unique_ptr<ArrivalProcess>> make_arrival_process(
     const ArrivalConfig& cfg) {
+  // Every rate and mean feeds Rng::next_exponential, which asserts on a
+  // mean that is not > 0: NaN passes a `<= 0` test and 1 / inf is 0.
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0; };
   if (cfg.max_requests < 0)
     return invalid_argument("arrival: max_requests must be >= 0");
   switch (cfg.kind) {
     case ArrivalKind::kPoisson:
-      if (cfg.rate_hz <= 0)
-        return invalid_argument("arrival: poisson rate_hz must be > 0");
+      if (!positive(cfg.rate_hz))
+        return invalid_argument(
+            "arrival: poisson rate_hz must be finite and > 0");
       return std::unique_ptr<ArrivalProcess>(new PoissonProcess(cfg.rate_hz));
     case ArrivalKind::kClosedLoop:
-      if (cfg.clients <= 0 || cfg.think_time_s < 0)
+      if (cfg.clients <= 0 ||
+          !(std::isfinite(cfg.think_time_s) && cfg.think_time_s >= 0))
         return invalid_argument(
-            "arrival: closed loop needs clients > 0 and think_time_s >= 0");
+            "arrival: closed loop needs clients > 0 and a finite "
+            "think_time_s >= 0");
       return std::unique_ptr<ArrivalProcess>(
           new ClosedLoopProcess(cfg.clients, cfg.think_time_s));
     case ArrivalKind::kBursty:
-      if (cfg.rate_hz <= 0 || cfg.burst_rate_hz <= 0 ||
-          cfg.mean_burst_s <= 0 || cfg.mean_idle_s <= 0)
+      if (!positive(cfg.rate_hz) || !positive(cfg.burst_rate_hz) ||
+          !positive(cfg.mean_burst_s) || !positive(cfg.mean_idle_s))
         return invalid_argument(
-            "arrival: bursty needs positive rates and holding times");
+            "arrival: bursty needs finite positive rates and holding times");
       return std::unique_ptr<ArrivalProcess>(new BurstyProcess(
           cfg.rate_hz, cfg.burst_rate_hz, cfg.mean_burst_s, cfg.mean_idle_s));
     case ArrivalKind::kTrace: {
       if (cfg.trace.empty())
         return invalid_argument("arrival: trace replay needs a trace");
       for (std::size_t i = 0; i < cfg.trace.size(); ++i) {
-        if (cfg.trace[i].t_s < 0 ||
-            (i > 0 && cfg.trace[i].t_s < cfg.trace[i - 1].t_s))
+        const double t = cfg.trace[i].t_s;
+        if (!(std::isfinite(t) && t >= 0) ||
+            (i > 0 && t < cfg.trace[i - 1].t_s))
           return invalid_argument(
-              "arrival: trace instants must be non-negative and "
+              "arrival: trace instants must be finite, non-negative and "
               "non-decreasing");
       }
       return std::unique_ptr<ArrivalProcess>(new TraceProcess(cfg.trace));
@@ -200,7 +208,14 @@ Result<std::vector<TracePoint>> load_arrival_trace_csv(
       return invalid_argument("arrival trace line " + std::to_string(lineno) +
                               ": expected \"t_s,write\"");
     TracePoint p;
-    p.t_s = std::strtod(line.substr(0, comma).c_str(), nullptr);
+    const std::string instant = line.substr(0, comma);
+    char* end = nullptr;
+    p.t_s = std::strtod(instant.c_str(), &end);
+    if (instant.empty() || end != instant.c_str() + instant.size() ||
+        !std::isfinite(p.t_s))
+      return invalid_argument("arrival trace line " + std::to_string(lineno) +
+                              ": instant \"" + instant +
+                              "\" is not a finite number");
     p.write = std::atoi(line.c_str() + comma + 1) != 0;
     out.push_back(p);
   }

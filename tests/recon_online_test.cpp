@@ -1119,10 +1119,48 @@ std::vector<StageRun> failure_family() {
   return runs;
 }
 
-// One digest per engine stage family, recorded from the engine as one
-// function body before it became a class. A family whose digest moves
-// names the stage whose behaviour changed (docs/SERVING.md, "Engine
-// stages").
+// Rebuild waves: 1 to 41 stripes against stacks of 6 to 11 disks, so
+// every array but 7 stripes on 7 disks ends in a partial stack, with
+// stack rotation on and off, mirror and mirror+parity at n = 3..5 in
+// both arrangements, batched and per-event drains, and on mirror+parity
+// a second failure halfway through the single-failure rebuild, which
+// replans every stripe mid-drain.
+std::vector<StageRun> wave_family() {
+  std::vector<layout::Architecture> arches;
+  for (const bool parity : {false, true})
+    for (int n = 3; n <= 5; ++n)
+      for (const bool shifted : {true, false})
+        arches.push_back(
+            parity ? layout::Architecture::mirror_with_parity(n, shifted)
+                   : layout::Architecture::mirror(n, shifted));
+  std::vector<StageRun> runs;
+  for (const int stripes : {1, 3, 7, 13, 23, 41})
+    for (const bool rotate : {true, false})
+      for (const layout::Architecture& arch : arches)
+        for (const bool batch : {true, false}) {
+          StageRun run = stage_run(arch, {1});
+          run.array.stripes = stripes;
+          run.array.rotate = rotate;
+          run.online.batch_drains = batch;
+          runs.push_back(run);
+          if (arch.fault_tolerance() < 2) continue;
+          array::DiskArray arr(run.array);
+          arr.fail_physical(1);
+          const auto single = run_online_reconstruction(arr, run.online);
+          EXPECT_TRUE(single.is_ok());
+          if (!single.is_ok()) continue;
+          run.online.second_failure_at_s = single.value().rebuild_done_s / 2;
+          run.online.second_failure_disk = arr.total_disks() - 1;
+          runs.push_back(run);
+        }
+  return runs;
+}
+
+// One digest per engine stage family. The first six were recorded from
+// the engine as one function body before it became a class, the waves
+// from the engine that queued one job per rebuild read. A family whose
+// digest moves names the stage whose behaviour changed (docs/SERVING.md,
+// "Engine stages").
 TEST(OnlineGolden, EngineStageDigestsArePinned) {
   const struct {
     const char* family;
@@ -1135,6 +1173,7 @@ TEST(OnlineGolden, EngineStageDigestsArePinned) {
       {"drains", drain_family, 0xd05c20bc9f0ec8d9ull},
       {"hedging", hedge_family, 0x9b41be8f205e3a39ull},
       {"failure", failure_family, 0xfa83faae9d15f175ull},
+      {"waves", wave_family, 0x55826dd83cd4e427ull},
   };
   for (const auto& f : families) {
     const std::uint64_t digest = family_digest(f.runs());

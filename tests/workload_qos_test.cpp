@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "array/disk_array.hpp"
 #include "obs/observer.hpp"
@@ -99,6 +102,53 @@ TEST(ArrivalProcess, RejectsBadConfigs) {
   EXPECT_FALSE(make_arrival_process(cfg).is_ok());
   cfg.trace = {{1.0, false}, {0.5, false}};  // decreasing instants
   EXPECT_FALSE(make_arrival_process(cfg).is_ok());
+}
+
+// Every rate and holding time becomes an exponential mean, so NaN (which
+// a `<= 0` test lets through) and infinity (whose inverse is 0) would
+// reach Rng::next_exponential's assert; they are refused instead.
+TEST(ArrivalProcess, RejectsNonFiniteRatesAndTimes) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    ArrivalConfig poisson;
+    poisson.rate_hz = bad;
+    EXPECT_EQ(make_arrival_process(poisson).status().code(),
+              ErrorCode::kInvalidArgument);
+    for (double ArrivalConfig::*field :
+         {&ArrivalConfig::rate_hz, &ArrivalConfig::burst_rate_hz,
+          &ArrivalConfig::mean_burst_s, &ArrivalConfig::mean_idle_s}) {
+      ArrivalConfig bursty;
+      bursty.kind = ArrivalKind::kBursty;
+      bursty.*field = bad;
+      EXPECT_EQ(make_arrival_process(bursty).status().code(),
+                ErrorCode::kInvalidArgument);
+    }
+    ArrivalConfig closed;
+    closed.kind = ArrivalKind::kClosedLoop;
+    closed.think_time_s = bad;
+    EXPECT_EQ(make_arrival_process(closed).status().code(),
+              ErrorCode::kInvalidArgument);
+  }
+  ArrivalConfig closed;
+  closed.kind = ArrivalKind::kClosedLoop;
+  closed.think_time_s = 0.0;  // no think time at all is still valid
+  EXPECT_TRUE(make_arrival_process(closed).is_ok());
+}
+
+// A trace built in code gets the loader's checks: every instant finite.
+TEST(ArrivalProcess, RejectsNonFiniteTraceInstants) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    ArrivalConfig cfg;
+    cfg.kind = ArrivalKind::kTrace;
+    cfg.trace = {{0.5, false}, {bad, false}, {2.0, false}};
+    EXPECT_EQ(make_arrival_process(cfg).status().code(),
+              ErrorCode::kInvalidArgument);
+    cfg.trace = {{0.5, false}, {bad, false}};
+    EXPECT_EQ(make_arrival_process(cfg).status().code(),
+              ErrorCode::kInvalidArgument);
+  }
 }
 
 // --- rebuild throttle unit behavior -----------------------------------
@@ -366,6 +416,48 @@ TEST(ArrivalTraceReplay, RoundTripsThroughCsv) {
   ASSERT_TRUE(replayed.is_ok());
   EXPECT_EQ(replayed.value().requests_issued, 80u);
   EXPECT_EQ(replayed.value().requests_completed, 80u);
+}
+
+// Load a trace CSV holding `body` after the header.
+Result<std::vector<TracePoint>> load_trace(const std::string& name,
+                                           const std::string& body) {
+  const std::string path = testing::TempDir() + name;
+  {
+    std::ofstream out(path);
+    out << "t_s,write\n" << body;
+  }
+  return load_arrival_trace_csv(path);
+}
+
+// An instant must parse in full as a finite number. An infinite last
+// instant used to reach SampleSet's NaN assert, a NaN middle one passed
+// the non-decreasing check and replayed, and a word read as 0.
+TEST(ArrivalTraceReplay, LoaderRefusesAnInfiniteInstant) {
+  const auto r = load_trace("sma_trace_inf.csv", "0.5,0\ninf,0\n");
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(r.status().to_string().find("line 3"), std::string::npos)
+      << r.status().to_string();
+}
+
+TEST(ArrivalTraceReplay, LoaderRefusesANanInstant) {
+  const auto r = load_trace("sma_trace_nan.csv", "0.5,0\nnan,0\n1.5,0\n");
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(r.status().to_string().find("line 3"), std::string::npos)
+      << r.status().to_string();
+}
+
+TEST(ArrivalTraceReplay, LoaderRefusesANonNumericInstant) {
+  for (const char* body :
+       {"0.5,0\nabc,0\n", "0.5,0\n1.5s,0\n", "0.5,0\n,1\n"}) {
+    const auto r = load_trace("sma_trace_word.csv", body);
+    ASSERT_FALSE(r.is_ok()) << body;
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument) << body;
+  }
+  const auto ok = load_trace("sma_trace_ok.csv", "0.5,0\n1.5,1\n");
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_EQ(ok.value().size(), 2u);
 }
 
 }  // namespace

@@ -170,6 +170,10 @@ int usage_stream(std::FILE* out, const char* error) {
 
 int usage(const char* error = nullptr) { return usage_stream(stderr, error); }
 
+// A request rate must be finite and > 0: its inverse is an exponential
+// mean, and NaN would pass a `<= 0` test.
+bool finite_positive(double v) { return std::isfinite(v) && v > 0; }
+
 // ---------------------------------------------------------------------------
 // Shared option table. One parse for the flags every subcommand keeps
 // re-reading: the array shape, the layout spelling, and the seed.
@@ -455,6 +459,8 @@ int cmd_online(const Flags& flags) {
                       /*default_interval=*/0.5);
   recon::OnlineConfig ocfg;
   ocfg.arrival.rate_hz = flags.get_double("rate", 30.0);
+  if (!finite_positive(ocfg.arrival.rate_hz))
+    return usage("--rate must be finite and > 0");
   ocfg.arrival.max_requests = flags.get_int("reads", 500);
   ocfg.arrival.seed = cfg.seed;
   ocfg.observer = scope.attach();
@@ -485,10 +491,14 @@ int cmd_qos(const Flags& flags) {
   if (!kind.is_ok()) return usage(kind.status().to_string().c_str());
   ocfg.arrival.kind = kind.value();
   ocfg.arrival.rate_hz = flags.get_double("rate", 40.0);
+  if (!finite_positive(ocfg.arrival.rate_hz))
+    return usage("--rate must be finite and > 0");
   ocfg.arrival.max_requests = flags.get_int("reads", 500);
   ocfg.arrival.seed = cfg.seed;
   ocfg.arrival.clients = flags.get_int("clients", 4);
   ocfg.arrival.burst_rate_hz = flags.get_double("burst-rate", 200.0);
+  if (!finite_positive(ocfg.arrival.burst_rate_hz))
+    return usage("--burst-rate must be finite and > 0");
   if (kind.value() == workload::ArrivalKind::kTrace) {
     const std::string path = flags.get("trace-file", "");
     if (path.empty()) return usage("--arrival=trace needs --trace-file=<csv>");
@@ -565,6 +575,8 @@ int cmd_trace(const Flags& flags) {
                       /*default_interval=*/0.5);
   recon::OnlineConfig ocfg;
   ocfg.arrival.rate_hz = flags.get_double("rate", 30.0);
+  if (!finite_positive(ocfg.arrival.rate_hz))
+    return usage("--rate must be finite and > 0");
   ocfg.arrival.max_requests = flags.get_int("reads", 500);
   ocfg.arrival.seed = cfg.seed;
   ocfg.observer = scope.attach();
@@ -922,6 +934,7 @@ int cmd_simbench(const Flags& flags) {
   if (fail < 0 || fail >= base_cfg.arch.total_disks())
     return usage("--fail out of range");
   const double rate_hz = flags.get_double("rate", 30.0);
+  if (!finite_positive(rate_hz)) return usage("--rate must be finite and > 0");
   const int requests = flags.get_int("requests", 600);
   const std::uint64_t seed = base_cfg.seed;
 
@@ -1310,6 +1323,8 @@ int cmd_fleet(const Flags& flags) {
   cfg.placement.segments_per_volume = flags.get_int("segments", 8);
   cfg.placement.spread = flags.get_int("spread", 4);
   cfg.arrival.rate_hz = flags.get_double("rate", 20.0 * cfg.arrays);
+  if (!finite_positive(cfg.arrival.rate_hz))
+    return usage("--rate must be finite and > 0");
   cfg.arrival.max_requests = flags.get_int("requests", 50000);
   cfg.failed_arrays = flags.get_int("failed", cfg.arrays / 16 + 1);
   cfg.seed = c.seed;
