@@ -166,58 +166,6 @@ double SimDisk::submit_run(std::span<const RunAccess> run,
   return busy;
 }
 
-SimDisk::RunWhile SimDisk::submit_run_while(std::span<const RunAccess> run,
-                                            double earliest_start,
-                                            double stop_before,
-                                            bool force_first) {
-  assert(can_batch() && "submit_run_while requires the batchable fast path");
-  // Same hoisted service table as submit_run() — see the bit-identity
-  // note there.
-  const double slow = fault_.slow_factor;
-  const double pos = spec_.positioning_s();
-  const double read_tr = spec_.read_transfer_s(logical_element_bytes_);
-  const double write_tr = spec_.write_transfer_s(logical_element_bytes_);
-  const double svc[2][2] = {
-      {(pos + read_tr) * slow, read_tr * slow},
-      {(pos + write_tr) * slow, write_tr * slow},
-  };
-  double busy = busy_until_;
-  double busy_s = counters_.busy_s;
-  std::int64_t head = head_slot_;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t sequential_ops = 0;
-  std::size_t n = 0;
-  for (const RunAccess& a : run) {
-    // `busy` is the previous access's completion once n > 0 (and the
-    // standing timeline before that): the next access enters service
-    // only if the drain is still unpreempted at that moment.
-    if (!(force_first && n == 0) && busy >= stop_before) break;
-    assert(a.slot >= 0 && a.slot < slot_count_);
-    const bool sequential = a.slot == head + 1;
-    const bool is_write = a.kind == IoKind::kWrite;
-    const double service = svc[is_write][sequential];
-    const double start = busy < earliest_start ? earliest_start : busy;
-    busy = start + service;
-    busy_s += service;
-    head = a.slot;
-    reads += !is_write;
-    writes += is_write;
-    sequential_ops += sequential;
-    ++n;
-  }
-  if (n == 0) return {0, busy_until_};
-  busy_until_ = busy;
-  head_slot_ = head;
-  counters_.busy_s = busy_s;
-  counters_.reads += reads;
-  counters_.writes += writes;
-  counters_.sequential += sequential_ops;
-  counters_.logical_bytes_read += reads * logical_element_bytes_;
-  counters_.logical_bytes_written += writes * logical_element_bytes_;
-  return {n, busy};
-}
-
 void SimDisk::reset_timeline() {
   busy_until_ = 0.0;
   head_slot_ = -2;

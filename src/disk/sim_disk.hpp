@@ -115,26 +115,28 @@ class SimDisk {
   /// completion time of the last access. Precondition: can_batch().
   double submit_run(std::span<const RunAccess> run, double earliest_start);
 
-  /// What submit_run_while committed: how many leading accesses of the
-  /// run entered service and when the last of them completes.
+  /// What submit_run_while committed: how many leading reads of the run
+  /// entered service and when the last of them completes.
   struct RunWhile {
     std::size_t submitted = 0;
     double end = 0.0;
   };
-  /// Conditional-prefix variant of submit_run() for event-batched queue
-  /// drains: submits accesses in order, but an access only enters
-  /// service while the previous completion lands strictly before
-  /// `stop_before` — the simulated moment something else (e.g. the next
-  /// user arrival) could preempt the drain. With `force_first` the
-  /// first access is submitted unconditionally (its dispatch is already
+  /// Conditional-prefix read run for event-batched queue drains: up to
+  /// `count` reads back to back, each starting no earlier than
+  /// `earliest_start`, whose slots `next_slot()` yields in order. The
+  /// first read enters service unconditionally (its dispatch is already
   /// committed in the one-event-per-op world; a future arrival cannot
-  /// preempt an access that has entered service) — continuation chunks
-  /// of a longer drain pass false. Timing, head movement, and counters
-  /// are bit-identical to per-access submit() calls for the submitted
+  /// preempt an access that has entered service); each later read only
+  /// while the previous completion lands strictly before `stop_before`
+  /// — the simulated moment something else (e.g. the next user arrival)
+  /// could preempt the drain. `next_slot` is called once for each read
+  /// that enters service and never for the rest, so a caller's cursor
+  /// ends just past the submitted prefix. Timing, head movement, and
+  /// counters are bit-identical to per-read submit() calls for that
   /// prefix. Precondition: can_batch().
-  RunWhile submit_run_while(std::span<const RunAccess> run,
-                            double earliest_start, double stop_before,
-                            bool force_first);
+  template <typename NextSlot>
+  RunWhile submit_run_while(std::size_t count, NextSlot&& next_slot,
+                            double earliest_start, double stop_before);
 
   /// Service time the next access to `slot` would incur (no state
   /// change); used by planners that want cost estimates.
@@ -245,5 +247,47 @@ class SimDisk {
   std::vector<bool> restored_;
   std::int64_t restored_count_ = 0;
 };
+
+template <typename NextSlot>
+SimDisk::RunWhile SimDisk::submit_run_while(std::size_t count,
+                                            NextSlot&& next_slot,
+                                            double earliest_start,
+                                            double stop_before) {
+  assert(can_batch() && "submit_run_while requires the batchable fast path");
+  if (count == 0) return {0, busy_until_};
+  // The two read entries of submit_run()'s hoisted service table — see
+  // the bit-identity note there.
+  const double read_tr = spec_.read_transfer_s(logical_element_bytes_);
+  const double svc[2] = {(spec_.positioning_s() + read_tr) * fault_.slow_factor,
+                         read_tr * fault_.slow_factor};
+  double busy = busy_until_;
+  // One service at a time, in read order: floating-point addition is
+  // not associative.
+  double busy_s = counters_.busy_s;
+  std::int64_t head = head_slot_;
+  std::uint64_t sequential_ops = 0;
+  std::size_t n = 0;
+  do {
+    const std::int64_t slot = next_slot();
+    assert(slot >= 0 && slot < slot_count_);
+    const bool sequential = slot == head + 1;
+    const double service = svc[sequential];
+    const double start = busy < earliest_start ? earliest_start : busy;
+    busy = start + service;
+    busy_s += service;
+    head = slot;
+    sequential_ops += sequential;
+    ++n;
+    // `busy` is now this read's completion: the next read enters service
+    // only if the drain is still unpreempted at that moment.
+  } while (n < count && busy < stop_before);
+  busy_until_ = busy;
+  head_slot_ = head;
+  counters_.busy_s = busy_s;
+  counters_.reads += n;
+  counters_.sequential += sequential_ops;
+  counters_.logical_bytes_read += n * logical_element_bytes_;
+  return {n, busy};
+}
 
 }  // namespace sma::disk

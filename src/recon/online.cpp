@@ -125,15 +125,15 @@ class Engine {
     if (arch_.replicas() >= 2) user_load_.assign(queues_.size(), 0);
     // Batched drains are legal only when nothing can preempt, reshape,
     // or observe a run mid-flight. Closed-loop arrivals depend on
-    // completions, a throttle meters rebuild admission per op, an
-    // observer samples per-op events, a hedge deadline can preempt a
-    // queued piece, and a second failure — configured or armed in any
-    // disk's fault profile — drops rebuild queues array-wide when it
-    // lands. Per-disk fault machinery (transients, latent sectors) is
-    // re-checked at each drain via SimDisk::can_batch().
-    batching_ = cfg_.batch_drains && !proc_->closed_loop() &&
-                !throttle_.enabled() && ob_ == nullptr && !inject_second_ &&
-                !hedging_;
+    // completions, an observer samples per-op events, a hedge deadline
+    // can preempt a queued piece, and a second failure — configured or
+    // armed in any disk's fault profile — drops rebuild queues
+    // array-wide when it lands. Per-disk fault machinery (transients,
+    // latent sectors) is re-checked at each drain via
+    // SimDisk::can_batch(), and a throttle at each drain via
+    // throttle_slack().
+    batching_ = cfg_.batch_drains && !proc_->closed_loop() && ob_ == nullptr &&
+                !inject_second_ && !hedging_;
     for (int d = 0; batching_ && d < arr_.total_disks(); ++d)
       if (arr_.physical(d).fail_stop_armed()) batching_ = false;
     if (ob_ != nullptr) observe();
@@ -230,15 +230,6 @@ class Engine {
     return job;
   }
 
-  // Step `q`'s wave past its next `count` reads.
-  void skip_wave(DiskQueue& q, std::size_t count) {
-    WavePos& at = q.wave;
-    at.left -= count;
-    at.next += count;
-    at.base += static_cast<int>(at.next / q.period.size()) * arr_.total_disks();
-    at.next %= q.period.size();
-  }
-
   // The next rebuild read of `q`: the last put-back, else the wave's next.
   Job pop_rebuild(DiskQueue& q) {
     if (q.put_back.empty()) return wave_read(q.period, q.wave);
@@ -324,6 +315,7 @@ class Engine {
         enqueue_user(phys, job);
       }
     }
+    recycle(pieces);
     if (!proc_->closed_loop()) {
       const double delay = proc_->next_delay(rng_);
       if (delay >= 0.0) {
@@ -344,7 +336,7 @@ class Engine {
   // live replica (ties to the earlier array), else the parity row. Empty
   // means unreadable (beyond tolerance).
   Pieces read_pieces(int i, int stripe, int row, bool& degraded) {
-    Pieces out;
+    Pieces out = spare_pieces();
     auto piece = [&](int logical, int prow) {
       Job job;
       job.slot = arr_.slot(stripe, prow);
@@ -395,12 +387,14 @@ class Engine {
     // Parity path: every other data element of the row + parity cell.
     if (!arch_.has_parity() ||
         arr_.physical(arr_.physical_disk(arch_.parity_disk(), stripe)).failed())
-      return {};
+      return out;
     for (int other = 0; other < arch_.n(); ++other) {
       if (other == i) continue;
       if (arr_.physical(arr_.physical_disk(arch_.data_disk(other), stripe))
-              .failed())
-        return {};
+              .failed()) {
+        out.clear();
+        return out;
+      }
       piece(arch_.data_disk(other), row);
     }
     piece(arch_.parity_disk(), row);
@@ -410,7 +404,7 @@ class Engine {
   // A write lands on every live copy of the element and, with parity, on
   // the row's parity cell.
   Pieces write_pieces(int i, int stripe, int row) {
-    Pieces out;
+    Pieces out = spare_pieces();
     auto piece = [&](int logical, int prow) {
       const int phys = arr_.physical_disk(logical, stripe);
       if (arr_.physical(phys).failed()) return;
@@ -425,6 +419,22 @@ class Engine {
     }
     if (arch_.has_parity()) piece(arch_.parity_disk(), row);
     return out;
+  }
+
+  // A cleared pieces vector with the capacity of one that an earlier
+  // request handed back (recycle). Each caller holds its own:
+  // reroute_orphan routes again from inside arrive()'s enqueue loop when
+  // a fail-stop manifests on a piece's dispatch, while the outer pieces
+  // are still being walked.
+  Pieces spare_pieces() {
+    if (spare_pieces_.empty()) return {};
+    Pieces out = std::move(spare_pieces_.back());
+    spare_pieces_.pop_back();
+    return out;
+  }
+  void recycle(Pieces& pieces) {
+    pieces.clear();
+    spare_pieces_.push_back(std::move(pieces));
   }
 
   void enqueue_user(int phys, Job job) {
@@ -515,7 +525,7 @@ class Engine {
     // retry needs a transient fault profile; handle_disk_death sweeps a
     // fail-stop's at once), so a run is always a stretch of the wave.
     if (batching_ && q.user.empty() && q.wave.left > 1 &&
-        arr_.physical(disk).can_batch()) {
+        arr_.physical(disk).can_batch() && throttle_slack()) {
       drain_run(disk);
       return;
     }
@@ -577,49 +587,49 @@ class Engine {
 
   // Batched drain: an idle disk holding only rebuild work commits a
   // whole run in one pass and schedules a single completion event at the
-  // run's end, instead of one event per element. The run is bounded by
-  // the next arrival: an access enters service only while the previous
-  // completion lands strictly *before* it — exactly when the per-event
-  // path would have dispatched it (at a tie the arrival event carries
-  // the earlier sequence number in both worlds, so the user job is
-  // already queued when the completion fires). The first access is
-  // forced: this dispatch commits it regardless. The run is retired in
-  // one step at its end; that can only move a *global* milestone
-  // (rebuild_remaining_ hitting zero) if the milestone op is the run's
-  // own last element, whose end time the event carries exactly. Under
-  // the batch gate nothing observes, throttles or replans meanwhile, so
-  // the event needs just the count.
+  // run's end, instead of one event per element. The disk model pulls
+  // the run's slots from a copy of the wave position, which then
+  // replaces the queue's. The run is bounded by the next arrival: an
+  // access enters service only while the previous completion lands
+  // strictly *before* it — exactly when the per-event path would have
+  // dispatched it (at a tie the arrival event carries the earlier
+  // sequence number in both worlds, so the user job is already queued
+  // when the completion fires). The first access is forced: this
+  // dispatch commits it regardless. The run holds one in-flight slot,
+  // as its reads would one at a time, and is retired in one step at its
+  // end; that can only move a *global* milestone (rebuild_remaining_
+  // hitting zero) if the milestone op is the run's own last element,
+  // whose end time the event carries exactly. Under the batch gate
+  // nothing observes or replans meanwhile and the throttle cannot bind,
+  // so the event needs just the count.
   void drain_run(int disk) {
     DiskQueue& q = queue(disk);
-    disk::SimDisk& d = arr_.physical(disk);
-    // Chunked, so a drain bounded by a near arrival never walks the whole
-    // wave to take a short prefix. The chunks come from a copy of the
-    // wave position; the wave then steps past what the disk took.
-    constexpr std::size_t kChunk = 64;
     WavePos at = q.wave;
-    std::size_t taken = 0;
-    double end = 0.0;
-    bool force_first = true;
-    while (at.left > 0) {
-      batch_run_.clear();
-      while (batch_run_.size() < kChunk && at.left > 0)
-        batch_run_.push_back(
-            {disk::IoKind::kRead, wave_read(q.period, at).slot});
-      const disk::SimDisk::RunWhile rw = d.submit_run_while(
-          batch_run_, sim_.now(), next_arrival_, force_first);
-      if (rw.submitted > 0) end = rw.end;
-      taken += rw.submitted;
-      if (rw.submitted < batch_run_.size()) break;
-      force_first = false;
-    }
-    skip_wave(q, taken);
-    throttle_.on_issue(static_cast<int>(taken));
+    const disk::SimDisk::RunWhile run = arr_.physical(disk).submit_run_while(
+        at.left, [&] { return wave_read(q.period, at).slot; }, sim_.now(),
+        next_arrival_);
+    q.wave = at;
+    throttle_.on_issue();
     q.busy = true;
-    sim_.schedule_at(end, [this, disk, taken] {
+    sim_.schedule_at(run.end, [this, disk, taken = run.submitted] {
       queue(disk).busy = false;
       retire_rebuild(taken);
       dispatch(disk);
     });
+  }
+
+  // Whether the throttle cannot bind before the next arrival, so a run
+  // meets every allow() its reads would one at a time. Its budget must
+  // cover every disk: a disk holds at most one in-flight slot, so an
+  // idle disk always finds one free and none waits in kick_waiting. The
+  // adaptive budget must also stay put: with no user request outstanding
+  // and the window empty, every control tick before the next arrival
+  // sees no reads and can only raise it.
+  bool throttle_slack() const {
+    if (!throttle_.enabled()) return true;
+    if (throttle_.budget() < arr_.total_disks()) return false;
+    return !throttle_.adaptive() ||
+           (requests_.size() == report_.requests_completed && window_.empty());
   }
 
   // A failed attempt drained: retry a transient error in place
@@ -727,12 +737,12 @@ class Engine {
   }
 
   // Retire `count` rebuild reads that left service together: the reads
-  // left, the throttle's in-flight count and, with the last read, the
+  // left, their one in-flight slot and, with the last read, the
   // rebuild-done milestone. complete_job retires one read, a batched
   // run all of its reads at its end.
   void retire_rebuild(std::size_t count) {
     rebuild_remaining_ -= count;
-    throttle_.on_complete(static_cast<int>(count));
+    throttle_.on_complete();
     if (rebuild_remaining_ == 0) {
       report_.rebuild_done_s = sim_.now();
       lc_failed_.clear();  // every lost element has a recovered copy
@@ -819,6 +829,7 @@ class Engine {
     bool degraded = false;
     Pieces pieces = read_pieces(job.data_disk, job.stripe, job.row, degraded);
     if (pieces.empty()) {
+      recycle(pieces);
       if (--rq.pieces_left == 0) finish_request(rq);
       return;
     }
@@ -831,6 +842,7 @@ class Engine {
       piece_job.request_id = job.request_id;
       enqueue_user(phys, piece_job);
     }
+    recycle(pieces);
   }
 
   // --- observation ---------------------------------------------------------
@@ -936,9 +948,9 @@ class Engine {
   // arrival event, so the horizon is a single scalar.
   bool batching_ = false;
   double next_arrival_ = kNever;
-  std::vector<disk::RunAccess> batch_run_;  // scratch, reused per drain
 
   std::vector<Request> requests_;
+  std::vector<Pieces> spare_pieces_;  // handed back by recycle
   // Foreground read latencies completed since the last control tick
   // (adaptive policy only).
   std::vector<double> window_;

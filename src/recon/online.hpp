@@ -66,11 +66,14 @@ struct OnlineConfig {
   /// Batch idle-disk rebuild drains into one kernel event per run
   /// instead of one per element (SimDisk::submit_run_while). Applies
   /// only when nothing can interact with a run mid-flight — open-loop
-  /// arrivals, strict-priority rebuild, no observer, no second-failure
-  /// injection, no armed fault machinery — and is bit-identical to the
-  /// per-element path there (enforced by test and by the drift gate).
-  /// Off reproduces the seed kernel's one-event-per-element schedule;
-  /// bench_sim_kernel measures the gap.
+  /// arrivals, no observer, no second-failure injection, no armed fault
+  /// machinery, and a throttle only while it cannot bind: its budget
+  /// covers every disk and, adaptive, no user request is outstanding
+  /// and the control window is empty, as in a rebuild's tail after the
+  /// traffic ends. There it is bit-identical to the per-element path
+  /// (enforced by test and by the drift gate). Off reproduces the seed
+  /// kernel's one-event-per-element schedule; bench_sim_kernel measures
+  /// the gap.
   bool batch_drains = true;
   /// Fail-slow detection + hedged-read failover (workload::HedgeConfig).
   /// The default (disabled) is inert: no flags are consulted, no

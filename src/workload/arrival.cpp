@@ -201,6 +201,8 @@ Result<std::vector<TracePoint>> load_arrival_trace_csv(
   int lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
+    // A trace saved with CRLF line ends loads as one saved with LF.
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     if (lineno == 1 && line.rfind("t_s", 0) == 0) continue;  // header
     const auto comma = line.find(',');
@@ -216,7 +218,11 @@ Result<std::vector<TracePoint>> load_arrival_trace_csv(
       return invalid_argument("arrival trace line " + std::to_string(lineno) +
                               ": instant \"" + instant +
                               "\" is not a finite number");
-    p.write = std::atoi(line.c_str() + comma + 1) != 0;
+    const std::string flag = line.substr(comma + 1);
+    if (flag != "0" && flag != "1")
+      return invalid_argument("arrival trace line " + std::to_string(lineno) +
+                              ": write flag \"" + flag + "\" is not 0 or 1");
+    p.write = flag == "1";
     out.push_back(p);
   }
   if (out.empty())

@@ -75,11 +75,11 @@ class RebuildThrottle {
 
   /// May one more rebuild I/O enter service now?
   bool allow() const { return !enabled_ || inflight_ < budget_; }
-  void on_issue(int count = 1) { inflight_ += count; }
-  /// `count` rebuild I/Os left service (completed, abandoned, or
-  /// requeued); the in-flight count never drops below zero.
-  void on_complete(int count = 1) {
-    inflight_ = inflight_ > count ? inflight_ - count : 0;
+  void on_issue() { ++inflight_; }
+  /// A rebuild I/O left service (completed, abandoned, or requeued). A
+  /// batched drain's run holds one slot, like a single I/O.
+  void on_complete() {
+    if (inflight_ > 0) --inflight_;
   }
 
   int budget() const { return budget_; }

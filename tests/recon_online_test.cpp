@@ -1,7 +1,9 @@
 #include "recon/online.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -28,6 +30,41 @@ array::ArrayConfig cfg_for(layout::Architecture arch, int stacks = 2) {
   cfg.logical_element_bytes = 4'000'000;
   cfg.seed = 5;
   return cfg;
+}
+
+// Every report field, bit for bit.
+void expect_same_report(const OnlineReport& a, const OnlineReport& b) {
+  EXPECT_EQ(a.rebuild_done_s, b.rebuild_done_s);
+  EXPECT_EQ(a.user_reads, b.user_reads);
+  EXPECT_EQ(a.user_writes, b.user_writes);
+  EXPECT_EQ(a.requests_issued, b.requests_issued);
+  EXPECT_EQ(a.requests_completed, b.requests_completed);
+  EXPECT_EQ(a.degraded_reads, b.degraded_reads);
+  EXPECT_EQ(a.mean_latency_s, b.mean_latency_s);
+  EXPECT_EQ(a.p50_latency_s, b.p50_latency_s);
+  EXPECT_EQ(a.p95_latency_s, b.p95_latency_s);
+  EXPECT_EQ(a.p99_latency_s, b.p99_latency_s);
+  EXPECT_EQ(a.p999_latency_s, b.p999_latency_s);
+  EXPECT_EQ(a.max_latency_s, b.max_latency_s);
+  EXPECT_EQ(a.mean_degraded_latency_s, b.mean_degraded_latency_s);
+  EXPECT_EQ(a.mean_write_latency_s, b.mean_write_latency_s);
+  EXPECT_EQ(a.p99_write_latency_s, b.p99_write_latency_s);
+  EXPECT_EQ(a.second_failure_injected, b.second_failure_injected);
+  EXPECT_EQ(a.slo_violations, b.slo_violations);
+  EXPECT_EQ(a.slo_violation_pct, b.slo_violation_pct);
+  EXPECT_EQ(a.final_rebuild_budget, b.final_rebuild_budget);
+  EXPECT_EQ(a.throttle_adjustments, b.throttle_adjustments);
+  EXPECT_EQ(a.io_retries, b.io_retries);
+  EXPECT_EQ(a.io_failures, b.io_failures);
+  EXPECT_EQ(a.fail_stops_absorbed, b.fail_stops_absorbed);
+  EXPECT_EQ(a.fail_slow_flagged, b.fail_slow_flagged);
+  EXPECT_EQ(a.affinity_reroutes, b.affinity_reroutes);
+  EXPECT_EQ(a.hedged_reads, b.hedged_reads);
+  EXPECT_EQ(a.hedge_wins, b.hedge_wins);
+  EXPECT_EQ(a.hedge_wasted, b.hedge_wasted);
+  EXPECT_EQ(a.final_state, b.final_state);
+  EXPECT_EQ(a.state_changes, b.state_changes);
+  EXPECT_EQ(a.latencies, b.latencies);
 }
 
 TEST(Online, RequiresMirrorArchitecture) {
@@ -471,6 +508,71 @@ TEST(Online, ScheduledFailStopAbsorbedLikeSecondFailure) {
   EXPECT_TRUE(arr.verify_all().is_ok());
 }
 
+// A fail-stop met by an arriving read's own dispatch: disk 2 dies at
+// t = 5 s, after the rebuild of disk 6 has drained, so the first read
+// routed to it afterwards finds it idle. The death handling replans and
+// reroutes that read onto the surviving copies while arrive() is still
+// walking the read's pieces, so routing runs re-entrantly inside the
+// arrival. The read must still complete, and the run must match the
+// unobserved one.
+TEST(Online, FailStopMetByAnArrivingReadReroutesItWithinTheArrival) {
+  auto acfg = cfg_for(layout::Architecture::mirror_with_parity(4, false), 1);
+  acfg.fault_overrides[2].fail_at_s = 5.0;
+  auto run = [&](obs::Observer* ob) {
+    array::DiskArray arr(acfg);
+    arr.fail_physical(6);
+    OnlineConfig cfg;
+    cfg.arrival.rate_hz = 20;
+    cfg.arrival.max_requests = 200;
+    cfg.arrival.seed = 1;
+    cfg.record_latencies = true;
+    cfg.observer = ob;
+    auto report = run_online_reconstruction(arr, cfg);
+    EXPECT_TRUE(report.is_ok()) << report.status().to_string();
+    return report.is_ok() ? report.value() : OnlineReport{};
+  };
+  obs::TraceSink sink;
+  obs::Observer ob{&sink, nullptr};
+  const OnlineReport traced = run(&ob);
+  EXPECT_EQ(traced.fail_stops_absorbed, 1);
+  EXPECT_EQ(traced.requests_completed, traced.requests_issued);
+  expect_same_report(traced, run(nullptr));
+
+  const auto& events = sink.events();
+  const auto death =
+      std::find_if(events.begin(), events.end(), [](const auto& e) {
+        return e.kind == obs::EventKind::kFailure && e.disk == 2;
+      });
+  ASSERT_NE(death, events.end());
+  ASSERT_NE(death, events.begin());
+  // The dispatch that met the fail-stop had just taken a read off disk
+  // 2's queue, at the instant that read arrived.
+  const obs::TraceEvent& leave = *std::prev(death);
+  ASSERT_EQ(leave.kind, obs::EventKind::kQueueLeave);
+  EXPECT_EQ(leave.disk, 2);
+  ASSERT_FALSE(leave.rebuild);
+  const int rid = leave.request_id;
+  const auto arrival = std::find_if(events.begin(), death, [&](const auto& e) {
+    return e.kind == obs::EventKind::kRequestArrive && e.request_id == rid;
+  });
+  ASSERT_NE(arrival, death);
+  EXPECT_FALSE(arrival->write);
+  EXPECT_EQ(arrival->t_s, leave.t_s);
+  // Rerouted in the same instant, to live disks.
+  std::size_t rerouted = 0;
+  for (auto e = death; e != events.end(); ++e) {
+    if (e->kind != obs::EventKind::kQueueEnter || e->request_id != rid)
+      continue;
+    EXPECT_EQ(e->t_s, leave.t_s);
+    EXPECT_NE(e->disk, 2);
+    EXPECT_NE(e->disk, 6);
+    ++rerouted;
+  }
+  EXPECT_GE(rerouted, 1u);
+  ASSERT_LT(static_cast<std::size_t>(rid), traced.latencies.size());
+  EXPECT_GT(traced.latencies[static_cast<std::size_t>(rid)], 0.0);
+}
+
 TEST(Online, ScheduledFailStopBeyondToleranceIsUnrecoverable) {
   auto acfg = cfg_for(layout::Architecture::mirror(3, true));  // tolerance 1
   acfg.fault_overrides[3].fail_at_s = 0.5;
@@ -599,67 +701,77 @@ TEST(Online, ServiceSpansAreOrderedPerDisk) {
 // The event-batched rebuild drain (OnlineConfig::batch_drains, default
 // on) must reproduce the one-event-per-element schedule bit for bit:
 // batching changes how many kernel events the drain costs, never what
-// the simulated array does. Swept across arrangements, scales, and
-// read/write mixes; every report field that is not a wall-clock
-// artifact must be exactly equal.
+// the simulated array does. Swept across arrangements, scales and
+// read/write mixes under strict priority, and under throttles whose
+// traffic ends while the rebuild drains on: fixed budgets below, at and
+// above the disk count and adaptive throttles, whose tails batch once
+// the budget covers every disk again. Every report field must be
+// exactly equal, each request's latency included.
 TEST(Online, BatchedDrainsMatchPerEventSchedule) {
+  using workload::RebuildPolicy;
   struct Case {
     int n;
     bool shifted;
+    bool parity;
     int stacks;
     double rate_hz;
     int max_requests;
     double write_fraction;
     std::uint64_t seed;
+    RebuildPolicy policy = RebuildPolicy::kStrictPriority;
+    int budget = 0;
   };
   const Case cases[] = {
-      {5, true, 4, 40, 300, 0.0, 7},
-      {5, false, 4, 40, 300, 0.0, 7},
-      {3, true, 32, 400, 1500, 0.5, 99},
-      {7, true, 64, 30, 200, 0.2, 2012},
+      {5, true, false, 4, 40, 300, 0.0, 7},
+      {5, false, false, 4, 40, 300, 0.0, 7},
+      {3, true, false, 32, 400, 1500, 0.5, 99},
+      {7, true, false, 64, 30, 200, 0.2, 2012},
+      {5, true, false, 16, 40, 200, 0.3, 7, RebuildPolicy::kAdaptive},
+      {5, false, false, 16, 40, 200, 0.3, 7, RebuildPolicy::kAdaptive},
+      {3, true, false, 32, 400, 1500, 0.5, 99, RebuildPolicy::kAdaptive},
+      {4, true, true, 16, 60, 150, 0.2, 2012, RebuildPolicy::kAdaptive},
+      {5, true, false, 16, 40, 200, 0.3, 7, RebuildPolicy::kFixedBudget, 4},
+      {5, true, false, 16, 40, 200, 0.3, 7, RebuildPolicy::kFixedBudget, 10},
+      {5, false, false, 16, 40, 200, 0.3, 7, RebuildPolicy::kFixedBudget, 16},
   };
   for (const Case& c : cases) {
     auto run = [&](bool batch) {
-      array::DiskArray arr(
-          cfg_for(layout::Architecture::mirror(c.n, c.shifted), c.stacks));
+      const auto arch =
+          c.parity ? layout::Architecture::mirror_with_parity(c.n, c.shifted)
+                   : layout::Architecture::mirror(c.n, c.shifted);
+      array::DiskArray arr(cfg_for(arch, c.stacks));
       arr.fail_physical(1);
       OnlineConfig cfg;
       cfg.arrival.rate_hz = c.rate_hz;
       cfg.arrival.max_requests = c.max_requests;
       cfg.arrival.seed = c.seed;
       cfg.mix.write_fraction = c.write_fraction;
+      cfg.qos.policy = c.policy;
+      cfg.qos.rebuild_budget = c.budget;
+      if (c.policy != RebuildPolicy::kStrictPriority)
+        cfg.qos.p99_target_s = 0.12;
+      cfg.record_latencies = true;
       cfg.batch_drains = batch;
       auto report = run_online_reconstruction(arr, cfg);
       EXPECT_TRUE(report.is_ok()) << report.status().to_string();
       return report.is_ok() ? report.value() : OnlineReport{};
     };
+    SCOPED_TRACE(testing::Message()
+                 << "n=" << c.n << " shifted=" << c.shifted
+                 << " parity=" << c.parity << " policy="
+                 << workload::to_string(c.policy) << " budget=" << c.budget);
     const OnlineReport a = run(true);
     const OnlineReport b = run(false);
-    EXPECT_EQ(a.rebuild_done_s, b.rebuild_done_s);  // bit-exact on purpose
-    EXPECT_EQ(a.requests_issued, b.requests_issued);
-    EXPECT_EQ(a.requests_completed, b.requests_completed);
-    EXPECT_EQ(a.user_reads, b.user_reads);
-    EXPECT_EQ(a.user_writes, b.user_writes);
-    EXPECT_EQ(a.degraded_reads, b.degraded_reads);
-    EXPECT_EQ(a.mean_latency_s, b.mean_latency_s);
-    EXPECT_EQ(a.p50_latency_s, b.p50_latency_s);
-    EXPECT_EQ(a.p95_latency_s, b.p95_latency_s);
-    EXPECT_EQ(a.p99_latency_s, b.p99_latency_s);
-    EXPECT_EQ(a.p999_latency_s, b.p999_latency_s);
-    EXPECT_EQ(a.max_latency_s, b.max_latency_s);
-    EXPECT_EQ(a.mean_degraded_latency_s, b.mean_degraded_latency_s);
-    EXPECT_EQ(a.mean_write_latency_s, b.mean_write_latency_s);
-    EXPECT_EQ(a.p99_write_latency_s, b.p99_write_latency_s);
-    EXPECT_EQ(a.state_changes, b.state_changes);
-    EXPECT_EQ(a.final_state, b.final_state);
+    expect_same_report(a, b);
   }
 }
 
-// Configurations outside the batch gate — a throttle policy, a second
-// failure, fault profiles able to fire mid-run — must take the
-// per-event path and still produce identical results with the flag on
-// or off (the flag is then inert, not merely harmless).
-TEST(Online, BatchGateDisablesUnderThrottleAndSecondFailure) {
+// Configurations outside the batch gate — a binding throttle (a fixed
+// budget of 2 on 7 disks), a second failure, fault profiles able to
+// fire mid-run — must take the per-event path and still produce
+// identical results with the flag on or off (the flag is then inert,
+// not merely harmless).
+TEST(Online, BatchGateDisablesUnderBindingThrottleAndSecondFailure) {
   auto run = [&](bool batch) {
     auto acfg = cfg_for(layout::Architecture::mirror_with_parity(3, true), 8);
     array::DiskArray arr(acfg);
@@ -1156,11 +1268,63 @@ std::vector<StageRun> wave_family() {
   return runs;
 }
 
+// Throttled drains: fixed-budget and adaptive rebuilds whose traffic
+// (60 requests at 60 Hz, 20 % writes) ends while the rebuild of four
+// stacks drains on. Fixed budgets sit below, at and above the disk
+// count; the adaptive runs start at the disk count with min_budget 0
+// (a heavier stream halves the budget down to a pause), start lower
+// above a floor, or see a 4 Hz stream whose control windows empty
+// between arrivals. Mirror and mirror+parity at n = 4 and R = 2, both
+// arrangements, batched and per-event drains.
+std::vector<StageRun> throttle_family() {
+  using workload::RebuildPolicy;
+  auto throttled = [](layout::Architecture arch, RebuildPolicy policy,
+                      int budget, bool batch) {
+    StageRun run = stage_run(std::move(arch), {1}, 4);
+    run.online.arrival.max_requests = 60;
+    run.online.mix.write_fraction = 0.2;
+    run.online.qos.policy = policy;
+    run.online.qos.rebuild_budget = budget;
+    run.online.qos.p99_target_s = 0.1;
+    run.online.batch_drains = batch;
+    return run;
+  };
+  std::vector<StageRun> runs;
+  for (const bool batch : {true, false}) {
+    for (const bool shifted : {true, false}) {
+      const auto mirror = layout::Architecture::mirror(4, shifted);  // 8 disks
+      for (const int budget : {3, 8, 12})
+        runs.push_back(
+            throttled(mirror, RebuildPolicy::kFixedBudget, budget, batch));
+      StageRun paused = throttled(mirror, RebuildPolicy::kAdaptive, 0, batch);
+      paused.online.qos.min_budget = 0;
+      paused.online.arrival.rate_hz = 120.0;
+      paused.online.arrival.max_requests = 150;
+      runs.push_back(paused);
+      StageRun floor = throttled(mirror, RebuildPolicy::kAdaptive, 3, batch);
+      floor.online.qos.min_budget = 2;
+      runs.push_back(floor);
+      StageRun sparse = throttled(mirror, RebuildPolicy::kAdaptive, 0, batch);
+      sparse.online.arrival.rate_hz = 4.0;
+      sparse.online.arrival.max_requests = 12;
+      runs.push_back(sparse);
+      const auto parity = layout::Architecture::mirror_with_parity(4, shifted);
+      runs.push_back(throttled(parity, RebuildPolicy::kAdaptive, 0, batch));
+      runs.push_back(throttled(parity, RebuildPolicy::kFixedBudget, 9, batch));
+      runs.push_back(throttled(
+          mirror_r(4, shifted ? "shifted" : "traditional", 2),
+          RebuildPolicy::kAdaptive, 0, batch));
+    }
+  }
+  return runs;
+}
+
 // One digest per engine stage family. The first six were recorded from
 // the engine as one function body before it became a class, the waves
-// from the engine that queued one job per rebuild read. A family whose
-// digest moves names the stage whose behaviour changed (docs/SERVING.md,
-// "Engine stages").
+// from the engine that queued one job per rebuild read, the throttled
+// drains from the engine whose batch gate refused every throttle. A
+// family whose digest moves names the stage whose behaviour changed
+// (docs/SERVING.md, "Engine stages").
 TEST(OnlineGolden, EngineStageDigestsArePinned) {
   const struct {
     const char* family;
@@ -1174,6 +1338,7 @@ TEST(OnlineGolden, EngineStageDigestsArePinned) {
       {"hedging", hedge_family, 0x9b41be8f205e3a39ull},
       {"failure", failure_family, 0xfa83faae9d15f175ull},
       {"waves", wave_family, 0x55826dd83cd4e427ull},
+      {"throttled", throttle_family, 0xeb51e0683a75ea53ull},
   };
   for (const auto& f : families) {
     const std::uint64_t digest = family_digest(f.runs());

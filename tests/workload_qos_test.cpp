@@ -460,5 +460,30 @@ TEST(ArrivalTraceReplay, LoaderRefusesANonNumericInstant) {
   EXPECT_EQ(ok.value().size(), 2u);
 }
 
+// The write flag is exactly 0 or 1, as save_arrival_trace_csv writes it.
+// A word, a 2, a blank or a padded flag used to read through atoi: "abc"
+// and "yes" replayed as reads and "2" as a write.
+TEST(ArrivalTraceReplay, LoaderRefusesAWriteFlagThatIsNot0Or1) {
+  for (const char* flag : {"abc", "yes", "2", "-1", "", " 1", "1 ", "01",
+                           "1.0", "0x1"}) {
+    const std::string body = "0.5,0\n1.0,1\n1.5," + std::string(flag) + "\n";
+    const auto r = load_trace("sma_trace_flag.csv", body);
+    ASSERT_FALSE(r.is_ok()) << '"' << flag << '"';
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument) << flag;
+    EXPECT_NE(r.status().to_string().find("line 4"), std::string::npos)
+        << r.status().to_string();
+  }
+  // CRLF line ends, which the atoi read passed over, still load.
+  for (const char* body :
+       {"0.5,1\n1.0,0\n1.5,1\n", "0.5,1\r\n1.0,0\r\n1.5,1\r\n"}) {
+    const auto ok = load_trace("sma_trace_flags.csv", body);
+    ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+    ASSERT_EQ(ok.value().size(), 3u);
+    EXPECT_TRUE(ok.value()[0].write);
+    EXPECT_FALSE(ok.value()[1].write);
+    EXPECT_TRUE(ok.value()[2].write);
+  }
+}
+
 }  // namespace
 }  // namespace sma::workload
