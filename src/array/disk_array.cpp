@@ -389,11 +389,6 @@ bool DiskArray::faults_active() const {
   return false;
 }
 
-bool DiskArray::element_unreadable(int logical, int stripe, int row) const {
-  const auto& d = physical(physical_disk(logical, stripe));
-  return d.failed() || d.slot_unreadable(slot(stripe, row));
-}
-
 bool DiskArray::element_latent(int logical, int stripe, int row) const {
   const auto& d = physical(physical_disk(logical, stripe));
   return !d.failed() && d.slot_unreadable(slot(stripe, row));
@@ -416,12 +411,6 @@ void DiskArray::update_element_checksum(int logical, int stripe, int row) {
   const int phys = physical_disk(logical, stripe);
   const std::int64_t sl = slot(stripe, row);
   sums_.update(phys, sl, physical(phys).content(sl));
-}
-
-std::uint64_t DiskArray::element_checksum_stored(int logical, int stripe,
-                                                 int row) const {
-  assert(sums_.enabled());
-  return sums_.get(physical_disk(logical, stripe), slot(stripe, row));
 }
 
 bool DiskArray::element_checksum_ok(int logical, int stripe, int row) const {

@@ -188,9 +188,6 @@ class DiskArray {
   // --- fault layer ---------------------------------------------------------
   /// True when any disk carries a non-inert fault profile.
   bool faults_active() const;
-  /// Element (logical, stripe, row) cannot be read: its physical disk
-  /// failed or the slot carries a latent unreadable sector.
-  bool element_unreadable(int logical, int stripe, int row) const;
   /// The element's slot carries a latent unreadable sector (disk live).
   bool element_latent(int logical, int stripe, int row) const;
   /// Remap the element's latent sector after rewriting it in place.
@@ -229,8 +226,6 @@ class DiskArray {
   /// Record the checksum of the element's *current* content (content
   /// writers call this right after mutating the bytes).
   void update_element_checksum(int logical, int stripe, int row);
-  /// Stored checksum of the element's media location.
-  std::uint64_t element_checksum_stored(int logical, int stripe, int row) const;
   /// True when the stored checksum matches the current content.
   bool element_checksum_ok(int logical, int stripe, int row) const;
   /// Recompute every live element's fingerprint against the store.

@@ -89,13 +89,6 @@ struct FaultProfile {
   /// disk id so disks sharing one profile fault independently.
   std::uint64_t seed = 0;
 
-  /// Failure-domain id for correlated-failure experiments: disks that
-  /// share an enclosure (power / cooling / backplane) fail together
-  /// more often than independently. Consumed by the Monte-Carlo
-  /// lifetime simulator (recon::simulate_mttdl); purely descriptive for
-  /// the I/O path, so it does not participate in inert().
-  int enclosure = -1;
-
   /// True when the profile cannot change any observable behavior. The
   /// window bounds and outcome probabilities only modulate hazards that
   /// are themselves disabled by default, so they do not participate.

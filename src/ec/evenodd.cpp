@@ -2,215 +2,40 @@
 
 #include <algorithm>
 #include <cassert>
-#include <span>
 #include <vector>
 
 #include "ec/prime.hpp"
-#include "ec/solver.hpp"
-#include "gf/region.hpp"
 
 namespace sma::ec {
 
-namespace {
-int mod(int x, int m) {
-  const int r = x % m;
-  return r < 0 ? r + m : r;
-}
-}  // namespace
-
-EvenOddCodec::EvenOddCodec(int data_columns) : k_(data_columns) {
+EvenOddCodec::EvenOddCodec(int data_columns)
+    : XorCode({data_columns, 2,
+               next_prime_at_least(std::max(3, data_columns)) - 1, 0, 2}) {
   assert(data_columns >= 1);
-  p_ = next_prime_at_least(std::max(3, data_columns));
+  const int k = data_columns;
+  const int p = prime();
+  const Cell s = aux(0);
+  add_row_parity();
+  // Diagonal l < p-1: Q_l ^ S ^ D_l == 0; diagonal p-1: S ^ D_{p-1} == 0.
+  // The absent row p-1 and the shortened columns contribute zero.
+  for (int l = 0; l < p; ++l) {
+    std::vector<Cell> diagonal{s};
+    if (l < p - 1) diagonal.push_back({k + 1, l});
+    for (int j = 0; j < k; ++j)
+      if (const int i = (l - j + p) % p; i < p - 1) diagonal.push_back({j, i});
+    add_equation(std::move(diagonal));
+  }
+  std::vector<Cell> identity{s};
+  for (int i = 0; i < p - 1; ++i) {
+    identity.push_back({k, i});
+    identity.push_back({k + 1, i});
+  }
+  add_equation(std::move(identity));
 }
 
 std::string EvenOddCodec::name() const {
-  return "evenodd(k=" + std::to_string(k_) + ",p=" + std::to_string(p_) + ")";
-}
-
-void EvenOddCodec::diagonal_known(const ColumnSet& stripe, int l, int skip_a,
-                                  int skip_b,
-                                  std::span<std::uint8_t> out) const {
-  std::vector<std::span<const std::uint8_t>> srcs;
-  srcs.reserve(static_cast<std::size_t>(k_));
-  for (int j = 0; j < k_; ++j) {
-    if (j == skip_a || j == skip_b) continue;
-    const int i = mod(l - j, p_);
-    if (i > p_ - 2) continue;  // imaginary row contributes zero
-    srcs.push_back(stripe.element(j, i));
-  }
-  gf::region_zero(out);
-  gf::region_multi_xor(srcs, out);
-}
-
-void EvenOddCodec::encode_p(ColumnSet& stripe) const {
-  std::vector<std::span<const std::uint8_t>> srcs(static_cast<std::size_t>(k_));
-  for (int j = 0; j < k_; ++j)
-    srcs[static_cast<std::size_t>(j)] = stripe.column(j);
-  stripe.zero_column(p_col());
-  gf::region_multi_xor(srcs, stripe.column(p_col()));
-}
-
-void EvenOddCodec::encode_q(ColumnSet& stripe) const {
-  const std::size_t eb = stripe.element_bytes();
-  // S is the XOR of the cells on diagonal p-1 ("the missing diagonal"
-  // in EVENODD terminology).
-  std::vector<std::uint8_t> s(eb, 0);
-  diagonal_known(stripe, p_ - 1, -1, -1, s);
-  for (int l = 0; l <= p_ - 2; ++l) {
-    auto q = stripe.element(q_col(), l);
-    diagonal_known(stripe, l, -1, -1, q);
-    gf::region_xor(s, q);  // Q_l = S xor D_l
-  }
-}
-
-Status EvenOddCodec::encode(ColumnSet& stripe) const {
-  SMA_RETURN_IF_ERROR(check_stripe(stripe));
-  encode_p(stripe);
-  encode_q(stripe);
-  return Status::ok();
-}
-
-Status EvenOddCodec::recover_data_by_rows(ColumnSet& stripe, int r) const {
-  std::vector<std::span<const std::uint8_t>> srcs;
-  srcs.reserve(static_cast<std::size_t>(k_));
-  for (int j = 0; j < k_; ++j)
-    if (j != r) srcs.push_back(stripe.column(j));
-  srcs.push_back(stripe.column(p_col()));
-  stripe.zero_column(r);
-  gf::region_multi_xor(srcs, stripe.column(r));
-  return Status::ok();
-}
-
-Status EvenOddCodec::decode_one_data_and_p(ColumnSet& stripe, int r) const {
-  // P lost alongside data column r: rebuild column r from the diagonal
-  // parity. Unknowns: the p-1 real cells of column r plus the EVENODD
-  // constant S. Relations, via the full p x p array with an imaginary
-  // zero row p-1:
-  //   l <= p-2:  u_{<l-r>} ^ S = Q_l ^ known_l
-  //   l == p-1:  u_{<l-r>} ^ S = known_{p-1}        (D_{p-1} == S)
-  const std::size_t eb = stripe.element_bytes();
-  PeelingSolver solver(eb);
-  std::vector<int> u(static_cast<std::size_t>(p_) - 1);
-  for (auto& id : u) id = solver.add_unknown();
-  const int s_id = solver.add_unknown();
-
-  std::vector<std::uint8_t> rhs(eb);
-  for (int l = 0; l <= p_ - 1; ++l) {
-    diagonal_known(stripe, l, r, -1, rhs);
-    if (l <= p_ - 2) {
-      auto q = stripe.element(q_col(), l);
-      // rhs ^= Q_l
-      gf::region_xor(q, rhs);
-    }
-    std::vector<int> ids{s_id};
-    const int i = mod(l - r, p_);
-    if (i <= p_ - 2) ids.push_back(u[static_cast<std::size_t>(i)]);
-    solver.add_relation(std::move(ids), rhs);
-  }
-  SMA_RETURN_IF_ERROR(solver.solve());
-
-  for (int i = 0; i <= p_ - 2; ++i) {
-    auto dst = stripe.element(r, i);
-    const auto& val = solver.value(u[static_cast<std::size_t>(i)]);
-    std::copy(val.begin(), val.end(), dst.begin());
-  }
-  encode_p(stripe);
-  return Status::ok();
-}
-
-Status EvenOddCodec::decode_two_data(ColumnSet& stripe, int r, int s) const {
-  // Both P and Q intact. First recover S = (XOR of all P_i) ^ (XOR of
-  // all Q_l); this identity holds because p-1 is even.
-  const std::size_t eb = stripe.element_bytes();
-  std::vector<std::uint8_t> s_buf(eb, 0);
-  {
-    std::vector<std::span<const std::uint8_t>> srcs;
-    srcs.reserve(2 * (static_cast<std::size_t>(p_) - 1));
-    for (int i = 0; i <= p_ - 2; ++i) {
-      srcs.push_back(stripe.element(p_col(), i));
-      srcs.push_back(stripe.element(q_col(), i));
-    }
-    gf::region_multi_xor(srcs, s_buf);
-  }
-
-  PeelingSolver solver(eb);
-  std::vector<int> u(static_cast<std::size_t>(p_) - 1);
-  std::vector<int> v(static_cast<std::size_t>(p_) - 1);
-  for (auto& id : u) id = solver.add_unknown();
-  for (auto& id : v) id = solver.add_unknown();
-
-  std::vector<std::uint8_t> rhs(eb);
-  std::vector<std::span<const std::uint8_t>> srcs;
-  // Row relations: u_i ^ v_i = P_i ^ (known data cells of row i).
-  for (int i = 0; i <= p_ - 2; ++i) {
-    srcs.clear();
-    for (int j = 0; j < k_; ++j) {
-      if (j == r || j == s) continue;
-      srcs.push_back(stripe.element(j, i));
-    }
-    srcs.push_back(stripe.element(p_col(), i));
-    gf::region_zero(rhs);
-    gf::region_multi_xor(srcs, rhs);
-    solver.add_relation({u[static_cast<std::size_t>(i)],
-                         v[static_cast<std::size_t>(i)]},
-                        rhs);
-  }
-  // Diagonal relations: u_{<l-r>} ^ v_{<l-s>} = D_l ^ known_l, where
-  // D_l = S ^ Q_l for l <= p-2 and D_{p-1} = S.
-  for (int l = 0; l <= p_ - 1; ++l) {
-    diagonal_known(stripe, l, r, s, rhs);
-    gf::region_xor(s_buf, rhs);
-    if (l <= p_ - 2) gf::region_xor(stripe.element(q_col(), l), rhs);
-    std::vector<int> ids;
-    const int iu = mod(l - r, p_);
-    const int iv = mod(l - s, p_);
-    if (iu <= p_ - 2) ids.push_back(u[static_cast<std::size_t>(iu)]);
-    if (iv <= p_ - 2) ids.push_back(v[static_cast<std::size_t>(iv)]);
-    solver.add_relation(std::move(ids), rhs);
-  }
-  SMA_RETURN_IF_ERROR(solver.solve());
-
-  for (int i = 0; i <= p_ - 2; ++i) {
-    auto du = stripe.element(r, i);
-    auto dv = stripe.element(s, i);
-    const auto& vu = solver.value(u[static_cast<std::size_t>(i)]);
-    const auto& vv = solver.value(v[static_cast<std::size_t>(i)]);
-    std::copy(vu.begin(), vu.end(), du.begin());
-    std::copy(vv.begin(), vv.end(), dv.begin());
-  }
-  return Status::ok();
-}
-
-Status EvenOddCodec::decode(ColumnSet& stripe,
-                            const std::vector<int>& erased) const {
-  SMA_RETURN_IF_ERROR(check_stripe(stripe));
-  SMA_RETURN_IF_ERROR(check_erasures(erased));
-
-  std::vector<int> data_lost;
-  bool p_lost = false;
-  bool q_lost = false;
-  for (const int col : erased) {
-    if (col == p_col()) p_lost = true;
-    else if (col == q_col()) q_lost = true;
-    else data_lost.push_back(col);
-  }
-
-  if (data_lost.size() == 2) {
-    const int r = std::min(data_lost[0], data_lost[1]);
-    const int s = std::max(data_lost[0], data_lost[1]);
-    return decode_two_data(stripe, r, s);
-  }
-  if (data_lost.size() == 1) {
-    const int r = data_lost[0];
-    if (p_lost) return decode_one_data_and_p(stripe, r);
-    SMA_RETURN_IF_ERROR(recover_data_by_rows(stripe, r));
-    if (q_lost) encode_q(stripe);
-    return Status::ok();
-  }
-  // Only parity lost: recompute from intact data.
-  if (p_lost) encode_p(stripe);
-  if (q_lost) encode_q(stripe);
-  return Status::ok();
+  return "evenodd(k=" + std::to_string(data_columns()) +
+         ",p=" + std::to_string(prime()) + ")";
 }
 
 }  // namespace sma::ec

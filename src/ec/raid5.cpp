@@ -1,52 +1,18 @@
 #include "ec/raid5.hpp"
 
 #include <cassert>
-#include <span>
-#include <vector>
-
-#include "gf/region.hpp"
 
 namespace sma::ec {
 
 Raid5Codec::Raid5Codec(int data_columns, int rows)
-    : data_columns_(data_columns), rows_(rows) {
+    : XorCode({data_columns, 1, rows, 0, 1}) {
   assert(data_columns >= 1);
   assert(rows >= 1);
+  add_row_parity();
 }
 
 std::string Raid5Codec::name() const {
-  return "raid5(k=" + std::to_string(data_columns_) + ")";
-}
-
-Status Raid5Codec::encode(ColumnSet& stripe) const {
-  SMA_RETURN_IF_ERROR(check_stripe(stripe));
-  const int parity = data_columns_;
-  // Fused: the parity buffer is written once, with all data columns
-  // accumulated per block, instead of being re-traversed per column.
-  std::vector<std::span<const std::uint8_t>> srcs(
-      static_cast<std::size_t>(data_columns_));
-  for (int c = 0; c < data_columns_; ++c)
-    srcs[static_cast<std::size_t>(c)] = stripe.column(c);
-  stripe.zero_column(parity);
-  gf::region_multi_xor(srcs, stripe.column(parity));
-  return Status::ok();
-}
-
-Status Raid5Codec::decode(ColumnSet& stripe,
-                          const std::vector<int>& erased) const {
-  SMA_RETURN_IF_ERROR(check_stripe(stripe));
-  SMA_RETURN_IF_ERROR(check_erasures(erased));
-  if (erased.empty()) return Status::ok();
-  const int lost = erased[0];
-  // Whether the loss is a data column or the parity column, the missing
-  // column is the XOR of all the others.
-  std::vector<std::span<const std::uint8_t>> srcs;
-  srcs.reserve(static_cast<std::size_t>(total_columns()) - 1);
-  for (int c = 0; c < total_columns(); ++c)
-    if (c != lost) srcs.push_back(stripe.column(c));
-  stripe.zero_column(lost);
-  gf::region_multi_xor(srcs, stripe.column(lost));
-  return Status::ok();
+  return "raid5(k=" + std::to_string(data_columns()) + ")";
 }
 
 }  // namespace sma::ec

@@ -1,30 +1,20 @@
 // RAID-5: n data columns + 1 XOR parity column, arbitrary row count.
 //
 // This is also the parity-disk component of the (shifted) mirror method
-// with parity: c_j = XOR_i a(i, j) per the paper's Section V.
+// with parity: c_j = XOR_i a(i, j) per the paper's Section V. One
+// equation per row: the row's data cells XOR its parity cell is zero.
 #pragma once
 
-#include "ec/codec.hpp"
+#include "ec/xor_code.hpp"
 
 namespace sma::ec {
 
-class Raid5Codec final : public Codec {
+class Raid5Codec final : public XorCode {
  public:
   /// `data_columns` >= 1, `rows` >= 1 (the paper uses rows == n).
   Raid5Codec(int data_columns, int rows);
 
   std::string name() const override;
-  int data_columns() const override { return data_columns_; }
-  int parity_columns() const override { return 1; }
-  int rows() const override { return rows_; }
-  int fault_tolerance() const override { return 1; }
-
-  Status encode(ColumnSet& stripe) const override;
-  Status decode(ColumnSet& stripe, const std::vector<int>& erased) const override;
-
- private:
-  int data_columns_;
-  int rows_;
 };
 
 }  // namespace sma::ec

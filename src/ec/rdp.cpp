@@ -2,180 +2,34 @@
 
 #include <algorithm>
 #include <cassert>
-#include <span>
 #include <vector>
 
 #include "ec/prime.hpp"
-#include "ec/solver.hpp"
-#include "gf/region.hpp"
 
 namespace sma::ec {
 
-namespace {
-int mod(int x, int m) {
-  const int r = x % m;
-  return r < 0 ? r + m : r;
-}
-}  // namespace
-
-RdpCodec::RdpCodec(int data_columns) : k_(data_columns) {
+RdpCodec::RdpCodec(int data_columns)
+    : XorCode({data_columns, 2,
+               next_prime_at_least(std::max(3, data_columns + 1)) - 1, 0, 2}) {
   assert(data_columns >= 1);
-  p_ = next_prime_at_least(std::max(3, data_columns + 1));
+  const int k = data_columns;
+  const int p = prime();
+  add_row_parity();
+  // Diagonal l < p-1 runs over the data columns and P, which stands in
+  // for column p-1 (its cell on diagonal l is row l+1). The absent row
+  // p-1 and the shortened columns k..p-2 contribute zero.
+  for (int l = 0; l < p - 1; ++l) {
+    std::vector<Cell> diagonal{{k + 1, l}};
+    for (int j = 0; j < k; ++j)
+      if (const int i = (l - j + p) % p; i < p - 1) diagonal.push_back({j, i});
+    if (l + 1 < p - 1) diagonal.push_back({k, l + 1});
+    add_equation(std::move(diagonal));
+  }
 }
 
 std::string RdpCodec::name() const {
-  return "rdp(k=" + std::to_string(k_) + ",p=" + std::to_string(p_) + ")";
-}
-
-std::span<const std::uint8_t> RdpCodec::uniform_element(
-    const ColumnSet& stripe, int u, int row) const {
-  assert(u >= 0 && u <= p_ - 1);
-  if (u < k_) return stripe.element(u, row);
-  if (u == p_ - 1) return stripe.element(p_col(), row);
-  return {};  // shortened virtual column: identically zero
-}
-
-void RdpCodec::encode_p(ColumnSet& stripe) const {
-  std::vector<std::span<const std::uint8_t>> srcs(static_cast<std::size_t>(k_));
-  for (int j = 0; j < k_; ++j)
-    srcs[static_cast<std::size_t>(j)] = stripe.column(j);
-  stripe.zero_column(p_col());
-  gf::region_multi_xor(srcs, stripe.column(p_col()));
-}
-
-void RdpCodec::encode_q(ColumnSet& stripe) const {
-  // Q_l = XOR of the cells on diagonal l over uniform columns 0..p-1
-  // (data plus P), real rows only; diagonal p-1 is not stored. Gather
-  // the diagonal's cells and accumulate them in one fused pass.
-  std::vector<std::span<const std::uint8_t>> srcs;
-  for (int l = 0; l <= p_ - 2; ++l) {
-    srcs.clear();
-    for (int u = 0; u <= p_ - 1; ++u) {
-      const int i = mod(l - u, p_);
-      if (i > p_ - 2) continue;
-      auto cell = uniform_element(stripe, u, i);
-      if (!cell.empty()) srcs.push_back(cell);
-    }
-    auto q = stripe.element(q_col(), l);
-    gf::region_zero(q);
-    gf::region_multi_xor(srcs, q);
-  }
-}
-
-Status RdpCodec::encode(ColumnSet& stripe) const {
-  SMA_RETURN_IF_ERROR(check_stripe(stripe));
-  encode_p(stripe);
-  encode_q(stripe);
-  return Status::ok();
-}
-
-Status RdpCodec::recover_data_by_rows(ColumnSet& stripe, int r) const {
-  std::vector<std::span<const std::uint8_t>> srcs;
-  srcs.reserve(static_cast<std::size_t>(k_));
-  for (int j = 0; j < k_; ++j)
-    if (j != r) srcs.push_back(stripe.column(j));
-  srcs.push_back(stripe.column(p_col()));
-  stripe.zero_column(r);
-  gf::region_multi_xor(srcs, stripe.column(r));
-  return Status::ok();
-}
-
-Status RdpCodec::decode_uniform_pair(ColumnSet& stripe, int ur, int us) const {
-  // Two lost uniform columns (two data columns, or one data column and
-  // P). Unknowns: cells u_i of column ur and v_i of column us. Two
-  // relation families over the p x p array with an imaginary zero row:
-  //   rows:      u_i ^ v_i = XOR of the other uniform cells of row i
-  //              (valid because the XOR of a row across all uniform
-  //              columns is zero, P being the row parity)
-  //   diagonals: u_{<l-ur>} ^ v_{<l-us>} = Q_l ^ known_l, l <= p-2
-  // Diagonal p-1 is missing, which is exactly why peeling (the RDP
-  // paper's chain reconstruction) is needed rather than direct solves.
-  assert(ur != us);
-  const std::size_t eb = stripe.element_bytes();
-  PeelingSolver solver(eb);
-  std::vector<int> u(static_cast<std::size_t>(p_) - 1);
-  std::vector<int> v(static_cast<std::size_t>(p_) - 1);
-  for (auto& id : u) id = solver.add_unknown();
-  for (auto& id : v) id = solver.add_unknown();
-
-  std::vector<std::uint8_t> rhs(eb);
-  std::vector<std::span<const std::uint8_t>> srcs;
-  for (int i = 0; i <= p_ - 2; ++i) {
-    srcs.clear();
-    for (int w = 0; w <= p_ - 1; ++w) {
-      if (w == ur || w == us) continue;
-      auto cell = uniform_element(stripe, w, i);
-      if (!cell.empty()) srcs.push_back(cell);
-    }
-    gf::region_zero(rhs);
-    gf::region_multi_xor(srcs, rhs);
-    solver.add_relation({u[static_cast<std::size_t>(i)],
-                         v[static_cast<std::size_t>(i)]},
-                        rhs);
-  }
-  for (int l = 0; l <= p_ - 2; ++l) {
-    srcs.clear();
-    for (int w = 0; w <= p_ - 1; ++w) {
-      if (w == ur || w == us) continue;
-      const int i = mod(l - w, p_);
-      if (i > p_ - 2) continue;
-      auto cell = uniform_element(stripe, w, i);
-      if (!cell.empty()) srcs.push_back(cell);
-    }
-    srcs.push_back(stripe.element(q_col(), l));
-    gf::region_zero(rhs);
-    gf::region_multi_xor(srcs, rhs);
-    std::vector<int> ids;
-    const int iu = mod(l - ur, p_);
-    const int iv = mod(l - us, p_);
-    if (iu <= p_ - 2) ids.push_back(u[static_cast<std::size_t>(iu)]);
-    if (iv <= p_ - 2) ids.push_back(v[static_cast<std::size_t>(iv)]);
-    solver.add_relation(std::move(ids), rhs);
-  }
-  SMA_RETURN_IF_ERROR(solver.solve());
-
-  auto write_back = [&](int uniform, const std::vector<int>& ids) {
-    const int col = uniform == p_ - 1 ? p_col() : uniform;
-    for (int i = 0; i <= p_ - 2; ++i) {
-      auto dst = stripe.element(col, i);
-      const auto& val = solver.value(ids[static_cast<std::size_t>(i)]);
-      std::copy(val.begin(), val.end(), dst.begin());
-    }
-  };
-  write_back(ur, u);
-  write_back(us, v);
-  return Status::ok();
-}
-
-Status RdpCodec::decode(ColumnSet& stripe,
-                        const std::vector<int>& erased) const {
-  SMA_RETURN_IF_ERROR(check_stripe(stripe));
-  SMA_RETURN_IF_ERROR(check_erasures(erased));
-
-  std::vector<int> data_lost;
-  bool p_lost = false;
-  bool q_lost = false;
-  for (const int col : erased) {
-    if (col == p_col()) p_lost = true;
-    else if (col == q_col()) q_lost = true;
-    else data_lost.push_back(col);
-  }
-
-  if (data_lost.size() == 2) {
-    const int r = std::min(data_lost[0], data_lost[1]);
-    const int s = std::max(data_lost[0], data_lost[1]);
-    return decode_uniform_pair(stripe, r, s);
-  }
-  if (data_lost.size() == 1) {
-    const int r = data_lost[0];
-    if (p_lost) return decode_uniform_pair(stripe, r, p_ - 1);
-    SMA_RETURN_IF_ERROR(recover_data_by_rows(stripe, r));
-    if (q_lost) encode_q(stripe);
-    return Status::ok();
-  }
-  if (p_lost) encode_p(stripe);
-  if (q_lost) encode_q(stripe);
-  return Status::ok();
+  return "rdp(k=" + std::to_string(data_columns()) +
+         ",p=" + std::to_string(prime()) + ")";
 }
 
 }  // namespace sma::ec

@@ -3,47 +3,27 @@
 //
 // Defined over a prime p: (p-1) rows by (p-1) data columns, a row-parity
 // column P and a diagonal-parity column Q. The diagonals run over the
-// data columns *and* P (uniform columns 0..p-1); diagonal p-1 is never
-// stored. Shortening supports any data-column count k <= p-1 by fixing
-// absent columns at zero.
+// data columns *and* P (P standing in for column p-1); diagonal p-1 is
+// never stored. Shortening supports any data-column count k <= p-1 by
+// fixing absent columns at zero.
+//
+// Equations: P_i is the XOR of row i; Q_l is the XOR of diagonal l
+// (cells with row + column == l mod p) for l < p-1. Decoding two lost
+// columns peels from the diagonal that misses one of them, the RDP
+// paper's chain reconstruction.
 #pragma once
 
-#include "ec/codec.hpp"
+#include "ec/xor_code.hpp"
 
 namespace sma::ec {
 
-class RdpCodec final : public Codec {
+class RdpCodec final : public XorCode {
  public:
   explicit RdpCodec(int data_columns);
 
   std::string name() const override;
-  int data_columns() const override { return k_; }
-  int parity_columns() const override { return 2; }
-  int rows() const override { return p_ - 1; }
-  int fault_tolerance() const override { return 2; }
 
-  int prime() const { return p_; }
-
-  Status encode(ColumnSet& stripe) const override;
-  Status decode(ColumnSet& stripe, const std::vector<int>& erased) const override;
-
- private:
-  int k_;  // logical data columns
-  int p_;  // internal prime, >= k_ + 1
-
-  int p_col() const { return k_; }
-  int q_col() const { return k_ + 1; }
-
-  /// Element view of "uniform" column u in 0..p-1: data column for
-  /// u < k_, the P column for u == p_-1, nullptr span (zero) for the
-  /// shortened virtual columns in between.
-  std::span<const std::uint8_t> uniform_element(const ColumnSet& stripe,
-                                                int u, int row) const;
-
-  void encode_p(ColumnSet& stripe) const;
-  void encode_q(ColumnSet& stripe) const;
-  Status recover_data_by_rows(ColumnSet& stripe, int r) const;
-  Status decode_uniform_pair(ColumnSet& stripe, int ur, int us) const;
+  int prime() const { return rows() + 1; }
 };
 
 }  // namespace sma::ec

@@ -1,114 +1,28 @@
 #include "ec/xcode.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <span>
 #include <vector>
 
 #include "ec/prime.hpp"
-#include "ec/solver.hpp"
-#include "gf/region.hpp"
 
 namespace sma::ec {
 
-namespace {
-int mod(int x, int m) {
-  const int r = x % m;
-  return r < 0 ? r + m : r;
-}
-}  // namespace
-
-XCodec::XCodec(int columns) : p_(columns) {
+XCodec::XCodec(int columns) : XorCode({columns, 0, columns, 2, 2}) {
   assert(is_prime(columns) && columns >= 3 &&
          "X-code requires a prime column count >= 3");
+  const int p = columns;
+  for (const int slope : {1, -1}) {
+    for (int i = 0; i < p; ++i) {
+      std::vector<Cell> diagonal{{i, slope == 1 ? p - 2 : p - 1}};
+      for (int k = 0; k <= p - 3; ++k)
+        diagonal.push_back({((i + slope * (k + 2)) % p + p) % p, k});
+      add_equation(std::move(diagonal));
+    }
+  }
 }
 
 std::string XCodec::name() const {
-  return "x-code(p=" + std::to_string(p_) + ")";
-}
-
-Status XCodec::encode(ColumnSet& stripe) const {
-  SMA_RETURN_IF_ERROR(check_stripe(stripe));
-  std::vector<std::span<const std::uint8_t>> up_srcs;
-  std::vector<std::span<const std::uint8_t>> down_srcs;
-  for (int i = 0; i < p_; ++i) {
-    up_srcs.clear();
-    down_srcs.clear();
-    for (int k = 0; k <= p_ - 3; ++k) {
-      up_srcs.push_back(stripe.element(mod(i + k + 2, p_), k));
-      down_srcs.push_back(stripe.element(mod(i - k - 2, p_), k));
-    }
-    auto up = stripe.element(i, p_ - 2);    // slope +1 parity
-    auto down = stripe.element(i, p_ - 1);  // slope -1 parity
-    gf::region_zero(up);
-    gf::region_zero(down);
-    gf::region_multi_xor(up_srcs, up);
-    gf::region_multi_xor(down_srcs, down);
-  }
-  return Status::ok();
-}
-
-Status XCodec::decode_two_columns(ColumnSet& stripe, int a, int b) const {
-  // Unknowns: every cell (data + the two parity tails) of the erased
-  // columns. Relations: the 2p diagonal constraints, each written as
-  // XOR(diagonal data cells) XOR parity cell == 0.
-  const std::size_t eb = stripe.element_bytes();
-  PeelingSolver solver(eb);
-
-  // id of unknown for cell (col, row) in an erased column; -1 for known.
-  auto unknown_index = [&](int col, int row) -> int {
-    if (col == a) return row;
-    if (col == b && b >= 0) return p_ + row;
-    return -1;
-  };
-  const int unknown_count = b >= 0 ? 2 * p_ : p_;
-  for (int u = 0; u < unknown_count; ++u) solver.add_unknown();
-
-  std::vector<std::uint8_t> rhs(eb);
-  std::vector<std::span<const std::uint8_t>> known;
-  for (int slope = 0; slope < 2; ++slope) {
-    for (int i = 0; i < p_; ++i) {
-      known.clear();
-      std::vector<int> ids;
-      auto visit = [&](int col, int row) {
-        const int id = unknown_index(col, row);
-        if (id >= 0)
-          ids.push_back(id);
-        else
-          known.push_back(stripe.element(col, row));
-      };
-      for (int k = 0; k <= p_ - 3; ++k)
-        visit(mod(slope == 0 ? i + k + 2 : i - k - 2, p_), k);
-      visit(i, slope == 0 ? p_ - 2 : p_ - 1);
-      gf::region_zero(rhs);
-      gf::region_multi_xor(known, rhs);
-      solver.add_relation(std::move(ids), rhs);
-    }
-  }
-  SMA_RETURN_IF_ERROR(solver.solve());
-
-  for (int row = 0; row < p_; ++row) {
-    auto da = stripe.element(a, row);
-    const auto& va = solver.value(row);
-    std::copy(va.begin(), va.end(), da.begin());
-    if (b >= 0) {
-      auto db = stripe.element(b, row);
-      const auto& vb = solver.value(p_ + row);
-      std::copy(vb.begin(), vb.end(), db.begin());
-    }
-  }
-  return Status::ok();
-}
-
-Status XCodec::decode(ColumnSet& stripe,
-                      const std::vector<int>& erased) const {
-  SMA_RETURN_IF_ERROR(check_stripe(stripe));
-  SMA_RETURN_IF_ERROR(check_erasures(erased));
-  if (erased.empty()) return Status::ok();
-  if (erased.size() == 1) return decode_two_columns(stripe, erased[0], -1);
-  const int a = std::min(erased[0], erased[1]);
-  const int b = std::max(erased[0], erased[1]);
-  return decode_two_columns(stripe, a, b);
+  return "x-code(p=" + std::to_string(prime()) + ")";
 }
 
 }  // namespace sma::ec

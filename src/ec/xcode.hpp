@@ -12,20 +12,21 @@
 //   c(p-2, i) = XOR_{k=0}^{p-3} c(k, <i + k + 2>_p)
 //   c(p-1, i) = XOR_{k=0}^{p-3} c(k, <i - k - 2>_p)
 //
-// Any two column (disk) erasures are decodable; decoding peels the two
-// diagonal families from their boundary cells inward (the classic
-// X-code zigzag), which our generic PeelingSolver performs.
+// These 2p equations are the whole table. Any two column (disk)
+// erasures are decodable; peeling them resolves the two diagonal
+// families from their boundary cells inward (the classic X-code
+// zigzag).
 //
 // Note the Codec-interface mapping for a vertical code: all p columns
 // are "data columns" (each also carries two parity cells in its tail
 // rows), parity_columns() is 0, and data_rows() = p - 2 < rows() = p.
 #pragma once
 
-#include "ec/codec.hpp"
+#include "ec/xor_code.hpp"
 
 namespace sma::ec {
 
-class XCodec final : public Codec {
+class XCodec final : public XorCode {
  public:
   /// `columns` must be a prime >= 3 (no shortening support: X-code's
   /// vertical structure does not shorten gracefully, which is itself
@@ -33,21 +34,8 @@ class XCodec final : public Codec {
   explicit XCodec(int columns);
 
   std::string name() const override;
-  int data_columns() const override { return p_; }
-  int parity_columns() const override { return 0; }
-  int rows() const override { return p_; }
-  int data_rows() const override { return p_ - 2; }
-  int fault_tolerance() const override { return 2; }
 
-  int prime() const { return p_; }
-
-  Status encode(ColumnSet& stripe) const override;
-  Status decode(ColumnSet& stripe, const std::vector<int>& erased) const override;
-
- private:
-  int p_;
-
-  Status decode_two_columns(ColumnSet& stripe, int a, int b) const;
+  int prime() const { return rows(); }
 };
 
 }  // namespace sma::ec

@@ -6,16 +6,6 @@
 
 namespace sma::obs {
 
-Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
-                                      double bucket_width,
-                                      std::size_t bucket_count) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end())
-    it = histograms_.emplace(name, Histogram(lo, bucket_width, bucket_count))
-             .first;
-  return it->second;
-}
-
 void MetricsRegistry::add_probe(std::string column, Probe probe) {
   assert(probe && "probe must be callable");
   columns_.push_back(std::move(column));

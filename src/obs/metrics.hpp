@@ -1,16 +1,13 @@
-// MetricsRegistry — named counters/gauges/summaries plus cadence-
-// sampled timelines for the discrete-event experiments.
+// MetricsRegistry — named counters plus cadence-sampled timelines for
+// the discrete-event experiments.
 //
-// Scalar metrics are created on first use and live for the registry's
+// Counters are created on first use and live for the registry's
 // lifetime. Timelines are built from *probes*: closures registered per
 // column (e.g. "d3.util") that the registry evaluates every
 // `sample_interval_s()` of simulated time, producing one row per tick.
 // The simulation kernel drives the cadence by calling advance_to() as
 // its clock moves, so sampling never schedules events and cannot
 // perturb the simulated system it observes.
-//
-// Summary types are reused from util/stats: RunningStat for streaming
-// mean/variance, Histogram for bucketed distributions.
 #pragma once
 
 #include <cstdint>
@@ -19,26 +16,15 @@
 #include <string>
 #include <vector>
 
-#include "util/stats.hpp"
-
 namespace sma::obs {
 
 class MetricsRegistry {
  public:
-  // --- scalar metrics (created on first use) ---------------------------
+  // --- counters (created on first use) --------------------------------
   std::uint64_t& counter(const std::string& name) { return counters_[name]; }
-  double& gauge(const std::string& name) { return gauges_[name]; }
-  RunningStat& stat(const std::string& name) { return stats_[name]; }
-  /// First call creates the histogram with the given shape; later calls
-  /// return the existing one (shape arguments ignored).
-  Histogram& histogram(const std::string& name, double lo, double bucket_width,
-                       std::size_t bucket_count);
-
   const std::map<std::string, std::uint64_t>& counters() const {
     return counters_;
   }
-  const std::map<std::string, double>& gauges() const { return gauges_; }
-  const std::map<std::string, RunningStat>& stats() const { return stats_; }
 
   // --- cadence-sampled timelines ---------------------------------------
   /// Probe: current value of one timeline column. `now` is the sample
@@ -90,9 +76,6 @@ class MetricsRegistry {
 
  private:
   std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, RunningStat> stats_;
-  std::map<std::string, Histogram> histograms_;
 
   std::vector<std::string> columns_;
   std::vector<std::string> timeline_columns_;  // snapshot at first sample

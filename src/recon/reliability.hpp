@@ -100,7 +100,7 @@ struct MonteCarloParams {
   /// stall once the pool empties.
   double spare_replenish_hours = 0.0;
   /// Per-physical-disk failure-domain id (enclosure / shelf); empty =
-  /// fully independent failures. Mirrors disk::FaultProfile::enclosure.
+  /// fully independent failures.
   std::vector<int> enclosure_of;
   /// Failure-rate multiplier applied to a live disk while any disk of
   /// its enclosure is failed (shared fans / power / vibration). 1.0 is

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 #include <utility>
 
 namespace sma {
@@ -82,42 +81,6 @@ double SampleSet::percentile(double p) const {
   const double frac = rank - static_cast<double>(lo);
   if (lo + 1 >= samples_.size()) return samples_.back();
   return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double bucket_width, std::size_t bucket_count)
-    : lo_(lo), width_(bucket_width), counts_(bucket_count, 0) {
-  assert(bucket_width > 0);
-  assert(bucket_count > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  const double offset = (x - lo_) / width_;
-  if (offset >= static_cast<double>(counts_.size())) {
-    ++overflow_;
-    return;
-  }
-  ++counts_[static_cast<std::size_t>(offset)];
-}
-
-std::string Histogram::render(std::size_t max_bar) const {
-  std::size_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double lo = bucket_low(i);
-    out << "[" << lo << ", " << lo + width_ << ")\t" << counts_[i] << "\t";
-    const std::size_t bar = counts_[i] * max_bar / peak;
-    for (std::size_t b = 0; b < bar; ++b) out << '#';
-    out << '\n';
-  }
-  if (underflow_ > 0) out << "underflow\t" << underflow_ << '\n';
-  if (overflow_ > 0) out << "overflow\t" << overflow_ << '\n';
-  return out.str();
 }
 
 }  // namespace sma

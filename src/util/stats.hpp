@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace sma {
@@ -66,35 +65,6 @@ class SampleSet {
 
  private:
   std::vector<double> samples_;  // ascending
-};
-
-/// Fixed-bucket linear histogram for latency distributions.
-class Histogram {
- public:
-  /// Buckets of width `bucket_width` starting at `lo`; values beyond the
-  /// last bucket land in an overflow bin.
-  Histogram(double lo, double bucket_width, std::size_t bucket_count);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-  double bucket_low(std::size_t i) const {
-    return lo_ + static_cast<double>(i) * width_;
-  }
-
-  /// Multi-line ASCII rendering ("[lo, hi) count ####").
-  std::string render(std::size_t max_bar = 40) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 }  // namespace sma

@@ -1,4 +1,4 @@
-// Minimal work-stealing-free thread pool for parallel experiment sweeps.
+// parallel_for for experiment sweeps.
 //
 // Experiments enumerate many independent failure scenarios; parallel_for
 // fans them out across hardware threads. The simulator itself is single-
@@ -6,44 +6,10 @@
 // this outer, embarrassingly-parallel layer.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace sma {
-
-class ThreadPool {
- public:
-  /// threads == 0 means std::thread::hardware_concurrency().
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t size() const { return workers_.size(); }
-
-  /// Enqueue a task; runs at some point on a worker thread.
-  void submit(std::function<void()> task);
-
-  /// Block until all submitted tasks have finished.
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mu_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
-};
 
 /// Run body(i) for i in [0, count) across a transient pool and block
 /// until completion. body must be safe to call concurrently for distinct

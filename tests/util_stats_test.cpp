@@ -201,33 +201,5 @@ TEST(SampleSet, ConcurrentConstReadsAreSafe) {
   for (const double r : results) EXPECT_GT(r, 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 1.0, 4);  // [0,1) [1,2) [2,3) [3,4)
-  h.add(-1);                 // underflow
-  h.add(0.5);
-  h.add(1.0);
-  h.add(1.999);
-  h.add(3.5);
-  h.add(100);  // overflow
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(2), 0u);
-  EXPECT_EQ(h.bucket(3), 1u);
-  EXPECT_DOUBLE_EQ(h.bucket_low(2), 2.0);
-}
-
-TEST(Histogram, RenderMentionsCounts) {
-  Histogram h(0.0, 10.0, 2);
-  h.add(5);
-  h.add(5);
-  h.add(15);
-  const std::string r = h.render();
-  EXPECT_NE(r.find("[0, 10)"), std::string::npos);
-  EXPECT_NE(r.find("2"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace sma

@@ -9,33 +9,6 @@
 namespace sma {
 namespace {
 
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i)
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 100);
-  }
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, DestructorDrainsGracefully) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 10; ++i) pool.submit([&count] { ++count; });
-    pool.wait_idle();
-  }  // destructor joins
-  EXPECT_EQ(count.load(), 10);
-}
-
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   const std::size_t kCount = 1000;
   std::vector<std::atomic<int>> hits(kCount);

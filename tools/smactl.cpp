@@ -788,7 +788,8 @@ int cmd_crash(const Flags& flags) {
       static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   const int soak = flags.get_int("soak", 0);
-  if (soak <= 0) {
+  if (soak < 0) return usage("--soak must be >= 0");
+  if (soak == 0) {
     const std::int64_t crash_after =
         flags.get_int("crash-after", static_cast<int>(max_writes * 2 / 3));
     if (crash_after < 0) return usage("--crash-after must be >= 0");
@@ -825,6 +826,7 @@ int cmd_write(const Flags& flags) {
   array::DiskArray arr(cfg);
   workload::WriteWorkloadConfig wcfg;
   wcfg.arrival.max_requests = flags.get_int("requests", 1000);
+  if (wcfg.arrival.max_requests < 0) return usage("--requests must be >= 0");
   wcfg.arrival.seed = cfg.seed;
   const auto reqs = workload::generate_large_writes(arr, wcfg);
   const auto report = workload::run_write_workload(arr, reqs);
@@ -1308,6 +1310,7 @@ int cmd_fleet(const Flags& flags) {
       common_from(flags, {/*n=*/4, /*seed=*/2012, /*stacks=*/16});
   fleet::FleetConfig cfg;
   cfg.arrays = flags.get_int("arrays", 64);
+  if (cfg.arrays < 1) return usage("--arrays must be >= 1");
   cfg.n = c.n;
   cfg.parity = c.parity;
   cfg.stacks = c.stacks;
@@ -1414,6 +1417,7 @@ int cmd_chaos(const Flags& flags) {
   // hedges odd scenario seeds and runs the real injectors, so the flags
   // that would override those are usage errors rather than ignored.
   const int soak_runs = flags.get_int("soak", 0);
+  if (soak_runs < 0) return usage("--soak must be >= 0");
   if (soak_runs > 0) {
     if (!cfg.parity)
       return usage("--soak runs parity scenarios; drop --parity=false");
