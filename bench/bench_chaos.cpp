@@ -122,7 +122,8 @@ int main(int argc, char** argv) {
   for (int c = 0; c < 4; ++c) {
     const CellResult replay = run_cell(kCells[c], stacks, requests, rate_hz);
     if (replay.report.digest != cells[c].report.digest) {
-      std::fprintf(stderr, "bench_chaos: cell %s diverged on replay: %s vs %s\n",
+      std::fprintf(stderr,
+                   "bench_chaos: cell %s diverged on replay: %s vs %s\n",
                    kCells[c].name, hex(replay.report.digest).c_str(),
                    hex(cells[c].report.digest).c_str());
       return 1;

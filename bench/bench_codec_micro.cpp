@@ -138,7 +138,8 @@ void register_region_benches() {
       const std::string name =
           std::string(e.name) + "/" + std::string(gf::to_string(tier));
       auto* b = benchmark::RegisterBenchmark(
-          name.c_str(), [fn = e.fn, tier](benchmark::State& s) { fn(s, tier); });
+          name.c_str(),
+          [fn = e.fn, tier](benchmark::State& s) { fn(s, tier); });
       for (const std::int64_t sz : kRegionSizes) b->Arg(sz);
     }
   }

@@ -140,7 +140,8 @@ int main() {
     table.add_row({name, "rebuild", Table::num(0), Table::num(0),
                    Table::num(static_cast<std::uint64_t>(rb.stripes_processed)),
                    Table::num(rb.elements_read), Table::num(std::uint64_t{0}),
-                   Table::num(rb.elements_written), Table::num(std::uint64_t{0}),
+                   Table::num(rb.elements_written),
+                   Table::num(std::uint64_t{0}),
                    Table::num(rb.total_makespan_s, 4)});
 
     // The headline claim, enforced: the log must have paid for itself.

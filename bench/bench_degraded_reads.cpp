@@ -23,7 +23,8 @@ int main() {
       arr.fail_physical(0);
       workload::DegradedReadConfig cfg;
       cfg.arrival.max_requests = 2000;
-      cfg.arrival.seed = 4242;  // identical request stream for both arrangements
+      // Identical request stream for both arrangements.
+      cfg.arrival.seed = 4242;
       auto report = workload::run_degraded_reads(arr, cfg);
       if (!report.is_ok()) {
         std::fprintf(stderr, "degraded reads failed: %s\n",

@@ -70,7 +70,8 @@ int main() {
       if (in_rebuild) ++rebuild_samples;
       for (int d = 0; d < disks; ++d) {
         const std::size_t base = static_cast<std::size_t>(d * kPerDisk);
-        if (in_rebuild) util_sum[static_cast<std::size_t>(d)] += row.values[base];
+        if (in_rebuild)
+          util_sum[static_cast<std::size_t>(d)] += row.values[base];
         timeline.add_row({std::string(name), Table::num(row.t_s, 2),
                           Table::num(d), Table::num(row.values[base], 4),
                           Table::num(row.values[base + 1], 2),

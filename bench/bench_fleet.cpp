@@ -237,9 +237,10 @@ int main(int argc, char** argv) {
     const double cell_hours =
         r.sim_array_seconds / 3600.0 +
         static_cast<double>(r.timeline.arrays) * r.timeline.horizon_hours;
-    timing.add_row({kCells[c].name, Table::num(cells[c].wall_s, 3),
-                    Table::num(static_cast<double>(arrays) / cells[c].wall_s, 1),
-                    Table::num(cell_hours / cells[c].wall_s, 0)});
+    timing.add_row(
+        {kCells[c].name, Table::num(cells[c].wall_s, 3),
+         Table::num(static_cast<double>(arrays) / cells[c].wall_s, 1),
+         Table::num(cell_hours / cells[c].wall_s, 0)});
   }
   timing.add_row({"serial check (threads=1)", Table::num(serial.wall_s, 3),
                   Table::num(static_cast<double>(arrays) / serial.wall_s, 1),

@@ -49,7 +49,8 @@ int main() {
   }
   std::printf("(The mirror methods update exactly 1 replica element, plus\n"
               " exactly 1 parity element in the with-parity variant — the\n"
-              " row-code optimum, independent of n; see bench_write_access.)\n\n");
+              " row-code optimum, independent of n; see "
+              "bench_write_access.)\n\n");
   bench::emit(table, "sma_update_penalty.csv");
   return 0;
 }

@@ -664,7 +664,8 @@ BatchStats DiskArray::execute_batched(std::span<const Op> ops,
     stats.max_ops_per_disk = std::max(stats.max_ops_per_disk, batch_count_[d]);
   }
   batch_order_.resize(ops.size());
-  for (std::size_t d = 0; d < disk_count; ++d) batch_count_[d] = batch_offset_[d];
+  for (std::size_t d = 0; d < disk_count; ++d)
+    batch_count_[d] = batch_offset_[d];
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Op& op = ops[i];
     const int phys = op.redirect_phys >= 0

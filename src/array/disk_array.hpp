@@ -129,8 +129,9 @@ struct BatchStats {
 };
 
 /// Logical element coordinates excluded from a consistency check (e.g.
-/// elements that lost every redundancy path during a faulty rebuild).
-using ElementSet = std::set<std::tuple<int, int, int>>;  // (logical, stripe, row)
+/// elements that lost every redundancy path during a faulty rebuild),
+/// as (logical, stripe, row).
+using ElementSet = std::set<std::tuple<int, int, int>>;
 
 class DiskArray {
  public:

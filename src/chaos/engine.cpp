@@ -252,7 +252,8 @@ Result<ChaosReport> run_phases(const ChaosConfig& cfg, OracleContext& ctx) {
   // --- phase 4: fail-stop set + rebuild ---------------------------------
   std::vector<int> to_fail;
   if (primary != nullptr) to_fail.push_back(primary->disk);
-  if (second != nullptr && (primary == nullptr || second->disk != primary->disk))
+  if (second != nullptr &&
+      (primary == nullptr || second->disk != primary->disk))
     to_fail.push_back(second->disk);
   if (!to_fail.empty()) {
     ctx.phase = "fail/rebuild";

@@ -19,10 +19,8 @@ Status Codec::check_stripe(const ColumnSet& stripe) const {
 }
 
 Status Codec::check_erasures(const std::vector<int>& erased) const {
-  if (static_cast<int>(erased.size()) > fault_tolerance())
-    return unrecoverable(name() + ": " + std::to_string(erased.size()) +
-                         " erasures exceed fault tolerance " +
-                         std::to_string(fault_tolerance()));
+  // A malformed set is malformed at any length: validate it before
+  // comparing its size with the tolerance.
   for (std::size_t i = 0; i < erased.size(); ++i) {
     if (erased[i] < 0 || erased[i] >= total_columns())
       return invalid_argument(name() + ": erased column " +
@@ -32,6 +30,10 @@ Status Codec::check_erasures(const std::vector<int>& erased) const {
         return invalid_argument(name() + ": duplicate erased column " +
                                 std::to_string(erased[i]));
   }
+  if (static_cast<int>(erased.size()) > fault_tolerance())
+    return unrecoverable(name() + ": " + std::to_string(erased.size()) +
+                         " erasures exceed fault tolerance " +
+                         std::to_string(fault_tolerance()));
   return Status::ok();
 }
 

@@ -56,7 +56,9 @@ Status CauchyRsCodec::decode(ColumnSet& stripe,
     // Rows of the generator [I; C] corresponding to the first k intact
     // columns form an invertible k x k system over the data.
     std::vector<int> survivors;
-    for (int col = 0; col < total_columns() && static_cast<int>(survivors.size()) < k_; ++col)
+    for (int col = 0;
+         col < total_columns() && static_cast<int>(survivors.size()) < k_;
+         ++col)
       if (!lost[static_cast<std::size_t>(col)]) survivors.push_back(col);
     if (static_cast<int>(survivors.size()) < k_)
       return unrecoverable(name() + ": fewer than k surviving columns");
@@ -84,8 +86,8 @@ Status CauchyRsCodec::decode(ColumnSet& stripe,
           stripe.column(survivors[static_cast<std::size_t>(t)]);
     std::vector<std::uint8_t> coeffs(static_cast<std::size_t>(k_));
     for (int j = 0; j < k_; ++j) {
-      std::span<std::uint8_t> out(scratch.data() + static_cast<std::size_t>(j) * col_bytes,
-                                  col_bytes);
+      std::span<std::uint8_t> out(
+          scratch.data() + static_cast<std::size_t>(j) * col_bytes, col_bytes);
       for (int t = 0; t < k_; ++t)
         coeffs[static_cast<std::size_t>(t)] = inv.at(j, t);
       gf::encode_dot(coeffs, surv_cols, out);

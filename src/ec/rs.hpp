@@ -25,7 +25,8 @@ class CauchyRsCodec final : public Codec {
   int fault_tolerance() const override { return m_; }
 
   Status encode(ColumnSet& stripe) const override;
-  Status decode(ColumnSet& stripe, const std::vector<int>& erased) const override;
+  Status decode(ColumnSet& stripe,
+                const std::vector<int>& erased) const override;
 
   const GfMatrix& cauchy() const { return cauchy_; }
 

@@ -46,9 +46,9 @@ Result<std::vector<layout::Architecture>> resolve_layout_cycle(
     if (spec.empty())
       return invalid_argument("fleet layout list has an empty entry: '" +
                               layouts + "'");
-    auto arch = cfg.parity
-                    ? layout::Architecture::mirror_with_parity_named(cfg.n, spec)
-                    : layout::Architecture::mirror_named(cfg.n, spec);
+    auto arch =
+        cfg.parity ? layout::Architecture::mirror_with_parity_named(cfg.n, spec)
+                   : layout::Architecture::mirror_named(cfg.n, spec);
     if (!arch.is_ok()) return arch.status();
     archs.push_back(std::move(arch).take());
     if (comma == std::string_view::npos) break;
@@ -144,10 +144,11 @@ Result<FleetReport> run_fleet(const FleetConfig& cfg) {
   }
   std::vector<int> failed_disk_of(arrays, -1);
   for (int i = 0; i < cfg.failed_arrays; ++i) {
-    const std::size_t a = static_cast<std::size_t>(order[static_cast<std::size_t>(i)]);
+    const std::size_t a =
+        static_cast<std::size_t>(order[static_cast<std::size_t>(i)]);
     const int disks = arch_of(static_cast<int>(a)).total_disks();
-    failed_disk_of[a] =
-        static_cast<int>(fail_rng.next_below(static_cast<std::uint64_t>(disks)));
+    failed_disk_of[a] = static_cast<int>(
+        fail_rng.next_below(static_cast<std::uint64_t>(disks)));
   }
   report.failed_arrays = cfg.failed_arrays;
 

@@ -37,7 +37,8 @@ Result<Placement> build_placement(const PlacementConfig& cfg) {
   Placement p;
   p.cfg_ = cfg;
   const std::size_t volumes = static_cast<std::size_t>(cfg.volumes);
-  const std::size_t segments = static_cast<std::size_t>(cfg.segments_per_volume);
+  const std::size_t segments =
+      static_cast<std::size_t>(cfg.segments_per_volume);
   p.map_.resize(volumes * segments);
   Rng rng(cfg.seed);
   for (std::size_t v = 0; v < volumes; ++v) {

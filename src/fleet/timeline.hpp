@@ -3,14 +3,21 @@
 //
 // The serving simulation (fleet.hpp) measures what a rebuild does to
 // request latency; this module measures how often rebuilds happen at
-// all, and how often they overlap. Every array runs the PR 5 lifetime
+// all, and how often they overlap. Every array runs the lifetime
 // machinery in miniature: failures arrive as a memoryless per-disk
 // process, each failure drives a repair::Lifecycle (so transitions are
 // policed and flow to obs as typed kStateChange events), and a failure
-// landing mid-rebuild is fatal with the exact enumerated probability
-// from recon::count_fatal_sets — the paper's trade-off (the shifted
+// landing mid-rebuild is fatal exactly when the lifecycle's
+// recoverability oracle (recon::is_recoverable) says the array's
+// actual failed set lost data — the paper's trade-off (the shifted
 // arrangement has n times more fatal second disks but an n-times
 // shorter window) carried to fleet scale.
+//
+// Each array holds one pending failure draw and one pending repair or
+// restore completion, each stamped with a scheduling sequence number;
+// a tournament tree over the arrays yields the earliest (time, seq), so
+// same-instant events fire in the order they were scheduled and a
+// redraw overwrites the pending draw instead of queueing a new event.
 //
 // Determinism: each array forks its RNG from (seed, array index), so
 // the timeline is a pure function of the config regardless of event
@@ -52,7 +59,10 @@ struct TimelineConfig {
   int domain_size = 0;
   double domain_hazard_factor = 1.0;
   /// Borrowed observer: per-array lifecycle transitions, fleet
-  /// counters, and a "fleet.concurrent_rebuilds" timeline probe.
+  /// counters, and a "fleet.concurrent_rebuilds" timeline probe. The
+  /// sampling clock advances to each event before it runs and ends at
+  /// the latest instant ever drawn within the horizon, overwritten
+  /// draws included.
   obs::Attach observer;
 };
 
@@ -63,8 +73,9 @@ struct TimelineReport {
   int failures = 0;
   /// Repairs that completed within the horizon.
   int repairs_completed = 0;
-  /// Failures that hit a fatal surviving disk mid-rebuild (enumerated
-  /// fatal fractions); the array restores from backup afterwards.
+  /// Failures that left the array's failed set unrecoverable (the
+  /// lifecycle's exact oracle); the array restores from backup
+  /// afterwards.
   int data_loss_events = 0;
   /// Arrays simultaneously holding an in-flight repair/restore,
   /// integrated over the horizon.

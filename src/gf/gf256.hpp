@@ -35,7 +35,8 @@ class Tables {
   /// a^k for k >= 0.
   std::uint8_t pow(std::uint8_t a, unsigned k) const;
 
-  std::uint8_t log(std::uint8_t a) const { return log_[a]; }   // undefined for a==0
+  /// Undefined for a == 0.
+  std::uint8_t log(std::uint8_t a) const { return log_[a]; }
   std::uint8_t exp(unsigned e) const { return exp_[e % 255]; }
 
  private:

@@ -324,7 +324,8 @@ std::vector<KernelTier> available_tiers() {
   return tiers;
 }
 
-void region_xor(std::span<const std::uint8_t> src, std::span<std::uint8_t> dst) {
+void region_xor(std::span<const std::uint8_t> src,
+                std::span<std::uint8_t> dst) {
   assert(src.size() == dst.size());
   if (dst.empty()) return;
   active().xor_into(src.data(), dst.data(), dst.size());
@@ -368,7 +369,8 @@ void region_xor(KernelTier tier, std::span<const std::uint8_t> src,
 }
 
 void region_mul(KernelTier tier, std::uint8_t c,
-                std::span<const std::uint8_t> src, std::span<std::uint8_t> dst) {
+                std::span<const std::uint8_t> src,
+                std::span<std::uint8_t> dst) {
   do_mul(resolve(tier), c, src, dst);
 }
 

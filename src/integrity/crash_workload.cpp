@@ -13,7 +13,8 @@ namespace {
 
 std::uint64_t request_seed(std::uint64_t base, int request) {
   std::uint64_t s =
-      base ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(request) + 1));
+      base ^
+      (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(request) + 1));
   return splitmix64(s);
 }
 
@@ -125,9 +126,9 @@ Result<std::vector<InjectedCorruption>> inject_silent_corruption(
   std::vector<std::uint8_t> old(eb);
   std::vector<std::uint8_t> delta(eb);
   int guard = 0;
-  while (static_cast<int>(injected.size()) <
-             (kind == SilentCorruption::kMisdirectedWrite ? 2 * count : count) &&
-         ++guard < 100000) {
+  const int wanted =
+      kind == SilentCorruption::kMisdirectedWrite ? 2 * count : count;
+  while (static_cast<int>(injected.size()) < wanted && ++guard < 100000) {
     const int s = static_cast<int>(
         rng.next_below(static_cast<std::uint64_t>(arr.stripes())));
     if (used_stripes.count(s) > 0) continue;

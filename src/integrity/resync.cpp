@@ -13,7 +13,8 @@ Result<ResyncReport> resync(array::DiskArray& arr, const ResyncOptions& opts) {
   if (!arch.is_mirror())
     return invalid_argument("resync supports the mirror architectures");
   if (arr.crashed())
-    return failed_precondition("resync on a powered-off array; power_cycle() first");
+    return failed_precondition(
+        "resync on a powered-off array; power_cycle() first");
 
   auto& drl = arr.dirty_log();
   ResyncReport report;

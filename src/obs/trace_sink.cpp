@@ -141,7 +141,8 @@ Result<TraceSink> TraceSink::parse_jsonl(std::istream& in) {
     if (find_field(line, "slot", field)) e.slot = std::atoll(field.c_str());
     e.rebuild = find_field(line, "rebuild", field) && field == "true";
     e.write = find_field(line, "write", field) && field == "true";
-    if (find_field(line, "sfrom", field)) e.state_from = std::atoi(field.c_str());
+    if (find_field(line, "sfrom", field))
+      e.state_from = std::atoi(field.c_str());
     if (find_field(line, "sto", field)) e.state_to = std::atoi(field.c_str());
     sink.record(e);
   }
@@ -171,8 +172,8 @@ Status TraceSink::write_chrome_trace(std::ostream& out) const {
     if (e->kind == EventKind::kServiceStart) {
       const long long dur = static_cast<long long>(e->dur_s * 1e6);
       out << ",\"ph\":\"X\",\"dur\":" << dur << ",\"name\":\""
-          << (e->rebuild ? "rebuild " : "user ") << (e->write ? "write" : "read")
-          << "\"";
+          << (e->rebuild ? "rebuild " : "user ")
+          << (e->write ? "write" : "read") << "\"";
     } else {
       out << ",\"ph\":\"i\",\"s\":\"t\",\"name\":\"" << to_string(e->kind)
           << "\"";

@@ -88,20 +88,27 @@ inline ArrayState classify(const layout::Architecture& arch,
     if (inconsistent) return ArrayState::kInconsistent;
     return ArrayState::kHealthy;
   }
-  if (!recon::is_recoverable(arch, failed)) return ArrayState::kDataLoss;
-  auto is_failed = [&](int d) {
-    for (const int f : failed)
-      if (f == d) return true;
-    return false;
-  };
-  // One candidate set for every surviving disk: `failed` plus a last
-  // slot that the loop overwrites.
-  std::vector<int> next = failed;
-  next.push_back(-1);
-  for (int d = 0; d < arch.total_disks(); ++d) {
-    if (is_failed(d)) continue;
-    next.back() = d;
-    if (!recon::is_recoverable(arch, next)) return ArrayState::kCritical;
+  // Any fault_tolerance() disks are recoverable for every kind (RAID-5/6
+  // are MDS, R replica arrays keep R + 1 copies on distinct disks, and
+  // a mirror with parity admits only layouts that survive every second
+  // failure), so a set short of it is neither lost nor one failure
+  // from loss, and needs no oracle call.
+  if (static_cast<int>(failed.size()) >= arch.fault_tolerance()) {
+    if (!recon::is_recoverable(arch, failed)) return ArrayState::kDataLoss;
+    auto is_failed = [&](int d) {
+      for (const int f : failed)
+        if (f == d) return true;
+      return false;
+    };
+    // One candidate set for every surviving disk: `failed` plus a last
+    // slot that the loop overwrites.
+    std::vector<int> next = failed;
+    next.push_back(-1);
+    for (int d = 0; d < arch.total_disks(); ++d) {
+      if (is_failed(d)) continue;
+      next.back() = d;
+      if (!recon::is_recoverable(arch, next)) return ArrayState::kCritical;
+    }
   }
   if (resyncing) return ArrayState::kResyncing;
   if (inconsistent) return ArrayState::kInconsistent;

@@ -113,8 +113,10 @@ inline Status already_exists(std::string msg) {
 template <typename T>
 class [[nodiscard]] Result {
  public:
-  Result(T value) : payload_(std::move(value)) {}          // NOLINT(google-explicit-constructor)
-  Result(Status status) : payload_(std::move(status)) {    // NOLINT(google-explicit-constructor)
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Result(T value) : payload_(std::move(value)) {}
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Result(Status status) : payload_(std::move(status)) {
     assert(!std::get<Status>(payload_).is_ok() &&
            "Result constructed from OK status carries no value");
   }

@@ -7,7 +7,8 @@
 
 namespace sma {
 
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
+void parallel_for(std::size_t count,
+                  const std::function<void(std::size_t)>& body,
                   std::size_t threads) {
   if (count == 0) return;
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());

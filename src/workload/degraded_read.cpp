@@ -100,8 +100,8 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
     if (arr.physical(d).failed()) continue;
     ++survivors;
     total_ops += per_disk[static_cast<std::size_t>(d)];
-    report.hottest_disk_ops =
-        std::max(report.hottest_disk_ops, per_disk[static_cast<std::size_t>(d)]);
+    report.hottest_disk_ops = std::max(report.hottest_disk_ops,
+                                       per_disk[static_cast<std::size_t>(d)]);
   }
   const double mean =
       survivors > 0 ? static_cast<double>(total_ops) / survivors : 0.0;

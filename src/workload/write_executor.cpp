@@ -65,7 +65,8 @@ WriteRunReport run_write_workload(array::DiskArray& arr,
       // Data elements and their copies in every replica array for this
       // row segment.
       for (int i = first_disk; i < first_disk + len; ++i) {
-        writes.push_back({arch.data_disk(i), stripe, row, disk::IoKind::kWrite});
+        writes.push_back(
+            {arch.data_disk(i), stripe, row, disk::IoKind::kWrite});
         for (int r = 1; r <= arch.replicas(); ++r) {
           const layout::Pos replica = arch.replica_of(r, i, row);
           writes.push_back({replica.disk, stripe, replica.row,

@@ -114,7 +114,8 @@ TEST(DiskArray, NoRotationKeepsIdentity) {
 TEST(DiskArray, RotatedContentsStillVerify) {
   // verify_all resolves content through the rotation, so a rotated
   // array must verify as cleanly as an unrotated one.
-  DiskArray arr(small_config(layout::Architecture::mirror_with_parity(4, true)));
+  DiskArray arr(
+      small_config(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   EXPECT_TRUE(arr.verify_all().is_ok());
 }
@@ -136,7 +137,8 @@ TEST(DiskArray, VerifySkipsFailedDisks) {
 }
 
 TEST(DiskArray, VerifyLogicalDiskChecksOneColumn) {
-  DiskArray arr(small_config(layout::Architecture::mirror_with_parity(3, true)));
+  DiskArray arr(
+      small_config(layout::Architecture::mirror_with_parity(3, true)));
   arr.initialize();
   for (int l = 0; l < arr.total_disks(); ++l)
     EXPECT_TRUE(arr.verify_logical_disk(l).is_ok()) << l;

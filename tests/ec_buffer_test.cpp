@@ -38,7 +38,8 @@ TEST(ColumnSet, ColumnSpansRowsContiguously) {
   }
   auto col = cs.column(1);
   ASSERT_EQ(col.size(), 32u);
-  for (int r = 0; r < 4; ++r) EXPECT_EQ(col[static_cast<std::size_t>(r) * 8], r + 1);
+  for (int r = 0; r < 4; ++r)
+    EXPECT_EQ(col[static_cast<std::size_t>(r) * 8], r + 1);
 }
 
 TEST(ColumnSet, FillPatternDeterministicPerElement) {

@@ -62,6 +62,17 @@ TEST(Raid5, RejectsOutOfRangeErasure) {
   EXPECT_EQ(codec.decode(cs, {-1}).code(), ErrorCode::kInvalidArgument);
 }
 
+TEST(Raid5, MalformedSetPastTheToleranceIsAnInvalidArgument) {
+  // A repeated or out-of-range column is malformed input whatever the
+  // set's length: the tolerance check must not report it first.
+  Raid5Codec codec(4, 4);
+  ColumnSet cs = codec.make_stripe(8);
+  EXPECT_EQ(codec.decode(cs, {1, 1}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(codec.decode(cs, {0, 5}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(codec.decode(cs, {-1, 2}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(codec.decode(cs, {0, 2}).code(), ErrorCode::kUnrecoverable);
+}
+
 TEST(Raid5, RejectsWrongStripeShape) {
   Raid5Codec codec(4, 2);
   ColumnSet wrong(4, 2, 8);  // 4 columns but codec needs 5

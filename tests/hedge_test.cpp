@@ -156,7 +156,8 @@ TEST(HedgeOnline, HedgingImprovesTheFailSlowTail) {
 TEST(HedgeOnline, HedgedRunsReplayBitIdentically) {
   array::DiskArray a(slow_array_config());
   a.fail_physical(0);
-  const auto first = recon::run_online_reconstruction(a, slow_disk_config(true));
+  const auto first =
+      recon::run_online_reconstruction(a, slow_disk_config(true));
   ASSERT_TRUE(first.is_ok());
   array::DiskArray b(slow_array_config());
   b.fail_physical(0);

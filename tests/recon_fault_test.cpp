@@ -32,7 +32,8 @@ disk::FaultProfile all_latent(std::uint64_t seed = 1) {
 }
 
 TEST(ReconFaults, InertProfileReportsNoFaultActivity) {
-  array::DiskArray arr(base_cfg(layout::Architecture::mirror_with_parity(3, true)));
+  array::DiskArray arr(
+      base_cfg(layout::Architecture::mirror_with_parity(3, true)));
   EXPECT_FALSE(arr.faults_active());
   arr.initialize();
   arr.fail_physical(0);

@@ -302,7 +302,8 @@ TEST(Online, DegradedReadsServedFromReplica) {
 }
 
 TEST(Online, WriteMixProducesWriteLatencies) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   arr.fail_physical(0);
   OnlineConfig cfg;
@@ -339,7 +340,8 @@ TEST(Online, WriteLatencyBoundedBelowByServiceTime) {
   // it cannot beat one positioning + one element transfer at the write
   // rate. (It CAN beat reads on this disk: writes stream at 130 MB/s
   // vs 54.8 MB/s reads — the paper's spec-sheet asymmetry.)
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   arr.fail_physical(2);
   OnlineConfig cfg;
@@ -367,7 +369,8 @@ TEST(Online, RejectsBadWriteFraction) {
 }
 
 TEST(Online, SecondFailureMidRebuildAbsorbedWithParity) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   arr.fail_physical(0);
   OnlineConfig cfg;
@@ -416,7 +419,8 @@ TEST(Online, SecondFailureRejectedWithoutParity) {
 }
 
 TEST(Online, SecondFailureValidation) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(3, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(3, true)));
   arr.initialize();
   arr.fail_physical(0);
   OnlineConfig cfg;
@@ -430,7 +434,8 @@ TEST(Online, SecondFailureValidation) {
 TEST(Online, SecondFailureLateIsHarmless) {
   // Injection far after the rebuild drains: the dead disk's own rebuild
   // restarts and completes; everything stays consistent.
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(3, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(3, true)));
   arr.initialize();
   arr.fail_physical(0);
   OnlineConfig cfg;

@@ -16,7 +16,8 @@ array::ArrayConfig cfg_for(layout::Architecture arch) {
 }
 
 TEST(Scrub, CleanArrayReportsClean) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   auto report = scrub(arr);
   ASSERT_TRUE(report.is_ok());
@@ -39,7 +40,8 @@ TEST(Scrub, RejectsRaidAndDegradedArrays) {
 }
 
 TEST(Scrub, RepairsCorruptDataCopyViaParity) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   arr.content(arr.arch().data_disk(1), 2, 3)[5] ^= 0xFF;
   auto report = scrub(arr);
@@ -52,7 +54,8 @@ TEST(Scrub, RepairsCorruptDataCopyViaParity) {
 }
 
 TEST(Scrub, RepairsCorruptMirrorCopyViaParity) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   const layout::Pos rp = arr.arch().replica_of(1, 2, 1);
   arr.content(rp.disk, 3, rp.row)[0] ^= 0x10;
@@ -63,7 +66,8 @@ TEST(Scrub, RepairsCorruptMirrorCopyViaParity) {
 }
 
 TEST(Scrub, RepairsCorruptParityElement) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(3, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(3, true)));
   arr.initialize();
   arr.content(arr.arch().parity_disk(), 1, 2)[7] ^= 0x80;
   auto report = scrub(arr);
@@ -85,7 +89,8 @@ TEST(Scrub, MirrorWithoutParityDetectsButCannotAttribute) {
 }
 
 TEST(Scrub, TwoCorruptionsInOneRowAreUndecidable) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   // Corrupt two *data* elements of the same row: parity arbitration of
   // either one is polluted by the other.
@@ -103,7 +108,8 @@ TEST_P(ScrubSweep, InjectedErrorsInDistinctRowsAllRepaired) {
   // Property: any number of latent errors, at most one per parity row,
   // is fully repaired and the array verifies byte-exact afterwards.
   const int errors = GetParam();
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(5, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(5, true)));
   arr.initialize();
   Rng rng(static_cast<std::uint64_t>(errors) * 31 + 7);
 
@@ -138,7 +144,8 @@ INSTANTIATE_TEST_SUITE_P(ErrorCounts, ScrubSweep,
                          ::testing::Values(1, 3, 8, 20));
 
 TEST(Inject, ProducesRequestedDistinctCorruptions) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   Rng rng(11);
   const auto result = inject_latent_errors(arr, rng, 12);
@@ -173,7 +180,8 @@ TEST(Inject, RejectsACountOutsideTheElementRange) {
 }
 
 TEST(Scrub, InjectThenScrubThenVerifyEndToEnd) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(5, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(5, true)));
   arr.initialize();
   Rng rng(3);
   ASSERT_TRUE(inject_latent_errors(arr, rng, 5).is_ok());

@@ -21,7 +21,8 @@ array::ArrayConfig cfg_for(layout::Architecture arch) {
 }
 
 TEST(CheckpointEdge, ZeroStripeBudgetIsRejectedNotRecorded) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   arr.fail_physical(0);
   RebuildCheckpoint ck;
@@ -42,7 +43,8 @@ TEST(CheckpointEdge, ZeroStripeBudgetIsRejectedNotRecorded) {
 }
 
 TEST(CheckpointEdge, WatermarkAfterTheFirstStripeResumes) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   arr.fail_physical(0);
   RebuildCheckpoint ck;
@@ -67,7 +69,8 @@ TEST(CheckpointEdge, WatermarkAfterTheFirstStripeResumes) {
 }
 
 TEST(CheckpointEdge, WatermarkAtTheFinalStripeResumesForOneStripe) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   arr.fail_physical(0);
   RebuildCheckpoint ck;
@@ -93,7 +96,8 @@ TEST(CheckpointEdge, WatermarkAtTheFinalStripeResumesForOneStripe) {
 }
 
 TEST(CheckpointEdge, RefailedWatermarkDiskForcesCoveredStripesToRebuild) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(4, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(4, true)));
   arr.initialize();
   arr.fail_physical(0);
   RebuildCheckpoint ck;

@@ -92,13 +92,15 @@ TEST(Simulation, AllBackendsProduceIdenticalRuns) {
     };
     sim.schedule_at(0.0, tick);
     for (int i = 0; i < 4; ++i)
-      sim.schedule_at(3.0, [&trace, i, &sim] { trace.emplace_back(i, sim.now()); });
+      sim.schedule_at(3.0,
+                      [&trace, i, &sim] { trace.emplace_back(i, sim.now()); });
     const double end = sim.run();
     trace.emplace_back(-2, end);
     return trace;
   };
   const auto reference = drive(QueueBackend::kCalendar);
-  for (const QueueBackend backend : {QueueBackend::kHeap, QueueBackend::kLegacy})
+  for (const QueueBackend backend :
+       {QueueBackend::kHeap, QueueBackend::kLegacy})
     EXPECT_EQ(drive(backend), reference);
 }
 

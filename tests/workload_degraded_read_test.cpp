@@ -31,7 +31,9 @@ TEST(DegradedRead, RejectsRaidAndMultiFailure) {
   raid.initialize();
   EXPECT_FALSE(run_degraded_reads(raid, {}).is_ok());
 
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(3, true)));
+  array::DiskArray arr(
+
+      cfg_for(layout::Architecture::mirror_with_parity(3, true)));
   arr.initialize();
   arr.fail_physical(0);
   arr.fail_physical(1);

@@ -67,16 +67,19 @@ TEST(WriteExecutor, FullRowWriteIsOneAccessNoReads) {
 }
 
 TEST(WriteExecutor, FullRowWithParityAddsParityWriteOnly) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(3, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(3, true)));
   arr.initialize();
   const std::vector<WriteRequest> reqs{{0, 3}};
   const auto report = run_write_workload(arr, reqs);
   EXPECT_EQ(report.bytes_read, 0u);  // reconstruct-write on a full row
-  EXPECT_EQ(report.bytes_written, 7u * 4'000'000);  // 3 data + 3 mirror + parity
+  // 3 data + 3 mirror + parity.
+  EXPECT_EQ(report.bytes_written, 7u * 4'000'000);
 }
 
 TEST(WriteExecutor, SmallWritePartialRowReadsForParity) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(5, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(5, true)));
   arr.initialize();
   // Single element: RMW (2 reads: old data + old parity) beats
   // reconstruct (4 reads).
@@ -87,7 +90,8 @@ TEST(WriteExecutor, SmallWritePartialRowReadsForParity) {
 }
 
 TEST(WriteExecutor, NearFullRowUsesReconstructWrite) {
-  array::DiskArray arr(cfg_for(layout::Architecture::mirror_with_parity(5, true)));
+  array::DiskArray arr(
+      cfg_for(layout::Architecture::mirror_with_parity(5, true)));
   arr.initialize();
   // 4 of 5 elements: reconstruct (1 read) beats RMW (5 reads).
   const std::vector<WriteRequest> reqs{{0, 4}};
@@ -160,7 +164,8 @@ TEST(WriteExecutor, ThroughputComparableBetweenArrangements) {
     array::DiskArray arr(cfg_for(layout::Architecture::mirror(5, shifted)));
     arr.initialize();
     const auto reqs = generate_large_writes(arr, wcfg);
-    mbps[shifted ? 1 : 0] = run_write_workload(arr, reqs).write_throughput_mbps();
+    mbps[shifted ? 1 : 0] =
+        run_write_workload(arr, reqs).write_throughput_mbps();
   }
   // "compatible write efficiency": within 25% of each other.
   EXPECT_NEAR(mbps[1] / mbps[0], 1.0, 0.25);
