@@ -22,9 +22,9 @@ int main() {
       arr.initialize();
       arr.fail_physical(0);
       workload::DegradedReadConfig cfg;
-      cfg.arrival.max_requests = 2000;
+      cfg.requests = 2000;
       // Identical request stream for both arrangements.
-      cfg.arrival.seed = 4242;
+      cfg.seed = 4242;
       auto report = workload::run_degraded_reads(arr, cfg);
       if (!report.is_ok()) {
         std::fprintf(stderr, "degraded reads failed: %s\n",

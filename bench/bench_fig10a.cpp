@@ -20,11 +20,12 @@ int main() {
       array::DiskArray arr(bench::experiment_config(arch, /*stacks=*/4));
       arr.initialize();
       workload::WriteWorkloadConfig wcfg;
-      wcfg.arrival.max_requests = 1000;
-      wcfg.arrival.seed = 777;  // identical workload for both arrangements
+      wcfg.requests = 1000;
+      wcfg.seed = 777;  // identical workload for both arrangements
       const auto reqs = workload::generate_large_writes(arr, wcfg);
-      mbps[shifted ? 1 : 0] =
-          workload::run_write_workload(arr, reqs).write_throughput_mbps();
+      mbps[shifted ? 1 : 0] = workload::run_write_workload(arr, reqs)
+                                  .value()
+                                  .write_throughput_mbps();
     }
     table.add_row({Table::num(n), Table::num(mbps[0], 1),
                    Table::num(mbps[1], 1), Table::num(mbps[1] / mbps[0], 3)});

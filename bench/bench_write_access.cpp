@@ -33,7 +33,8 @@ int main() {
       array::DiskArray arr(bench::experiment_config(c.arch));
       arr.initialize();
       const auto report =
-          workload::run_write_workload(arr, {workload::WriteRequest{0, 1}});
+          workload::run_write_workload(arr, {workload::WriteRequest{0, 1}})
+              .value();
       table.add_row({c.label, "small (1 element)",
                      Table::num(report.bytes_written / 4'000'000),
                      Table::num(report.bytes_read / 4'000'000),
@@ -44,7 +45,8 @@ int main() {
       array::DiskArray arr(bench::experiment_config(c.arch));
       arr.initialize();
       const auto report =
-          workload::run_write_workload(arr, {workload::WriteRequest{0, 5}});
+          workload::run_write_workload(arr, {workload::WriteRequest{0, 5}})
+              .value();
       table.add_row({c.label, "large (1 row)",
                      Table::num(report.bytes_written / 4'000'000),
                      Table::num(report.bytes_read / 4'000'000),

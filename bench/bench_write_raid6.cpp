@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "workload/raid_write.hpp"
 #include "workload/write_executor.hpp"
 
 int main() {
@@ -18,49 +17,28 @@ int main() {
 
   for (int n = 3; n <= 7; ++n) {
     workload::WriteWorkloadConfig wcfg;
-    wcfg.arrival.max_requests = 400;
-    wcfg.arrival.seed = 20120901;
+    wcfg.requests = 400;
+    wcfg.seed = 20120901;
 
-    double mirror_mbps = 0;
-    {
-      array::DiskArray arr(bench::experiment_config(
-          layout::Architecture::mirror_with_parity(n, true), 2));
+    const layout::Architecture archs[] = {
+        layout::Architecture::mirror_with_parity(n, true),
+        layout::Architecture::raid5(n), layout::Architecture::raid6(n)};
+    double mbps[3] = {0, 0, 0};
+    for (int k = 0; k < 3; ++k) {
+      array::DiskArray arr(bench::experiment_config(archs[k], 2));
       arr.initialize();
       const auto reqs = workload::generate_large_writes(arr, wcfg);
-      mirror_mbps =
-          workload::run_write_workload(arr, reqs).write_throughput_mbps();
-    }
-    double raid5_mbps = 0;
-    {
-      array::DiskArray arr(
-          bench::experiment_config(layout::Architecture::raid5(n), 2));
-      arr.initialize();
-      const auto reqs = workload::generate_large_writes(arr, wcfg);
-      auto report = workload::run_raid_write_workload(arr, reqs);
+      auto report = workload::run_write_workload(arr, reqs);
       if (!report.is_ok()) {
-        std::fprintf(stderr, "raid5: %s\n",
+        std::fprintf(stderr, "%s: %s\n", archs[k].name().c_str(),
                      report.status().to_string().c_str());
         return 1;
       }
-      raid5_mbps = report.value().write_throughput_mbps();
+      mbps[k] = report.value().write_throughput_mbps();
     }
-    double raid6_mbps = 0;
-    {
-      array::DiskArray arr(
-          bench::experiment_config(layout::Architecture::raid6(n), 2));
-      arr.initialize();
-      const auto reqs = workload::generate_large_writes(arr, wcfg);
-      auto report = workload::run_raid_write_workload(arr, reqs);
-      if (!report.is_ok()) {
-        std::fprintf(stderr, "raid6: %s\n",
-                     report.status().to_string().c_str());
-        return 1;
-      }
-      raid6_mbps = report.value().write_throughput_mbps();
-    }
-    table.add_row({Table::num(n), Table::num(mirror_mbps, 1),
-                   Table::num(raid5_mbps, 1), Table::num(raid6_mbps, 1),
-                   Table::num(mirror_mbps / raid6_mbps, 2)});
+    table.add_row({Table::num(n), Table::num(mbps[0], 1),
+                   Table::num(mbps[1], 1), Table::num(mbps[2], 1),
+                   Table::num(mbps[0] / mbps[2], 2)});
   }
   bench::emit(table, "sma_write_raid6.csv");
   return 0;

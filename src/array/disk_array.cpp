@@ -114,6 +114,67 @@ void DiskArray::expected_data(int data_disk, int stripe, int row,
                out.size());
 }
 
+bool DiskArray::live(int logical, int stripe) const {
+  return !physical(physical_disk(logical, stripe)).failed();
+}
+
+Status DiskArray::read_data_element(int i, int stripe, int j,
+                                    std::span<std::uint8_t> out) const {
+  const auto& arch = cfg_.arch;
+  assert(arch.is_mirror());
+  for (int c = 0; c <= arch.replicas(); ++c) {
+    const layout::Pos at = arch.copy_of(c, i, j);
+    if (!live(at.disk, stripe)) continue;
+    auto src = content(at.disk, stripe, at.row);
+    std::copy(src.begin(), src.end(), out.begin());
+    return Status::ok();
+  }
+  // Parity path: XOR the rest of the row with the parity element.
+  if (!arch.has_parity() || !live(arch.parity_disk(), stripe))
+    return unrecoverable("element " + std::to_string(i) + "/" +
+                         std::to_string(stripe) + "/" + std::to_string(j) +
+                         " has no surviving copy or parity path");
+  auto parity = content(arch.parity_disk(), stripe, j);
+  std::copy(parity.begin(), parity.end(), out.begin());
+  for (int p = 0; p < arch.n(); ++p) {
+    if (p == i) continue;
+    if (!live(arch.data_disk(p), stripe))
+      return unrecoverable("row peer also failed; element unreadable");
+    gf::region_xor(content(arch.data_disk(p), stripe, j), out);
+  }
+  return Status::ok();
+}
+
+Status DiskArray::write_data_element(int i, int stripe, int j,
+                                     std::span<const std::uint8_t> bytes) {
+  const auto& arch = cfg_.arch;
+  assert(arch.is_mirror());
+  const bool parity_live =
+      arch.has_parity() && live(arch.parity_disk(), stripe);
+  // With every copy gone the write is still absorbed into the parity
+  // delta (the element stays reconstructible through its row), the
+  // way a degraded RAID-5 write works.
+  if (parity_live) {
+    std::vector<std::uint8_t> old(bytes.size());
+    SMA_RETURN_IF_ERROR(read_data_element(i, stripe, j, old));
+    auto parity = content(arch.parity_disk(), stripe, j);
+    gf::region_xor(old, parity);
+    gf::region_xor(bytes, parity);
+    if (sums_.enabled()) update_element_checksum(arch.parity_disk(), stripe, j);
+  }
+  bool written = parity_live;
+  for (int c = 0; c <= arch.replicas(); ++c) {
+    const layout::Pos at = arch.copy_of(c, i, j);
+    if (!live(at.disk, stripe)) continue;
+    auto dst = content(at.disk, stripe, at.row);
+    std::copy(bytes.begin(), bytes.end(), dst.begin());
+    if (sums_.enabled()) update_element_checksum(at.disk, stripe, at.row);
+    written = true;
+  }
+  if (!written) return unrecoverable("every copy failed; write would be lost");
+  return Status::ok();
+}
+
 void DiskArray::init_mirror_stripe(int stripe) {
   const auto& arch = cfg_.arch;
   const int n = arch.n();
@@ -191,28 +252,24 @@ Status DiskArray::verify_mirror_stripe(int stripe) const {
   const auto& arch = cfg_.arch;
   const int n = arch.n();
   std::vector<std::uint8_t> expect(cfg_.content_bytes);
-  auto live = [&](int logical) {
-    return !physical(physical_disk(logical, stripe)).failed();
-  };
-
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < arch.rows(); ++j) {
       expected_data(i, stripe, j, expect);
-      if (live(arch.data_disk(i))) {
+      if (live(arch.data_disk(i), stripe)) {
         auto got = content(arch.data_disk(i), stripe, j);
         if (!std::equal(got.begin(), got.end(), expect.begin()))
           return mismatch("data", arch.data_disk(i), stripe, j);
       }
       for (int r = 1; r <= arch.replicas(); ++r) {
         const layout::Pos replica = arch.replica_of(r, i, j);
-        if (!live(replica.disk)) continue;
+        if (!live(replica.disk, stripe)) continue;
         auto got = content(replica.disk, stripe, replica.row);
         if (!std::equal(got.begin(), got.end(), expect.begin()))
           return mismatch("mirror", replica.disk, stripe, replica.row);
       }
     }
   }
-  if (arch.has_parity() && live(arch.parity_disk())) {
+  if (arch.has_parity() && live(arch.parity_disk(), stripe)) {
     std::vector<std::uint8_t> parity(cfg_.content_bytes);
     for (int j = 0; j < arch.rows(); ++j) {
       std::fill(parity.begin(), parity.end(), 0);
@@ -237,7 +294,7 @@ Status DiskArray::verify_raid_stripe(int stripe) const {
     }
   SMA_RETURN_IF_ERROR(raid_codec_->encode(cs));
   for (int col = 0; col < cs.columns(); ++col) {
-    if (physical(physical_disk(col, stripe)).failed()) continue;
+    if (!live(col, stripe)) continue;
     for (int j = 0; j < cfg_.arch.rows(); ++j) {
       auto got = content(col, stripe, j);
       auto want = cs.element(col, j);
@@ -265,9 +322,6 @@ Status DiskArray::verify_consistency(const ElementSet* skip) const {
     return skip != nullptr && skip->count({logical, s, row}) > 0;
   };
   for (int s = 0; s < cfg_.stripes; ++s) {
-    auto live = [&](int logical) {
-      return !physical(physical_disk(logical, s)).failed();
-    };
     if (cfg_.arch.is_mirror()) {
       const int n = cfg_.arch.n();
       // Every live copy of an element against its first live copy
@@ -277,7 +331,8 @@ Status DiskArray::verify_consistency(const ElementSet* skip) const {
           layout::Pos first{-1, -1};
           for (int c = 0; c <= cfg_.arch.replicas(); ++c) {
             const layout::Pos copy = cfg_.arch.copy_of(c, i, j);
-            if (!live(copy.disk) || skipped(copy.disk, s, copy.row)) continue;
+            if (!live(copy.disk, s) || skipped(copy.disk, s, copy.row))
+              continue;
             if (first.disk < 0) {
               first = copy;
               continue;
@@ -289,10 +344,10 @@ Status DiskArray::verify_consistency(const ElementSet* skip) const {
           }
         }
       }
-      if (cfg_.arch.has_parity() && live(cfg_.arch.parity_disk())) {
+      if (cfg_.arch.has_parity() && live(cfg_.arch.parity_disk(), s)) {
         bool all_data_live = true;
         for (int i = 0; i < n; ++i)
-          if (!live(cfg_.arch.data_disk(i))) all_data_live = false;
+          if (!live(cfg_.arch.data_disk(i), s)) all_data_live = false;
         if (all_data_live) {
           for (int j = 0; j < cfg_.arch.rows(); ++j) {
             bool row_skipped = skipped(cfg_.arch.parity_disk(), s, j);
@@ -312,7 +367,7 @@ Status DiskArray::verify_consistency(const ElementSet* skip) const {
     } else {
       bool all_data_live = true;
       for (int i = 0; i < cfg_.arch.n(); ++i)
-        if (!live(i)) all_data_live = false;
+        if (!live(i, s)) all_data_live = false;
       if (!all_data_live) continue;
       if (skip != nullptr) {
         bool stripe_skipped = false;
@@ -331,7 +386,7 @@ Status DiskArray::verify_consistency(const ElementSet* skip) const {
         }
       SMA_RETURN_IF_ERROR(raid_codec_->encode(cs));
       for (int col = cfg_.arch.n(); col < cs.columns(); ++col) {
-        if (!live(col)) continue;
+        if (!live(col, s)) continue;
         for (int j = 0; j < cfg_.arch.rows(); ++j) {
           auto got = content(col, s, j);
           auto want = cs.element(col, j);
@@ -426,7 +481,7 @@ Status DiskArray::verify_checksums() const {
         "verify_checksums() on an array without checksums enabled");
   for (int s = 0; s < cfg_.stripes; ++s) {
     for (int logical = 0; logical < total_disks(); ++logical) {
-      if (physical(physical_disk(logical, s)).failed()) continue;
+      if (!live(logical, s)) continue;
       for (int j = 0; j < cfg_.arch.rows(); ++j) {
         if (!element_checksum_ok(logical, s, j))
           return corruption("checksum mismatch at logical disk " +

@@ -168,6 +168,21 @@ class DiskArray {
   void expected_data(int data_disk, int stripe, int row,
                      std::span<std::uint8_t> out) const;
 
+  /// Current bytes of data element a(i, j) of `stripe` on a mirror kind,
+  /// degraded when disks failed: its first live copy (c = 0..R), else
+  /// the XOR of its parity row. kUnrecoverable when neither path
+  /// survives.
+  Status read_data_element(int i, int stripe, int j,
+                           std::span<std::uint8_t> out) const;
+  /// Apply one acked write of `bytes` to data element a(i, j) of
+  /// `stripe` on a mirror kind: when the parity disk is live, parity ^=
+  /// old ^ new, the old value read as read_data_element does; every
+  /// live copy then takes the bytes; checksums follow when enabled.
+  /// Content only (no timed I/O). kUnrecoverable, with nothing written,
+  /// when the write would be lost or the old value is unreadable.
+  Status write_data_element(int i, int stripe, int j,
+                            std::span<const std::uint8_t> bytes);
+
   /// Check every element on every non-failed disk against its
   /// definition. kCorruption with a precise location on mismatch.
   Status verify_all() const;
@@ -298,6 +313,8 @@ class DiskArray {
   void submit_with_retry(const Op& op, int phys, double start_time,
                          BatchStats& stats);
 
+  /// The physical disk holding `logical` in `stripe` has not failed.
+  bool live(int logical, int stripe) const;
   void init_mirror_stripe(int stripe);
   void init_raid_stripe(int stripe);
   Status verify_mirror_stripe(int stripe) const;

@@ -1,10 +1,7 @@
 #include "core/volume.hpp"
 
 #include <algorithm>
-#include <string>
 #include <vector>
-
-#include "gf/region.hpp"
 
 namespace sma::core {
 
@@ -33,10 +30,6 @@ Result<MirroredVolume> MirroredVolume::create(const VolumeConfig& cfg) {
   return vol;
 }
 
-bool MirroredVolume::live(int logical, int stripe) const {
-  return !array_.physical(array_.physical_disk(logical, stripe)).failed();
-}
-
 Status MirroredVolume::read_element(int data_disk, int stripe, int row,
                                     std::span<std::uint8_t> out) const {
   const auto& arch = array_.arch();
@@ -45,34 +38,7 @@ Status MirroredVolume::read_element(int data_disk, int stripe, int row,
     return out_of_range("read_element coordinates out of range");
   if (out.size() != array_.config().content_bytes)
     return invalid_argument("read buffer size mismatch");
-
-  if (live(arch.data_disk(data_disk), stripe)) {
-    auto src = array_.content(arch.data_disk(data_disk), stripe, row);
-    std::copy(src.begin(), src.end(), out.begin());
-    return Status::ok();
-  }
-  // VolumeConfig builds one replica array.
-  const layout::Pos replica = arch.replica_of(1, data_disk, row);
-  if (live(replica.disk, stripe)) {
-    auto src = array_.content(replica.disk, stripe, replica.row);
-    std::copy(src.begin(), src.end(), out.begin());
-    return Status::ok();
-  }
-  // Parity path: XOR the rest of the row with the parity element.
-  if (arch.has_parity() && live(arch.parity_disk(), stripe)) {
-    std::fill(out.begin(), out.end(), 0);
-    for (int i = 0; i < arch.n(); ++i) {
-      if (i == data_disk) continue;
-      if (!live(arch.data_disk(i), stripe))
-        return unrecoverable("row peer also failed; element unreadable");
-      gf::region_xor(array_.content(arch.data_disk(i), stripe, row), out);
-    }
-    gf::region_xor(array_.content(arch.parity_disk(), stripe, row), out);
-    return Status::ok();
-  }
-  return unrecoverable("element " + std::to_string(data_disk) + "/" +
-                       std::to_string(stripe) + "/" + std::to_string(row) +
-                       " has no surviving copy or parity path");
+  return array_.read_data_element(data_disk, stripe, row, out);
 }
 
 Status MirroredVolume::write_element(int data_disk, int stripe, int row,
@@ -83,39 +49,7 @@ Status MirroredVolume::write_element(int data_disk, int stripe, int row,
     return out_of_range("write_element coordinates out of range");
   if (bytes.size() != array_.config().content_bytes)
     return invalid_argument("write buffer size mismatch");
-
-  const layout::Pos replica = arch.replica_of(1, data_disk, row);
-  const bool data_live = live(arch.data_disk(data_disk), stripe);
-  const bool mirror_live = live(replica.disk, stripe);
-  const bool parity_live =
-      arch.has_parity() && live(arch.parity_disk(), stripe);
-  // With both copies gone the write can still be absorbed into the
-  // parity delta (the element stays reconstructible via its row), the
-  // same way a degraded RAID-5 write works.
-  if (!data_live && !mirror_live && !parity_live)
-    return unrecoverable("both copies failed; write would be lost");
-
-  // Parity delta needs the old value before we overwrite anything.
-  std::vector<std::uint8_t> old_value;
-  if (parity_live) {
-    old_value.resize(bytes.size());
-    SMA_RETURN_IF_ERROR(read_element(data_disk, stripe, row, old_value));
-  }
-
-  if (data_live) {
-    auto dst = array_.content(arch.data_disk(data_disk), stripe, row);
-    std::copy(bytes.begin(), bytes.end(), dst.begin());
-  }
-  if (mirror_live) {
-    auto dst = array_.content(replica.disk, stripe, replica.row);
-    std::copy(bytes.begin(), bytes.end(), dst.begin());
-  }
-  if (parity_live) {
-    auto parity = array_.content(arch.parity_disk(), stripe, row);
-    gf::region_xor(old_value, parity);
-    gf::region_xor(bytes, parity);
-  }
-  return Status::ok();
+  return array_.write_data_element(data_disk, stripe, row, bytes);
 }
 
 std::uint64_t MirroredVolume::capacity_bytes() const {

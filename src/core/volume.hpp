@@ -53,14 +53,15 @@ class MirroredVolume {
   int stripes() const { return array_.stripes(); }
 
   /// Read a data element; transparently degrades to the replica or the
-  /// parity path when disks are failed. kUnrecoverable when no path
-  /// survives.
+  /// parity path when disks are failed (DiskArray::read_data_element).
+  /// kUnrecoverable when no path survives.
   Status read_element(int data_disk, int stripe, int row,
                       std::span<std::uint8_t> out) const;
 
   /// Write a data element, updating every live copy and the parity
-  /// element (delta update). kUnrecoverable when the old value cannot
-  /// be obtained for the parity delta.
+  /// element (delta update; DiskArray::write_data_element).
+  /// kUnrecoverable when the old value cannot be obtained for the
+  /// parity delta.
   Status write_element(int data_disk, int stripe, int row,
                        std::span<const std::uint8_t> bytes);
 
@@ -93,8 +94,6 @@ class MirroredVolume {
 
  private:
   explicit MirroredVolume(array::ArrayConfig cfg) : array_(std::move(cfg)) {}
-
-  bool live(int logical, int stripe) const;
 
   array::DiskArray array_;
 };

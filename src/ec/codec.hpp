@@ -14,6 +14,13 @@
 
 namespace sma::ec {
 
+/// One element of a stripe: column `col`, row `row`.
+struct Cell {
+  int col = 0;
+  int row = 0;
+  bool operator==(const Cell&) const = default;
+};
+
 class Codec {
  public:
   virtual ~Codec() = default;

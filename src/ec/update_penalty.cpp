@@ -12,9 +12,9 @@ Result<UpdatePenalty> measure_update_penalty(const Codec& codec,
   SMA_RETURN_IF_ERROR(codec.encode(base));
 
   UpdatePenalty out;
-  out.changed.assign(
-      static_cast<std::size_t>(codec.data_columns()),
-      std::vector<int>(static_cast<std::size_t>(codec.data_rows()), 0));
+  out.cells.assign(static_cast<std::size_t>(codec.data_columns()),
+                   std::vector<std::vector<Cell>>(
+                       static_cast<std::size_t>(codec.data_rows())));
 
   long total = 0;
   out.min = codec.total_columns() * codec.rows() + 1;
@@ -26,19 +26,20 @@ Result<UpdatePenalty> measure_update_penalty(const Codec& codec,
       for (auto& b : elem) b ^= 0xA5;  // any nonzero delta
       SMA_RETURN_IF_ERROR(codec.encode(modified));
 
-      // Count every changed cell other than the modified element
+      // List every changed cell other than the modified element
       // itself — parity may live in dedicated columns (horizontal
       // codes) or in the tail rows of data columns (vertical codes).
-      int changed = 0;
+      auto& cells =
+          out.cells[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
       for (int c = 0; c < codec.total_columns(); ++c)
         for (int r = 0; r < codec.rows(); ++r) {
           if (c == i && r == j) continue;
           auto a = base.element(c, r);
           auto b = modified.element(c, r);
-          if (!std::equal(a.begin(), a.end(), b.begin())) ++changed;
+          if (!std::equal(a.begin(), a.end(), b.begin()))
+            cells.push_back({c, r});
         }
-      out.changed[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          changed;
+      const int changed = static_cast<int>(cells.size());
       total += changed;
       out.min = std::min(out.min, changed);
       out.max = std::max(out.max, changed);

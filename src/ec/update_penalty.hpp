@@ -10,7 +10,10 @@
 // optimum for their fault tolerance.
 //
 // This module measures the penalty for ANY codec, black-box: flip one
-// data element, re-encode, and count changed parity elements.
+// data element, re-encode, and list the changed parity elements. The
+// same lists are the update map of the RAID-5/6 write path
+// (workload::run_write_workload), so the penalty table and the timed
+// RAID writes come from one derivation.
 #pragma once
 
 #include "ec/codec.hpp"
@@ -18,17 +21,17 @@
 namespace sma::ec {
 
 struct UpdatePenalty {
-  /// changed[i][j] = parity elements that change when data element
-  /// (column i, row j) changes.
-  std::vector<std::vector<int>> changed;
+  /// cells[i][j] = the parity elements that change when data element
+  /// (column i, row j) changes, column by column and row by row within
+  /// a column. Its size is that element's update count.
+  std::vector<std::vector<std::vector<Cell>>> cells;
   double average = 0.0;
   int min = 0;
   int max = 0;
 };
 
-/// Measure the per-element parity-update counts of `codec` by
-/// differential re-encoding. Deterministic; cost is one encode per
-/// data element.
+/// Measure the per-element parity updates of `codec` by differential
+/// re-encoding. Deterministic; cost is one encode per data element.
 Result<UpdatePenalty> measure_update_penalty(const Codec& codec,
                                              std::size_t element_bytes = 16,
                                              std::uint64_t seed = 1);

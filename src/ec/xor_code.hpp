@@ -44,11 +44,6 @@ class XorCode : public Codec {
     int parity_rows;  // trailing rows of every column that hold parity
     int fault_tolerance;
   };
-  struct Cell {
-    int col;
-    int row;
-  };
-
   explicit XorCode(Shape shape);
 
   /// Auxiliary cell `i`: an unstored value the equations may name.

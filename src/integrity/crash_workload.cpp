@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <span>
 #include <vector>
-
-#include "gf/region.hpp"
 
 namespace sma::integrity {
 
@@ -16,31 +13,6 @@ std::uint64_t request_seed(std::uint64_t base, int request) {
       base ^
       (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(request) + 1));
   return splitmix64(s);
-}
-
-/// Apply one acked write of `fresh` to data element a(i, j) of stripe
-/// s: fold the parity delta (parity ^= old ^ fresh) from the data
-/// copy's old bytes, write every copy, and record the new checksums
-/// when the array keeps them. `delta` is content_bytes of scratch.
-void write_element(array::DiskArray& arr, int s, int i, int j,
-                   std::span<const std::uint8_t> fresh,
-                   std::span<std::uint8_t> delta) {
-  const auto& arch = arr.arch();
-  if (arch.has_parity()) {
-    auto data = arr.content(arch.data_disk(i), s, j);
-    std::copy(data.begin(), data.end(), delta.begin());
-    gf::region_xor(fresh, delta);
-    gf::region_xor(delta, arr.content(arch.parity_disk(), s, j));
-    if (arr.checksums_enabled())
-      arr.update_element_checksum(arch.parity_disk(), s, j);
-  }
-  for (int c = 0; c <= arch.replicas(); ++c) {
-    const layout::Pos at = arch.copy_of(c, i, j);
-    auto copy = arr.content(at.disk, s, at.row);
-    std::copy(fresh.begin(), fresh.end(), copy.begin());
-    if (arr.checksums_enabled())
-      arr.update_element_checksum(at.disk, s, at.row);
-  }
 }
 
 }  // namespace
@@ -59,7 +31,6 @@ Result<CrashWorkloadReport> run_crash_workload(array::DiskArray& arr,
   Rng rng(splitmix64(seed_state));
   const std::size_t eb = arr.config().content_bytes;
   std::vector<std::uint8_t> fresh(eb);
-  std::vector<std::uint8_t> delta(eb);
   std::vector<array::Op> ops;
 
   for (int req = 0; req < cfg.requests; ++req) {
@@ -75,7 +46,7 @@ Result<CrashWorkloadReport> run_crash_workload(array::DiskArray& arr,
     // Apply the request's bytes to contents first, then time the writes
     // (every copy, then parity): if the crash fires inside this batch,
     // execute() garbles exactly the slots whose writes never completed.
-    write_element(arr, s, i, j, fresh, delta);
+    SMA_RETURN_IF_ERROR(arr.write_data_element(i, s, j, fresh));
     ops.clear();
     for (int c = 0; c <= arch.replicas(); ++c) {
       const layout::Pos at = arch.copy_of(c, i, j);
@@ -124,7 +95,6 @@ Result<std::vector<InjectedCorruption>> inject_silent_corruption(
   const std::size_t eb = arr.config().content_bytes;
   std::vector<std::uint8_t> fresh(eb);
   std::vector<std::uint8_t> old(eb);
-  std::vector<std::uint8_t> delta(eb);
   int guard = 0;
   const int wanted =
       kind == SilentCorruption::kMisdirectedWrite ? 2 * count : count;
@@ -158,7 +128,7 @@ Result<std::vector<InjectedCorruption>> inject_silent_corruption(
     fill_pattern(rng.next_u64(), fresh.data(), fresh.size());
 
     if (kind == SilentCorruption::kLostWrite) {
-      write_element(arr, s, i, j, fresh, delta);
+      SMA_RETURN_IF_ERROR(arr.write_data_element(i, s, j, fresh));
       std::copy(old.begin(), old.end(), data.begin());
       used_stripes.insert(s);
       injected.push_back({kind, dd, s, j});
@@ -181,7 +151,7 @@ Result<std::vector<InjectedCorruption>> inject_silent_corruption(
     if (ns == s || used_stripes.count(ns) > 0) continue;
     const int nlogical = arr.logical_disk(phys, ns);
 
-    write_element(arr, s, i, j, fresh, delta);
+    SMA_RETURN_IF_ERROR(arr.write_data_element(i, s, j, fresh));
     std::copy(old.begin(), old.end(), data.begin());
     auto neighbor = arr.physical(phys).content(nsl);
     std::copy(fresh.begin(), fresh.end(), neighbor.begin());

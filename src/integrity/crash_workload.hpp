@@ -3,10 +3,10 @@
 // The timing-only workload executors (workload/) never touch stored
 // bytes, but crash experiments need content honesty: the crash victim's
 // torn/lost/misdirected bytes must be *observable* afterward. Each
-// request here applies the new bytes to every copy of one data element
-// (the data copy and one per replica array) and the parity delta
-// (checksums maintained when enabled), then issues the timed writes —
-// copies in order, parity last — through DiskArray::execute, so an
+// request here applies one acked write of one data element
+// (DiskArray::write_data_element: the parity delta, every live copy,
+// checksums maintained when enabled), then issues the timed writes —
+// every copy in order, parity last — through DiskArray::execute, so an
 // armed crash point garbles exactly the slots whose writes were in
 // flight, and the dirty-region log records exactly the regions with
 // outstanding intent.

@@ -12,11 +12,6 @@ namespace sma::recon {
 bool is_recoverable(const layout::Architecture& arch,
                     const std::vector<int>& failed) {
   if (failed.empty()) return true;
-  if (!arch.is_mirror()) {
-    // The RAID-5/6 comparators are MDS: recoverability is exactly the
-    // erasure count.
-    return static_cast<int>(failed.size()) <= arch.fault_tolerance();
-  }
 
   const int total = arch.total_disks();
   const int n = arch.n();
@@ -31,8 +26,15 @@ bool is_recoverable(const layout::Architecture& arch,
   std::vector<char> buf(static_cast<std::size_t>(total + n * rows), 0);
   char* const down = buf.data();
   char* const avail = down + total;
+  int erasures = 0;
   for (const int d : failed)
-    if (d >= 0 && d < total) down[d] = 1;
+    if (d >= 0 && d < total && !down[d]) {
+      down[d] = 1;
+      ++erasures;
+    }
+  // The RAID-5/6 comparators are MDS: recoverability is exactly the
+  // erasure count.
+  if (!arch.is_mirror()) return erasures <= arch.fault_tolerance();
 
   // Only a failed data disk's elements can be missing, and only those
   // need their replicas looked up.

@@ -28,8 +28,9 @@ namespace sma::recon {
 /// Exact recoverability of a mirror-architecture stripe under an
 /// arbitrary failed-disk set: fixpoint over "element is available via
 /// surviving copy, or via parity with the rest of its row available".
-/// Entries outside [0, total_disks()) and repeats are ignored (RAID-5/6
-/// compare failed.size() with the fault tolerance).
+/// Entries outside [0, total_disks()) and repeats are ignored for every
+/// kind (RAID-5/6 compare the distinct failed disks with the fault
+/// tolerance).
 ///
 /// Cost of one call: one allocation of total_disks() + n × rows bytes,
 /// O(|failed|) to mark the failed disks, and one replica lookup per row

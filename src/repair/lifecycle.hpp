@@ -116,13 +116,31 @@ inline ArrayState classify(const layout::Architecture& arch,
   return rebuilding ? ArrayState::kRebuilding : ArrayState::kDegraded;
 }
 
+/// The lifecycle event behind a recorded transition.
+enum class Cause : std::uint8_t {
+  kFailure,
+  kRepairStart,
+  kRepairComplete,
+  kSpareExhausted,
+  kSpareAvailable,
+  kCrash,
+  kResyncStart,
+  kResyncComplete,
+};
+
 /// One recorded lifecycle transition.
 struct Transition {
   double t_s = 0.0;
   ArrayState from = ArrayState::kHealthy;
   ArrayState to = ArrayState::kHealthy;
-  std::string reason;
+  Cause cause = Cause::kFailure;
+  /// The disk a failure or repair event names; -1 for the others.
+  int disk = -1;
 };
+
+/// The transition's cause as text ("failure of disk 3", "resync
+/// start"), formatted on demand.
+std::string reason(const Transition& t);
 
 class Lifecycle {
  public:
@@ -156,7 +174,7 @@ class Lifecycle {
   Status on_resync_complete(double t_s);
 
  private:
-  Status reclassify(double t_s, const std::string& reason);
+  Status reclassify(double t_s, Cause cause, int disk = -1);
 
   layout::Architecture arch_;
   obs::Attach observer_;

@@ -2,8 +2,8 @@
 //
 // Every online experiment drives user requests from a
 // workload::ArrivalProcess built out of a workload::ArrivalConfig — the
-// one shared description of "how requests arrive" that OnlineConfig,
-// DegradedReadConfig and WriteWorkloadConfig all compose by value.
+// one shared description of "how requests arrive" that the online
+// engine's and the fleet's configs compose by value.
 // Four kinds:
 //
 //  * kPoisson     — open-loop memoryless arrivals at rate_hz. The
@@ -59,9 +59,7 @@ struct TracePoint {
   bool write = false;
 };
 
-/// The shared arrival surface composed by every workload config.
-/// Batch workloads (degraded reads, write generation) use only
-/// max_requests and seed; the online simulators honor all fields.
+/// The shared arrival surface of the online simulators.
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kPoisson;
   /// Open-loop mean arrival rate (kPoisson; kBursty quiet-state rate).
@@ -84,15 +82,6 @@ struct ArrivalConfig {
   // --- kTrace ---------------------------------------------------------
   /// Arrival instants, non-decreasing. max_requests still caps replay.
   std::vector<TracePoint> trace;
-
-  /// Convenience maker for configs whose historical defaults differ
-  /// from the shared ones (count + seed, everything else default).
-  static ArrivalConfig with(int max_requests, std::uint64_t seed) {
-    ArrivalConfig cfg;
-    cfg.max_requests = max_requests;
-    cfg.seed = seed;
-    return cfg;
-  }
 };
 
 /// Read/write composition of the injected stream. Trace replay points

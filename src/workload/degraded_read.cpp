@@ -25,13 +25,12 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
         "degraded read workload expects at most " +
         std::to_string(arch.replicas()) + " failed disk(s), one per replica "
         "array");
-  const ArrivalConfig& acfg = cfg.arrival;
-  const int read_count = acfg.max_requests;
+  const int read_count = cfg.requests;
   if (read_count < 0) return invalid_argument("negative read count");
 
   obs::Observer* const ob = cfg.observer.get();
 
-  Rng rng(acfg.seed);
+  Rng rng(cfg.seed);
   DegradedReadReport report;
   std::vector<array::Op> ops;
   ops.reserve(static_cast<std::size_t>(read_count));

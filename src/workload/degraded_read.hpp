@@ -9,17 +9,16 @@
 #include <cstdint>
 
 #include "array/disk_array.hpp"
+#include "obs/observer.hpp"
 #include "util/status.hpp"
-#include "workload/arrival.hpp"
 
 namespace sma::workload {
 
 struct DegradedReadConfig {
-  /// Shared arrival surface. The batch model is closed-form — all reads
-  /// are pending at t = 0 — so only arrival.max_requests (the read
-  /// count) and arrival.seed are honored. Historical defaults: 1000
-  /// reads, seed 13.
-  ArrivalConfig arrival = ArrivalConfig::with(1000, 13);
+  /// Reads to issue (>= 0). The batch model is closed-form: all reads
+  /// are pending at t = 0.
+  int requests = 1000;
+  std::uint64_t seed = 13;
   /// Optional observability hooks (borrowed, caller-owned; see
   /// obs::Attach for the uniform semantics): request arrivals +
   /// per-disk service spans.
@@ -37,7 +36,7 @@ struct DegradedReadReport {
   double throughput_mbps() const;
 };
 
-/// Run `cfg.arrival.max_requests` uniform random data-element reads against
+/// Run `cfg.requests` uniform random data-element reads against
 /// `arr` (mirror architectures; at most R failed disks, R the replica
 /// arrays). A read whose data disk failed goes to the least-assigned
 /// live replica. Timing only.

@@ -14,15 +14,14 @@ std::int64_t data_element_count(const array::DiskArray& arr) {
 
 std::vector<WriteRequest> generate_large_writes(
     const array::DiskArray& arr, const WriteWorkloadConfig& cfg) {
-  const ArrivalConfig& acfg = cfg.arrival;
-  assert(acfg.max_requests >= 0);
+  assert(cfg.requests >= 0);
   const std::int64_t total = data_element_count(arr);
   const int stripe_elements = arr.arch().rows() * arr.arch().n();
-  Rng rng(acfg.seed);
+  Rng rng(cfg.seed);
 
   std::vector<WriteRequest> out;
-  out.reserve(static_cast<std::size_t>(acfg.max_requests));
-  for (int r = 0; r < acfg.max_requests; ++r) {
+  out.reserve(static_cast<std::size_t>(cfg.requests));
+  for (int r = 0; r < cfg.requests; ++r) {
     WriteRequest req;
     req.length = static_cast<int>(
         rng.next_int(1, std::min<std::int64_t>(stripe_elements, total)));

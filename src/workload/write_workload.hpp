@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "array/disk_array.hpp"
-#include "workload/arrival.hpp"
 
 namespace sma::workload {
 
@@ -24,10 +23,9 @@ struct WriteRequest {
 };
 
 struct WriteWorkloadConfig {
-  /// Shared arrival surface. Generation is offline, so only
-  /// arrival.max_requests (the request count) and arrival.seed are
-  /// honored. Historical defaults: 1000 requests, seed 11.
-  ArrivalConfig arrival = ArrivalConfig::with(1000, 11);
+  /// Requests to generate (>= 0).
+  int requests = 1000;
+  std::uint64_t seed = 11;
 };
 
 /// Total data elements addressable in `arr`.

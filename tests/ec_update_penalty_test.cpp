@@ -54,12 +54,15 @@ TEST(UpdatePenalty, EvenOddDiagonalElementsAreExactlyTheSDiagonal) {
   ASSERT_TRUE(penalty.is_ok());
   for (int i = 0; i < p; ++i) {
     for (int j = 0; j < p - 1; ++j) {
-      const int changed = penalty.value().changed[static_cast<std::size_t>(i)]
-                                                 [static_cast<std::size_t>(j)];
+      const std::size_t changed =
+          penalty.value()
+              .cells[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]
+              .size();
       if ((i + j) % p == p - 1)
-        EXPECT_EQ(changed, p) << i << "," << j;  // P + all Q
+        EXPECT_EQ(changed, static_cast<std::size_t>(p))
+            << i << "," << j;  // P + all Q
       else
-        EXPECT_EQ(changed, 2) << i << "," << j;  // P + one Q
+        EXPECT_EQ(changed, 2u) << i << "," << j;  // P + one Q
     }
   }
 }
@@ -90,7 +93,52 @@ TEST(UpdatePenalty, DeterministicAcrossSeeds) {
   auto b = measure_update_penalty(codec, 16, 999);
   ASSERT_TRUE(a.is_ok());
   ASSERT_TRUE(b.is_ok());
-  EXPECT_EQ(a.value().changed, b.value().changed);
+  EXPECT_EQ(a.value().cells, b.value().cells);
+}
+
+// --- The update map: which parity cells a data element's update changes.
+// The RAID-5/6 write path (workload::run_write_workload) reads and
+// writes exactly these cells.
+
+const std::vector<Cell>& cells_of(const UpdatePenalty& penalty, int i,
+                                  int j) {
+  return penalty
+      .cells[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
+}
+
+TEST(RaidUpdateMap, Raid5EveryElementTouchesOneParityCell) {
+  Raid5Codec codec(4, 4);
+  auto penalty = measure_update_penalty(codec);
+  ASSERT_TRUE(penalty.is_ok());
+  for (int i = 0; i < 4; ++i)
+    for (int j = 0; j < 4; ++j) {
+      const auto& cells = cells_of(penalty.value(), i, j);
+      ASSERT_EQ(cells.size(), 1u) << i << "," << j;
+      EXPECT_EQ(cells[0], (Cell{4, j}));  // parity of the same row
+    }
+}
+
+TEST(RaidUpdateMap, RdpElementsTouchTwoOrThreeCells) {
+  RdpCodec codec(4);  // p = 5
+  auto penalty = measure_update_penalty(codec);
+  ASSERT_TRUE(penalty.is_ok());
+  for (int i = 0; i < 4; ++i)
+    for (int j = 0; j < codec.rows(); ++j) {
+      const auto& cells = cells_of(penalty.value(), i, j);
+      EXPECT_GE(cells.size(), 2u);
+      EXPECT_LE(cells.size(), 3u);
+      for (const Cell& c : cells) EXPECT_GE(c.col, codec.data_columns());
+    }
+}
+
+TEST(RaidUpdateMap, EvenOddSDiagonalTouchesEveryQCell) {
+  const int p = 5;
+  EvenOddCodec codec(p);
+  auto penalty = measure_update_penalty(codec);
+  ASSERT_TRUE(penalty.is_ok());
+  // Element (i, j) with (i + j) % p == p-1 changes S, hence all Q.
+  const auto& cells = cells_of(penalty.value(), 1, p - 2);  // 1 + 3 = 4
+  EXPECT_EQ(cells.size(), static_cast<std::size_t>(1 + (p - 1)));
 }
 
 }  // namespace

@@ -115,14 +115,15 @@ TEST(Edge, WriteWorkloadOnSingleStripeVolume) {
   array::DiskArray arr(cfg);
   arr.initialize();
   workload::WriteWorkloadConfig wcfg;
-  wcfg.arrival.max_requests = 20;
+  wcfg.requests = 20;
   const auto reqs = workload::generate_large_writes(arr, wcfg);
   for (const auto& r : reqs) {
     EXPECT_GE(r.start, 0);
     EXPECT_LE(r.start + r.length, 4);  // 2x2 elements total
   }
   const auto report = workload::run_write_workload(arr, reqs);
-  EXPECT_GT(report.write_throughput_mbps(), 0.0);
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  EXPECT_GT(report.value().write_throughput_mbps(), 0.0);
 }
 
 TEST(Edge, Fig7PointAtMinimumN) {

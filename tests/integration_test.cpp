@@ -153,10 +153,11 @@ TEST(Integration, WriteWorkloadThenRebuild) {
   array::DiskArray arr(cfg_for(arch));
   arr.initialize();
   workload::WriteWorkloadConfig wcfg;
-  wcfg.arrival.max_requests = 100;
+  wcfg.requests = 100;
   const auto reqs = workload::generate_large_writes(arr, wcfg);
   const auto wreport = workload::run_write_workload(arr, reqs);
-  EXPECT_GT(wreport.write_throughput_mbps(), 0.0);
+  ASSERT_TRUE(wreport.is_ok()) << wreport.status().to_string();
+  EXPECT_GT(wreport.value().write_throughput_mbps(), 0.0);
   arr.fail_physical(0);
   auto report = recon::reconstruct(arr);
   ASSERT_TRUE(report.is_ok());

@@ -168,7 +168,7 @@ TEST(LifecycleFuzz, RandomSequencesMatchTheShadowModel) {
       EXPECT_GE(tr.t_s, prev_t);
       EXPECT_EQ(tr.from, prev);
       EXPECT_NE(tr.from, tr.to);  // only real changes are recorded
-      EXPECT_FALSE(tr.reason.empty());
+      EXPECT_FALSE(reason(tr).empty());
       prev = tr.to;
       prev_t = tr.t_s;
     }

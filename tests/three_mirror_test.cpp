@@ -29,7 +29,6 @@
 #include "repair/orchestrator.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/degraded_read.hpp"
-#include "workload/raid_write.hpp"
 #include "workload/write_executor.hpp"
 #include "workload/write_workload.hpp"
 
@@ -546,7 +545,8 @@ TEST(ThreeMirrorRebuild, LatentChosenCopyFallsBackToTheOtherReplica) {
 
 workload::DegradedReadConfig reads_cfg(int reads, std::uint64_t seed) {
   workload::DegradedReadConfig cfg;
-  cfg.arrival = workload::ArrivalConfig::with(reads, seed);
+  cfg.requests = reads;
+  cfg.seed = seed;
   return cfg;
 }
 
@@ -745,12 +745,11 @@ TEST(ThreeMirrorEntryPoints, ServeEveryCopyOrReject) {
     EXPECT_TRUE(arr.verify_checksums().is_ok());
     EXPECT_EQ(workload::data_element_count(arr), 4 * 4 * 12);
     workload::WriteWorkloadConfig wcfg;
-    wcfg.arrival.max_requests = 20;
+    wcfg.requests = 20;
     const auto writes = workload::generate_large_writes(arr, wcfg);
     const auto wrep = workload::run_write_workload(arr, writes);
-    EXPECT_EQ(wrep.bytes_written, 3 * wrep.user_bytes);
-    EXPECT_EQ(workload::run_raid_write_workload(arr, {}).status().code(),
-              ErrorCode::kInvalidArgument);
+    ASSERT_TRUE(wrep.is_ok()) << wrep.status().to_string();
+    EXPECT_EQ(wrep.value().bytes_written, 3 * wrep.value().user_bytes);
   }
   // Integrity: scrub, resync, the crash workload and every silent
   // corruption mode walk all three copies of an element.

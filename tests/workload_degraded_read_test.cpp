@@ -19,7 +19,7 @@ TEST(DegradedRead, HealthyArrayHasNoDegradedReads) {
   array::DiskArray arr(cfg_for(layout::Architecture::mirror(4, true)));
   arr.initialize();
   DegradedReadConfig cfg;
-  cfg.arrival.max_requests = 300;
+  cfg.requests = 300;
   auto report = run_degraded_reads(arr, cfg);
   ASSERT_TRUE(report.is_ok());
   EXPECT_EQ(report.value().degraded_reads, 0u);
@@ -47,7 +47,7 @@ TEST(DegradedRead, RedirectedShareRoughlyOneOverTotalDisks) {
   arr.initialize();
   arr.fail_physical(2);
   DegradedReadConfig cfg;
-  cfg.arrival.max_requests = 4000;
+  cfg.requests = 4000;
   auto report = run_degraded_reads(arr, cfg);
   ASSERT_TRUE(report.is_ok());
   // With rotation, physical disk 2 hosts a data role in half the
@@ -68,8 +68,8 @@ TEST(DegradedRead, TraditionalConcentratesShiftedSpreads) {
     arr.initialize();
     arr.fail_physical(0);
     DegradedReadConfig cfg;
-    cfg.arrival.max_requests = 3000;
-    cfg.arrival.seed = 99;
+    cfg.requests = 3000;
+    cfg.seed = 99;
     auto report = run_degraded_reads(arr, cfg);
     ASSERT_TRUE(report.is_ok());
     imbalance[shifted ? 1 : 0] = report.value().load_imbalance;
@@ -88,8 +88,8 @@ TEST(DegradedRead, DeterministicBySeed) {
     arr.initialize();
     arr.fail_physical(1);
     DegradedReadConfig cfg;
-    cfg.arrival.max_requests = 500;
-    cfg.arrival.seed = 77;
+    cfg.requests = 500;
+    cfg.seed = 77;
     return run_degraded_reads(arr, cfg);
   };
   auto a = run();
@@ -104,7 +104,7 @@ TEST(DegradedRead, ZeroReadsIsTrivial) {
   array::DiskArray arr(cfg_for(layout::Architecture::mirror(3, true)));
   arr.initialize();
   DegradedReadConfig cfg;
-  cfg.arrival.max_requests = 0;
+  cfg.requests = 0;
   auto report = run_degraded_reads(arr, cfg);
   ASSERT_TRUE(report.is_ok());
   EXPECT_DOUBLE_EQ(report.value().makespan_s, 0.0);

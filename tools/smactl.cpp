@@ -825,14 +825,19 @@ int cmd_write(const Flags& flags) {
   auto cfg = std::move(cfgr).take();
   array::DiskArray arr(cfg);
   workload::WriteWorkloadConfig wcfg;
-  wcfg.arrival.max_requests = flags.get_int("requests", 1000);
-  if (wcfg.arrival.max_requests < 0) return usage("--requests must be >= 0");
-  wcfg.arrival.seed = cfg.seed;
+  wcfg.requests = flags.get_int("requests", 1000);
+  if (wcfg.requests < 0) return usage("--requests must be >= 0");
+  wcfg.seed = cfg.seed;
   const auto reqs = workload::generate_large_writes(arr, wcfg);
-  const auto report = workload::run_write_workload(arr, reqs);
+  const auto run = workload::run_write_workload(arr, reqs);
+  if (!run.is_ok()) {
+    std::fprintf(stderr, "write: %s\n", run.status().to_string().c_str());
+    return 1;
+  }
+  const auto& report = run.value();
   std::printf("%s: %d requests, %.0f MB payload in %.2f s -> %.1f MB/s "
               "(%llu rows, %llu write accesses, %.0f MB parity reads)\n",
-              cfg.arch.name().c_str(), wcfg.arrival.max_requests,
+              cfg.arch.name().c_str(), wcfg.requests,
               report.user_bytes / 1e6, report.makespan_s,
               report.write_throughput_mbps(),
               static_cast<unsigned long long>(report.rows_written),
@@ -1113,8 +1118,8 @@ int cmd_degraded(const Flags& flags) {
   array::DiskArray arr(cfg);
   if (!fail_one_disk(flags, arr)) return usage("--fail out of range");
   workload::DegradedReadConfig dcfg;
-  dcfg.arrival.max_requests = flags.get_int("reads", 2000);
-  dcfg.arrival.seed = cfg.seed;
+  dcfg.requests = flags.get_int("reads", 2000);
+  dcfg.seed = cfg.seed;
   auto report = workload::run_degraded_reads(arr, dcfg);
   if (!report.is_ok()) {
     std::fprintf(stderr, "degraded: %s\n",
@@ -1124,8 +1129,7 @@ int cmd_degraded(const Flags& flags) {
   const auto& r = report.value();
   std::printf("%s: %d reads at %.1f MB/s; %zu degraded; hottest disk %d "
               "ops (imbalance %.2f)\n",
-              cfg.arch.name().c_str(), dcfg.arrival.max_requests,
-              r.throughput_mbps(),
+              cfg.arch.name().c_str(), dcfg.requests, r.throughput_mbps(),
               r.degraded_reads, r.hottest_disk_ops, r.load_imbalance);
   return 0;
 }
@@ -1276,7 +1280,7 @@ int cmd_repair(const Flags& flags) {
               to_string(r.policy));
   for (const auto& t : r.transitions)
     std::printf("  t=%9.3f  %-15s -> %-15s (%s)\n", t.t_s, to_string(t.from),
-                to_string(t.to), t.reason.c_str());
+                to_string(t.to), repair::reason(t).c_str());
   std::printf("final state: %s\n", to_string(r.final_state));
   return r.final_state == repair::ArrayState::kHealthy ? 0 : 1;
 }
