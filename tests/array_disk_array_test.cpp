@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
+
+#include "obs/metrics.hpp"
+#include "obs/trace_sink.hpp"
+#include "util/rng.hpp"
 
 namespace sma::array {
 namespace {
@@ -194,6 +201,236 @@ TEST(DiskArray, SlotLayoutIsStripeMajor) {
   EXPECT_EQ(arr.slot(0, 2), 2);
   EXPECT_EQ(arr.slot(1, 0), 3);
   EXPECT_EQ(arr.slot(2, 1), 7);
+}
+
+// --- golden pin over the batch executor ------------------------------------
+
+enum class GridState { kHealthy, kFailed, kRestored, kRedirected };
+enum class GridCrash { kNone, kAfterWrites, kAtTime };
+enum class GridBatch { kRead, kWrite, kMixed, kEmpty };
+
+// The disk every non-healthy state fails (and whose ops the redirected
+// state serves from the hot spare), and the disk the slow and fail-stop
+// profiles single out.
+constexpr int kGridFailed = 1;
+constexpr int kGridFaulty = 2;
+
+ArrayConfig golden_config(const layout::Architecture& arch, GridState state,
+                          int profile, int retries, bool backoff, bool drl,
+                          GridCrash crash) {
+  ArrayConfig cfg;
+  cfg.arch = arch;
+  cfg.stripes = arch.total_disks();
+  cfg.content_bytes = 8;
+  cfg.seed = 2012;
+  cfg.spare_disks = state == GridState::kRedirected ? 1 : 0;
+  cfg.io_max_retries = retries;
+  if (backoff) {
+    cfg.retry_backoff_base_s = 0.002;
+    cfg.retry_backoff_cap_s = 0.01;
+    cfg.retry_backoff_jitter = 0.5;
+  }
+  cfg.drl_region_stripes = drl ? 2 : 0;
+  cfg.fault.seed = 7;
+  switch (profile) {
+    case 0:  // inert
+      break;
+    case 1:  // latent sectors
+      cfg.fault.latent_error_rate = 0.15;
+      break;
+    case 2:  // transient errors inside a window
+      cfg.fault.transient_read_error_p = 0.35;
+      cfg.fault.transient_write_error_p = 0.35;
+      cfg.fault.transient_from_s = 0.2;
+      cfg.fault.transient_until_s = 1.5;
+      break;
+    case 3: {  // every disk slow, one disk slower
+      cfg.fault.slow_factor = 1.5;
+      disk::FaultProfile slower;
+      slower.slow_factor = 4.0;
+      cfg.fault_overrides[kGridFaulty] = slower;
+      break;
+    }
+    default: {  // one disk fail-stops mid-sequence
+      disk::FaultProfile stop;
+      stop.fail_at_s = 0.3;
+      cfg.fault_overrides[kGridFaulty] = stop;
+      break;
+    }
+  }
+  if (crash == GridCrash::kAfterWrites) cfg.fault.crash_after_writes = 9;
+  if (crash == GridCrash::kAtTime) cfg.fault.crash_at_s = 1.0;
+  return cfg;
+}
+
+// One column of a stripe in row order (sequential on its disk), then
+// 2 x total_disks() ops at random elements.
+std::vector<Op> golden_batch(const DiskArray& arr, Rng& rng, GridBatch kind,
+                             bool redirect) {
+  std::vector<Op> ops;
+  if (kind == GridBatch::kEmpty) return ops;
+  const auto pick = [&rng](int bound) {
+    return static_cast<int>(rng.next_below(static_cast<std::uint64_t>(bound)));
+  };
+  const auto io = [&rng, kind] {
+    if (kind == GridBatch::kMixed)
+      return rng.next_bool() ? disk::IoKind::kWrite : disk::IoKind::kRead;
+    return kind == GridBatch::kWrite ? disk::IoKind::kWrite
+                                     : disk::IoKind::kRead;
+  };
+  const int column = pick(arr.total_disks());
+  const int stripe = pick(arr.stripes());
+  for (int row = 0; row < arr.arch().rows(); ++row)
+    ops.push_back({column, stripe, row, io()});
+  for (int k = 0; k < 2 * arr.total_disks(); ++k)
+    ops.push_back({pick(arr.total_disks()), pick(arr.stripes()),
+                   pick(arr.arch().rows()), io()});
+  if (redirect)
+    for (Op& op : ops)
+      if (arr.physical_disk(op.logical_disk, op.stripe) == kGridFailed)
+        op.redirect_phys = arr.total_disks();
+  return ops;
+}
+
+TEST(ArrayGolden, ExecuteDigestOverBatchGrid) {
+  // Every batch DiskArray::execute times over mirror, mirror+parity,
+  // R = 2, RAID-5 and RAID-6 arrays x {healthy, one failed disk, half
+  // its slots restored, its ops redirected to a hot spare} x {inert,
+  // latent, transient-window, slow, scheduled fail-stop} x
+  // io_max_retries {0, 2} x backoff {off, on} x observer {off, on} x
+  // DRL {off, on} x crash point {none, op-indexed, time-indexed}, each
+  // array running read, write, mixed and empty batches at start_time 0
+  // and > 0. After every batch it folds every BatchStats field, every
+  // disk's busy_until(), failed() and DiskCounters, the dirty-region
+  // log, the observer's events and counters and, after a batch that
+  // crashed, every element's bytes. Recorded from the executor that
+  // timed uninstrumented batches in one grouped pass per disk and
+  // everything else op by op, so it pins both.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto fold = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  auto fold_s = [&fold](double s) { fold(std::bit_cast<std::uint64_t>(s)); };
+
+  const layout::Architecture archs[] = {
+      layout::Architecture::mirror(4, true),
+      layout::Architecture::mirror_with_parity(4, true),
+      layout::Architecture::mirror_named(4, "shifted", 2).value(),
+      layout::Architecture::raid5(4), layout::Architecture::raid6(4)};
+  const std::pair<GridBatch, double> sequence[] = {
+      {GridBatch::kRead, 0.0},  {GridBatch::kWrite, 0.0},
+      {GridBatch::kMixed, 0.0}, {GridBatch::kEmpty, 0.0},
+      {GridBatch::kRead, 0.5},  {GridBatch::kWrite, 1.2},
+      {GridBatch::kEmpty, 2.0}, {GridBatch::kMixed, 4.0}};
+
+  std::uint64_t runs = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t crashed_batches = 0;
+  for (const auto& arch : archs) {
+    for (const GridState state :
+         {GridState::kHealthy, GridState::kFailed, GridState::kRestored,
+          GridState::kRedirected}) {
+      for (int profile = 0; profile < 5; ++profile) {
+        for (const int retries : {0, 2}) {
+          for (const bool backoff : {false, true}) {
+            for (const bool observed : {false, true}) {
+              for (const bool drl : {false, true}) {
+                for (const GridCrash crash :
+                     {GridCrash::kNone, GridCrash::kAfterWrites,
+                      GridCrash::kAtTime}) {
+                  DiskArray arr(golden_config(arch, state, profile, retries,
+                                              backoff, drl, crash));
+                  arr.initialize();
+                  if (state != GridState::kHealthy)
+                    arr.fail_physical(kGridFailed);
+                  if (state == GridState::kRestored) {
+                    const std::vector<std::uint8_t> bytes(8, 0x5A);
+                    for (int s = 0; s < arr.stripes(); ++s)
+                      for (int j = 0; j < arch.rows(); ++j)
+                        if ((s + j) % 2 == 0)
+                          arr.restore_element(arr.logical_disk(kGridFailed, s),
+                                              s, j, bytes);
+                  }
+                  obs::TraceSink sink;
+                  obs::MetricsRegistry metrics;
+                  obs::Observer ob;
+                  ob.trace = &sink;
+                  ob.metrics = &metrics;
+                  if (observed) arr.set_observer(&ob);
+                  Rng rng(++runs);
+
+                  const auto run_batch = [&](GridBatch kind, double start) {
+                    const auto ops = golden_batch(
+                        arr, rng, kind, state == GridState::kRedirected);
+                    const BatchStats st = arr.execute(ops, start);
+                    ++batches;
+                    fold_s(st.start_s);
+                    fold_s(st.end_s);
+                    fold(static_cast<std::uint64_t>(st.max_ops_per_disk));
+                    fold(st.logical_bytes_read);
+                    fold(st.logical_bytes_written);
+                    fold(st.retried_ops);
+                    fold(st.failed_ops);
+                    fold(st.unreadable_ops);
+                    fold(static_cast<std::uint64_t>(st.max_retry_depth));
+                    fold(st.lost_writes);
+                    fold(st.crashed ? 1 : 0);
+                    for (int d = 0; d < arr.physical_count(); ++d) {
+                      const disk::SimDisk& sd = arr.physical(d);
+                      const disk::DiskCounters& c = sd.counters();
+                      fold_s(sd.busy_until());
+                      fold(sd.failed() ? 1 : 0);
+                      fold(c.reads);
+                      fold(c.writes);
+                      fold(c.sequential);
+                      fold(c.logical_bytes_read);
+                      fold(c.logical_bytes_written);
+                      fold(c.transient_errors);
+                      fold(c.unreadable_errors);
+                      fold_s(c.busy_s);
+                    }
+                    fold(arr.dirty_log().marks());
+                    for (const int r : arr.dirty_log().dirty_regions())
+                      fold(static_cast<std::uint64_t>(r));
+                    fold(sink.size());
+                    for (const obs::TraceEvent& ev : sink.events()) {
+                      fold(static_cast<std::uint64_t>(ev.kind));
+                      fold_s(ev.t_s);
+                      fold_s(ev.dur_s);
+                      fold(static_cast<std::uint64_t>(ev.disk));
+                      fold(static_cast<std::uint64_t>(ev.slot));
+                      fold(static_cast<std::uint64_t>(ev.stripe));
+                      fold(ev.write ? 1 : 0);
+                    }
+                    sink.clear();
+                    for (const auto& [name, value] : metrics.counters())
+                      fold(value);
+                    if (!st.crashed) return;
+                    ++crashed_batches;
+                    fold_s(arr.crash_time_s());
+                    for (int d = 0; d < arr.physical_count(); ++d) {
+                      const disk::SimDisk& sd = arr.physical(d);
+                      for (std::int64_t sl = 0; sl < sd.slot_count(); ++sl)
+                        for (const std::uint8_t b : sd.content(sl)) fold(b);
+                    }
+                  };
+                  for (const auto& [kind, start] : sequence)
+                    run_batch(kind, start);
+                  if (arr.crashed()) {
+                    ASSERT_TRUE(arr.power_cycle().is_ok());
+                    run_batch(GridBatch::kMixed, 0.0);
+                  }
+                  arr.set_observer(nullptr);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 4800u);
+  EXPECT_EQ(batches, 41600u);
+  EXPECT_EQ(crashed_batches, 12121u);
+  EXPECT_EQ(h, 0x390b070114f1d99full) << std::hex << h;
 }
 
 }  // namespace
