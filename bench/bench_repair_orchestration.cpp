@@ -20,6 +20,7 @@
 #include "common.hpp"
 #include "recon/executor.hpp"
 #include "recon/reliability.hpp"
+#include "repair/lifetime.hpp"
 #include "repair/orchestrator.hpp"
 
 namespace {
@@ -29,8 +30,8 @@ constexpr const char* kNa = "-";
 // Short-lifetime reliability parameters (MTTF/MTTR = 400) keep the
 // Monte-Carlo trials cheap while staying in the rare-second-failure
 // regime the closed forms assume.
-sma::recon::MonteCarloParams mc_params() {
-  sma::recon::MonteCarloParams p;
+sma::repair::MonteCarloParams mc_params() {
+  sma::repair::MonteCarloParams p;
   p.disk_mttf_hours = 400.0;
   p.mttr_hours = 1.0;
   p.trials = 1500;
@@ -130,7 +131,7 @@ int main() {
     cp.disk_mttf_hours = 400.0;
     cp.mttr_hours = 1.0;
     const auto closed = recon::estimate_mttdl(arch, cp);
-    auto mc = recon::simulate_mttdl(arch, mc_params());
+    auto mc = repair::simulate_mttdl(arch, mc_params());
     if (!mc.is_ok()) {
       std::fprintf(stderr, "mc failed: %s\n",
                    mc.status().to_string().c_str());
@@ -149,12 +150,12 @@ int main() {
     auto corr = mc_params();
     corr.enclosure_of.assign(static_cast<std::size_t>(arch.total_disks()), 0);
     corr.enclosure_hazard_factor = 10.0;
-    auto mc_corr = recon::simulate_mttdl(arch, corr);
+    auto mc_corr = repair::simulate_mttdl(arch, corr);
 
     auto depleted = mc_params();
     depleted.trials = 800;
     depleted.spare = {repair::SparePolicy::kDedicated, 1};
-    auto mc_depl = recon::simulate_mttdl(arch, depleted);
+    auto mc_depl = repair::simulate_mttdl(arch, depleted);
     if (!mc_corr.is_ok() || !mc_depl.is_ok()) return 1;
 
     table.add_row({"mc_mttdl(correlated x10)", Table::num(4), "traditional",

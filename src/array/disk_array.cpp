@@ -146,7 +146,8 @@ Status DiskArray::read_data_element(int i, int stripe, int j,
 }
 
 Status DiskArray::write_data_element(int i, int stripe, int j,
-                                     std::span<const std::uint8_t> bytes) {
+                                     std::span<const std::uint8_t> bytes,
+                                     std::vector<Op>* writes) {
   const auto& arch = cfg_.arch;
   assert(arch.is_mirror());
   const bool parity_live =
@@ -169,9 +170,13 @@ Status DiskArray::write_data_element(int i, int stripe, int j,
     auto dst = content(at.disk, stripe, at.row);
     std::copy(bytes.begin(), bytes.end(), dst.begin());
     if (sums_.enabled()) update_element_checksum(at.disk, stripe, at.row);
+    if (writes != nullptr)
+      writes->push_back({at.disk, stripe, at.row, disk::IoKind::kWrite});
     written = true;
   }
   if (!written) return unrecoverable("every copy failed; write would be lost");
+  if (writes != nullptr && parity_live)
+    writes->push_back({arch.parity_disk(), stripe, j, disk::IoKind::kWrite});
   return Status::ok();
 }
 
@@ -633,22 +638,13 @@ void DiskArray::submit_with_retry(const Op& op, int phys, double start_time,
 }
 
 BatchStats DiskArray::execute(std::span<const Op> ops, double start_time) {
-  // One hoisted branch keeps the default (no crash, no DRL) path
-  // bit-identical to the pre-integrity executor.
-  const bool integrity_hooks = crash_armed_ || crashed_ || drl_.enabled();
-  // No array-level instrumentation: take the grouped-per-disk fast
-  // path. Per-disk fault machinery (fail-stops, latent sectors,
-  // transient errors, failed disks) is handled inside execute_batched
-  // by falling back to per-op submission for just those disks.
-  if (!integrity_hooks && observer_ == nullptr)
-    return execute_batched(ops, start_time);
   BatchStats stats;
   stats.start_s = start_time;
   stats.end_s = start_time;
   // Write intent is logged at batch admission, before any op is issued
   // (md writes the bitmap bit before the data): a crash anywhere inside
   // the batch leaves every incomplete write's region dirty for resync.
-  if (integrity_hooks && !crashed_ && drl_.enabled()) {
+  if (!crashed_ && drl_.enabled()) {
     for (const Op& op : ops)
       if (op.kind == disk::IoKind::kWrite) drl_.mark(op.stripe);
   }
@@ -658,106 +654,36 @@ BatchStats DiskArray::execute(std::span<const Op> ops, double start_time) {
                          ? op.redirect_phys
                          : physical_disk(op.logical_disk, op.stripe);
     ++per_disk[static_cast<std::size_t>(phys)];
-    if (integrity_hooks) {
-      const bool is_write = op.kind == disk::IoKind::kWrite;
-      if (crashed_) {
-        // Powered off: nothing serves; a write's bytes are lost.
+    const bool is_write = op.kind == disk::IoKind::kWrite;
+    if (crashed_) {
+      // Powered off: nothing serves; a write's bytes are lost.
+      stats.crashed = true;
+      ++stats.failed_ops;
+      if (is_write) {
+        ++stats.lost_writes;
+        lose_write(op);
+      }
+      continue;
+    }
+    if (is_write && crash_armed_) {
+      const double would_start =
+          std::max(start_time, physical(phys).busy_until());
+      const bool fire = (cfg_.fault.crash_after_writes >= 0 &&
+                         writes_seen_ == cfg_.fault.crash_after_writes) ||
+                        (cfg_.fault.crash_at_s >= 0.0 &&
+                         would_start >= cfg_.fault.crash_at_s);
+      ++writes_seen_;
+      if (fire) {
+        apply_crash(op, would_start);
         stats.crashed = true;
         ++stats.failed_ops;
-        if (is_write) {
-          ++stats.lost_writes;
-          lose_write(op);
-        }
+        ++stats.lost_writes;
         continue;
-      }
-      if (is_write) {
-        if (crash_armed_) {
-          const double would_start =
-              std::max(start_time, physical(phys).busy_until());
-          const bool fire =
-              (cfg_.fault.crash_after_writes >= 0 &&
-               writes_seen_ == cfg_.fault.crash_after_writes) ||
-              (cfg_.fault.crash_at_s >= 0.0 &&
-               would_start >= cfg_.fault.crash_at_s);
-          ++writes_seen_;
-          if (fire) {
-            apply_crash(op, would_start);
-            stats.crashed = true;
-            ++stats.failed_ops;
-            ++stats.lost_writes;
-            continue;
-          }
-        }
       }
     }
     submit_with_retry(op, phys, start_time, stats);
   }
   stats.max_ops_per_disk = *std::max_element(per_disk.begin(), per_disk.end());
-  return stats;
-}
-
-BatchStats DiskArray::execute_batched(std::span<const Op> ops,
-                                      double start_time) {
-  BatchStats stats;
-  stats.start_s = start_time;
-  stats.end_s = start_time;
-  const std::size_t disk_count = static_cast<std::size_t>(physical_count());
-
-  // Counting sort of op indices by physical disk — stable, so each
-  // disk's slice of batch_order_ is its FIFO op order from `ops`.
-  batch_count_.assign(disk_count, 0);
-  for (const Op& op : ops) {
-    const int phys = op.redirect_phys >= 0
-                         ? op.redirect_phys
-                         : physical_disk(op.logical_disk, op.stripe);
-    ++batch_count_[static_cast<std::size_t>(phys)];
-  }
-  batch_offset_.resize(disk_count + 1);
-  batch_offset_[0] = 0;
-  for (std::size_t d = 0; d < disk_count; ++d) {
-    batch_offset_[d + 1] = batch_offset_[d] + batch_count_[d];
-    stats.max_ops_per_disk = std::max(stats.max_ops_per_disk, batch_count_[d]);
-  }
-  batch_order_.resize(ops.size());
-  for (std::size_t d = 0; d < disk_count; ++d)
-    batch_count_[d] = batch_offset_[d];
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const Op& op = ops[i];
-    const int phys = op.redirect_phys >= 0
-                         ? op.redirect_phys
-                         : physical_disk(op.logical_disk, op.stripe);
-    batch_order_[static_cast<std::size_t>(
-        batch_count_[static_cast<std::size_t>(phys)]++)] =
-        static_cast<std::uint32_t>(i);
-  }
-
-  for (std::size_t dd = 0; dd < disk_count; ++dd) {
-    const int begin = batch_offset_[dd];
-    const int end = batch_offset_[dd + 1];
-    if (begin == end) continue;
-    auto& d = disks_[dd];
-    if (d.can_batch()) {
-      batch_run_.clear();
-      std::uint64_t read_ops = 0;
-      for (int k = begin; k < end; ++k) {
-        const Op& op = ops[batch_order_[static_cast<std::size_t>(k)]];
-        batch_run_.push_back({op.kind, slot(op.stripe, op.row)});
-        read_ops += op.kind == disk::IoKind::kRead;
-      }
-      const double run_end = d.submit_run(batch_run_, start_time);
-      stats.end_s = std::max(stats.end_s, run_end);
-      stats.logical_bytes_read += read_ops * d.logical_element_bytes();
-      stats.logical_bytes_written +=
-          (static_cast<std::uint64_t>(end - begin) - read_ops) *
-          d.logical_element_bytes();
-      continue;
-    }
-    // This disk carries live fault machinery (or is failed): submit its
-    // ops one at a time, exactly as the general executor does.
-    for (int k = begin; k < end; ++k)
-      submit_with_retry(ops[batch_order_[static_cast<std::size_t>(k)]],
-                        static_cast<int>(dd), start_time, stats);
-  }
   return stats;
 }
 

@@ -178,10 +178,14 @@ class DiskArray {
   /// `stripe` on a mirror kind: when the parity disk is live, parity ^=
   /// old ^ new, the old value read as read_data_element does; every
   /// live copy then takes the bytes; checksums follow when enabled.
-  /// Content only (no timed I/O). kUnrecoverable, with nothing written,
-  /// when the write would be lost or the old value is unreadable.
+  /// Content only (no timed I/O); with `writes`, the element writes it
+  /// made are appended there as write ops, copies c = 0..R then the
+  /// parity, for the caller to time. kUnrecoverable, with nothing
+  /// written, when the write would be lost or the old value is
+  /// unreadable.
   Status write_data_element(int i, int stripe, int j,
-                            std::span<const std::uint8_t> bytes);
+                            std::span<const std::uint8_t> bytes,
+                            std::vector<Op>* writes = nullptr);
 
   /// Check every element on every non-failed disk against its
   /// definition. kCorruption with a precise location on mismatch.
@@ -251,16 +255,13 @@ class DiskArray {
 
   // --- timing ---------------------------------------------------------------
   /// Execute ops concurrently across disks: per-disk FIFO order as
-  /// listed, disks independent. Content is NOT touched (timing only).
+  /// listed, disks independent. Content is NOT touched (timing only),
+  /// except by a crash point that fires and by writes submitted while
+  /// the array is powered off.
   ///
-  /// When no array-level instrumentation is attached (no observer, no
-  /// crash/DRL hooks), ops are grouped per disk and each batchable
-  /// disk's run is timed in one SimDisk::submit_run pass. Grouping is
-  /// bit-identical to the interleaved per-op order because every
-  /// mutable effect (busy window, head position, counters, fault RNG,
-  /// retry jitter stream) is per-disk state touched in per-disk FIFO
-  /// order, and the batch aggregates (max end time, byte/op sums) are
-  /// order-independent.
+  /// One loop in list order: the dirty-region log first takes every
+  /// write's intent, then each op passes the crash-point check and is
+  /// submitted with bounded retry.
   BatchStats execute(std::span<const Op> ops, double start_time);
 
   /// Forget all disk head positions / timelines (fresh experiment).
@@ -289,8 +290,8 @@ class DiskArray {
   ec::CodecPtr raid_codec_;
 
   // Crash-consistency state. All of it stays inert (crash_armed_ false,
-  // drl_/sums_ disabled) under the default config: execute() takes one
-  // hoisted branch and nothing else changes.
+  // drl_/sums_ disabled) under the default config: execute()'s checks
+  // find nothing to do and nothing else changes.
   integrity::DirtyRegionLog drl_;
   integrity::ChecksumStore sums_;
   bool crash_armed_ = false;
@@ -309,7 +310,7 @@ class DiskArray {
   double retry_delay(int phys, int attempt);
   /// Submit `op` to physical disk `phys` no earlier than `start_time`,
   /// retrying transient errors (bounded, backed off), and fold the
-  /// outcome into `stats`. The one per-op path of both executors.
+  /// outcome into `stats`. Every op execute() serves goes through it.
   void submit_with_retry(const Op& op, int phys, double start_time,
                          BatchStats& stats);
 
@@ -323,17 +324,6 @@ class DiskArray {
   void apply_crash(const Op& op, double t);
   /// Garble a write that never (fully) reached media while powered off.
   void lose_write(const Op& op);
-
-  /// The grouped-per-disk executor behind execute()'s fast path.
-  BatchStats execute_batched(std::span<const Op> ops, double start_time);
-
-  // Scratch for execute_batched (capacity persists across calls, so
-  // steady-state batches do not allocate). DiskArray is single-threaded
-  // per simulation case.
-  std::vector<int> batch_count_;
-  std::vector<int> batch_offset_;
-  std::vector<std::uint32_t> batch_order_;
-  std::vector<disk::RunAccess> batch_run_;
 };
 
 }  // namespace sma::array

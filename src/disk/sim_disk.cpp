@@ -116,56 +116,6 @@ IoResult SimDisk::submit(IoKind kind, std::int64_t slot,
   return busy_until_;
 }
 
-double SimDisk::submit_run(std::span<const RunAccess> run,
-                           double earliest_start) {
-  assert(can_batch() && "submit_run requires the batchable fast path");
-  // Hoist the four possible service times: {read, write} x {positioned,
-  // sequential}. Each entry is computed with the same expression
-  // submit()'s peek_service_s uses — (position + transfer) *
-  // slow_factor — so the per-access arithmetic below reproduces the
-  // per-op path bit for bit (position is 0.0 for sequential accesses,
-  // and 0.0 + x == x exactly).
-  const double slow = fault_.slow_factor;
-  const double pos = spec_.positioning_s();
-  const double read_tr = spec_.read_transfer_s(logical_element_bytes_);
-  const double write_tr = spec_.write_transfer_s(logical_element_bytes_);
-  const double svc[2][2] = {
-      {(pos + read_tr) * slow, read_tr * slow},
-      {(pos + write_tr) * slow, write_tr * slow},
-  };
-  double busy = busy_until_;
-  // busy_s must accumulate one service at a time in access order:
-  // floating-point addition is not associative, and the drift gate
-  // holds this path to bit-identical counters.
-  double busy_s = counters_.busy_s;
-  std::int64_t head = head_slot_;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t sequential_ops = 0;
-  for (const RunAccess& a : run) {
-    assert(a.slot >= 0 && a.slot < slot_count_);
-    const bool sequential = a.slot == head + 1;
-    const bool is_write = a.kind == IoKind::kWrite;
-    const double service = svc[is_write][sequential];
-    const double start = busy < earliest_start ? earliest_start : busy;
-    busy = start + service;
-    busy_s += service;
-    head = a.slot;
-    reads += !is_write;
-    writes += is_write;
-    sequential_ops += sequential;
-  }
-  busy_until_ = busy;
-  head_slot_ = head;
-  counters_.busy_s = busy_s;
-  counters_.reads += reads;
-  counters_.writes += writes;
-  counters_.sequential += sequential_ops;
-  counters_.logical_bytes_read += reads * logical_element_bytes_;
-  counters_.logical_bytes_written += writes * logical_element_bytes_;
-  return busy;
-}
-
 void SimDisk::reset_timeline() {
   busy_until_ = 0.0;
   head_slot_ = -2;

@@ -58,12 +58,6 @@ struct DiskCounters {
 /// transient error), kUnreadableSector (latent media error).
 using IoResult = Result<double>;
 
-/// One access of a batched run (submit_run()).
-struct RunAccess {
-  IoKind kind = IoKind::kRead;
-  std::int64_t slot = 0;
-};
-
 class SimDisk {
  public:
   SimDisk(int id, DiskSpec spec, std::int64_t slot_count,
@@ -90,11 +84,12 @@ class SimDisk {
     return r.is_ok() ? r.value() : busy_until_;
   }
 
-  /// True when a run of accesses can be timed in one batched pass
-  /// (submit_run()) with results bit-identical to repeated submit():
-  /// no fault machinery able to fire mid-run and no per-op
-  /// instrumentation attached. Queried per run — installing a profile
-  /// or attaching an observer flips consumers back to the per-op path.
+  /// True when a run of reads can be timed in one submit_run_while()
+  /// pass with results bit-identical to repeated submit(): no fault
+  /// machinery able to fire mid-run and no per-op instrumentation
+  /// attached. The online engine asks before each batched drain —
+  /// installing a profile or attaching an observer sends it back to
+  /// one event per read.
   bool can_batch() const {
     return !failed_ && !fail_stop_armed_ && observer_ == nullptr &&
            latent_count_ == 0 && fault_.transient_read_error_p <= 0.0 &&
@@ -106,14 +101,6 @@ class SimDisk {
   /// mid-run (the disk's death replans work on *other* disks) check
   /// this across the whole array, not just the disk being batched.
   bool fail_stop_armed() const { return fail_stop_armed_; }
-
-  /// Enqueue a run of accesses back to back, each starting no earlier
-  /// than `earliest_start` — exactly equivalent to calling submit() for
-  /// each access in order (every access succeeds under the can_batch()
-  /// preconditions), but with the range checks, fault branches, and
-  /// seek/transfer constants hoisted out of the loop. Returns the
-  /// completion time of the last access. Precondition: can_batch().
-  double submit_run(std::span<const RunAccess> run, double earliest_start);
 
   /// What submit_run_while committed: how many leading reads of the run
   /// entered service and when the last of them completes.
@@ -139,7 +126,7 @@ class SimDisk {
                             double earliest_start, double stop_before);
 
   /// Service time the next access to `slot` would incur (no state
-  /// change); used by planners that want cost estimates.
+  /// change): what submit() charges it.
   double peek_service_s(IoKind kind, std::int64_t slot) const;
 
   double busy_until() const { return busy_until_; }
@@ -255,14 +242,17 @@ SimDisk::RunWhile SimDisk::submit_run_while(std::size_t count,
                                             double stop_before) {
   assert(can_batch() && "submit_run_while requires the batchable fast path");
   if (count == 0) return {0, busy_until_};
-  // The two read entries of submit_run()'s hoisted service table — see
-  // the bit-identity note there.
+  // Hoist the two read service times, {positioned, sequential}. Each is
+  // computed with the expression submit()'s peek_service_s uses —
+  // (position + transfer) * slow_factor — so the per-read arithmetic
+  // below reproduces the per-op path bit for bit (position is 0.0 for
+  // sequential accesses, and 0.0 + x == x exactly).
   const double read_tr = spec_.read_transfer_s(logical_element_bytes_);
   const double svc[2] = {(spec_.positioning_s() + read_tr) * fault_.slow_factor,
                          read_tr * fault_.slow_factor};
   double busy = busy_until_;
-  // One service at a time, in read order: floating-point addition is
-  // not associative.
+  // busy_s accumulates one service at a time, in read order:
+  // floating-point addition is not associative.
   double busy_s = counters_.busy_s;
   std::int64_t head = head_slot_;
   std::uint64_t sequential_ops = 0;

@@ -49,7 +49,7 @@ struct TimelineConfig {
   /// member's per-disk failure hazard is multiplied by
   /// domain_hazard_factor while any *other* member of its domain holds
   /// an in-flight repair or restore — the
-  /// recon::MonteCarloParams::enclosure_hazard_factor correlation
+  /// repair::MonteCarloParams::enclosure_hazard_factor correlation
   /// carried from the MC estimator to the actual fleet timeline.
   /// Pending failure draws are redrawn (memorylessness makes that
   /// distribution-exact) whenever the domain's stress changes.

@@ -43,17 +43,13 @@ Result<CrashWorkloadReport> run_crash_workload(array::DiskArray& arr,
 
     fill_pattern(request_seed(cfg.seed, req), fresh.data(), fresh.size());
 
-    // Apply the request's bytes to contents first, then time the writes
-    // (every copy, then parity): if the crash fires inside this batch,
-    // execute() garbles exactly the slots whose writes never completed.
-    SMA_RETURN_IF_ERROR(arr.write_data_element(i, s, j, fresh));
+    // Apply the request's bytes to contents first, then time exactly
+    // the writes write_data_element made (every live copy, then the
+    // parity when its disk is live): if the crash fires inside this
+    // batch, execute() garbles exactly the slots whose writes never
+    // completed.
     ops.clear();
-    for (int c = 0; c <= arch.replicas(); ++c) {
-      const layout::Pos at = arch.copy_of(c, i, j);
-      ops.push_back({at.disk, s, at.row, disk::IoKind::kWrite});
-    }
-    if (arch.has_parity())
-      ops.push_back({arch.parity_disk(), s, j, disk::IoKind::kWrite});
+    SMA_RETURN_IF_ERROR(arr.write_data_element(i, s, j, fresh, &ops));
 
     const auto stats = arr.execute(ops, 0.0);
     ++report.requests_issued;

@@ -1,9 +1,9 @@
-// Monte-Carlo array-lifetime simulation (recon::simulate_mttdl).
+// Monte-Carlo array-lifetime simulation (repair::simulate_mttdl).
 //
 // Lives in sma_repair rather than sma_recon because every trial drives
-// the real repair machinery — repair::Lifecycle for loss detection and
-// repair::SparePool for depletion — and sma_recon must not link
-// sma_repair (the executor consumes repair's header-inline pieces only).
+// the real repair machinery — Lifecycle for loss detection and
+// SparePool for depletion — and sma_recon must not link sma_repair (the
+// executor consumes repair's header-inline pieces only).
 //
 // Event loop: exponential failures (the per-disk rate redrawn after
 // every event, which is exact for memoryless interarrivals), weighted
@@ -11,18 +11,19 @@
 // per repair and optionally replaced after a fixed lead time. A live
 // disk sharing an enclosure with a failed one runs at a multiplied
 // hazard — the correlated-failure mode the closed forms cannot see.
+#include "repair/lifetime.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <vector>
 
-#include "recon/reliability.hpp"
 #include "repair/lifecycle.hpp"
 #include "repair/spare_pool.hpp"
 #include "util/rng.hpp"
 
-namespace sma::recon {
+namespace sma::repair {
 
 namespace {
 
@@ -64,8 +65,8 @@ Result<MonteCarloReport> simulate_mttdl(const layout::Architecture& arch,
 
   for (int trial = 0; trial < params.trials; ++trial) {
     Rng trial_rng = rng.fork();
-    repair::Lifecycle lc(arch);
-    repair::SparePool pool(params.spare, total);
+    Lifecycle lc(arch);
+    SparePool pool(params.spare, total);
     std::map<int, double> repair_done;   // disk -> completion time
     std::vector<int> waiting;            // repairs stalled on the pool
     std::vector<double> replenish_at;    // pending spare arrivals
@@ -184,4 +185,4 @@ Result<MonteCarloReport> simulate_mttdl(const layout::Architecture& arch,
   return out;
 }
 
-}  // namespace sma::recon
+}  // namespace sma::repair

@@ -168,9 +168,9 @@ TEST(RetryBackoff, MaxRetryDepthReportsTheWorstOpInTheBatch) {
 
 TEST(RetryBackoff, JitterIsPerDiskSoAnObserverChangesNoDelay) {
   // Two always-transient disks, two writes each, interleaved in the
-  // batch. The observed executor submits in op order and the unobserved
-  // one disk by disk, so one array-wide jitter stream would hand the
-  // disks different draws in the two modes; per-disk streams cannot.
+  // batch. Each disk draws its jitter from its own stream, so its
+  // delays do not depend on how its ops interleave with the other
+  // disk's, and attaching an observer changes no delay.
   auto cfg = base_cfg();
   cfg.rotate = false;
   cfg.fault_overrides[0].transient_write_error_p = 1.0;

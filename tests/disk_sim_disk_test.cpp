@@ -152,8 +152,8 @@ TEST(SimDisk, TimingLeavesTheStoreUnmaterialized) {
   SimDisk d(0, flat_spec(), 8, 16, 1'000'000);
   d.submit_ok(IoKind::kWrite, 3, 0.0);
   d.submit_ok(IoKind::kRead, 4, 0.0);
-  const RunAccess run[] = {{IoKind::kRead, 5}, {IoKind::kWrite, 6}};
-  d.submit_run(run, 0.0);
+  std::int64_t next = 5;
+  d.submit_run_while(2, [&next] { return next++; }, 0.0, 1e9);
   EXPECT_FALSE(d.content_materialized());
 }
 

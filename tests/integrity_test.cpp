@@ -148,9 +148,11 @@ TEST(CrashInjection, OpIndexedCrashLosesTheBatchTailButKeepsItsIntent) {
 TEST(CrashWorkload, DegradedWritesKeepEveryParityRowConsistent) {
   // With a disk failed and no crash armed, each acked write takes its
   // parity delta from a live copy and writes only live copies, so the
-  // verifying rebuild finds every copy and parity row consistent.
-  // Physical disks 0, 1, 4 and 8 hold data, mirror and parity elements
-  // of an n = 4 mirror+parity array across the rotated stripes.
+  // verifying rebuild finds every copy and parity row consistent, and
+  // the workload times only those writes: each one it counts is a
+  // write a live disk performed. Physical disks 0, 1, 4 and 8 hold
+  // data, mirror and parity elements of an n = 4 mirror+parity array
+  // across the rotated stripes.
   for (const int failed : {0, 1, 4, 8}) {
     SCOPED_TRACE("failed disk " + std::to_string(failed));
     array::ArrayConfig cfg;
@@ -168,6 +170,11 @@ TEST(CrashWorkload, DegradedWritesKeepEveryParityRowConsistent) {
     ASSERT_TRUE(wl.is_ok()) << wl.status().to_string();
     EXPECT_FALSE(wl.value().crashed);
     EXPECT_EQ(wl.value().requests_issued, 40);
+    std::uint64_t live_writes = 0;
+    for (int d = 0; d < arr.physical_count(); ++d)
+      if (!arr.physical(d).failed())
+        live_writes += arr.physical(d).counters().writes;
+    EXPECT_EQ(wl.value().element_writes, live_writes);
     const auto rebuilt = recon::reconstruct(arr);  // verify on
     EXPECT_TRUE(rebuilt.is_ok()) << rebuilt.status().to_string();
     if (!rebuilt.is_ok()) continue;

@@ -14,6 +14,7 @@
 #include "obs/trace_sink.hpp"
 #include "recon/reliability.hpp"
 #include "reference_oracle.hpp"
+#include "repair/lifetime.hpp"
 #include "repair/orchestrator.hpp"
 
 namespace sma::repair {
@@ -455,8 +456,8 @@ TEST(Orchestrator, RejectsMisconfiguration) {
 // Short-lifetime parameters keep the trials cheap: MTTF/MTTR = 400, so
 // a traditional mirror trial sees a few hundred failures before the
 // fatal partner lands inside a repair window.
-recon::MonteCarloParams mc_params() {
-  recon::MonteCarloParams p;
+MonteCarloParams mc_params() {
+  MonteCarloParams p;
   p.disk_mttf_hours = 400.0;
   p.mttr_hours = 1.0;
   p.trials = 1200;
@@ -475,7 +476,7 @@ TEST(MonteCarlo, MatchesClosedFormInTheIndependentLimit) {
   for (const bool shifted : {false, true}) {
     const auto arch = layout::Architecture::mirror(4, shifted);
     const auto closed = recon::estimate_mttdl(arch, cp);
-    auto mc = recon::simulate_mttdl(arch, params);
+    auto mc = simulate_mttdl(arch, params);
     ASSERT_TRUE(mc.is_ok()) << mc.status().to_string();
     EXPECT_NEAR(mc.value().mttdl_hours, closed.mttdl_hours,
                 0.15 * closed.mttdl_hours)
@@ -495,9 +496,9 @@ TEST(MonteCarlo, ShiftedTradesFatalCandidatesForWindowLength) {
   // shorter window, which this comparison deliberately freezes).
   const auto params = mc_params();
   auto trad =
-      recon::simulate_mttdl(layout::Architecture::mirror(4, false), params);
+      simulate_mttdl(layout::Architecture::mirror(4, false), params);
   auto shifted =
-      recon::simulate_mttdl(layout::Architecture::mirror(4, true), params);
+      simulate_mttdl(layout::Architecture::mirror(4, true), params);
   ASSERT_TRUE(trad.is_ok());
   ASSERT_TRUE(shifted.is_ok());
   EXPECT_LT(shifted.value().mttdl_hours, trad.value().mttdl_hours);
@@ -507,13 +508,13 @@ TEST(MonteCarlo, CorrelatedEnclosureFailuresShortenTheLifetime) {
   auto params = mc_params();
   params.trials = 600;
   const auto arch = layout::Architecture::mirror(4, false);
-  auto independent = recon::simulate_mttdl(arch, params);
+  auto independent = simulate_mttdl(arch, params);
   ASSERT_TRUE(independent.is_ok());
   // One shared enclosure: any failure multiplies every survivor's
   // hazard — the correlation the closed forms cannot express.
   params.enclosure_of.assign(static_cast<std::size_t>(arch.total_disks()), 0);
   params.enclosure_hazard_factor = 20.0;
-  auto correlated = recon::simulate_mttdl(arch, params);
+  auto correlated = simulate_mttdl(arch, params);
   ASSERT_TRUE(correlated.is_ok());
   EXPECT_LT(correlated.value().mttdl_hours,
             0.5 * independent.value().mttdl_hours);
@@ -523,20 +524,20 @@ TEST(MonteCarlo, SpareDepletionStallsRepairsAndCostsLifetime) {
   auto params = mc_params();
   params.trials = 400;
   const auto arch = layout::Architecture::mirror(4, false);
-  auto unlimited = recon::simulate_mttdl(arch, params);
+  auto unlimited = simulate_mttdl(arch, params);
   ASSERT_TRUE(unlimited.is_ok());
   // One spare, never replaced: after it is consumed every further
   // failure waits forever, and failures accumulate until a fatal set.
   params.spare = {SparePolicy::kDedicated, 1};
   params.spare_replenish_hours = 0.0;
-  auto depleted = recon::simulate_mttdl(arch, params);
+  auto depleted = simulate_mttdl(arch, params);
   ASSERT_TRUE(depleted.is_ok());
   EXPECT_GT(depleted.value().spare_waits, 0u);
   EXPECT_LT(depleted.value().mttdl_hours,
             0.5 * unlimited.value().mttdl_hours);
   // Replenishment restores most of it.
   params.spare_replenish_hours = 0.5;
-  auto replenished = recon::simulate_mttdl(arch, params);
+  auto replenished = simulate_mttdl(arch, params);
   ASSERT_TRUE(replenished.is_ok());
   EXPECT_GT(replenished.value().mttdl_hours,
             depleted.value().mttdl_hours);
@@ -546,36 +547,36 @@ TEST(MonteCarlo, RejectsMeaninglessParameters) {
   const auto arch = layout::Architecture::mirror(3, true);
   auto params = mc_params();
   params.trials = 0;
-  EXPECT_EQ(recon::simulate_mttdl(arch, params).status().code(),
+  EXPECT_EQ(simulate_mttdl(arch, params).status().code(),
             ErrorCode::kInvalidArgument);
   params = mc_params();
   params.disk_mttf_hours = -1.0;
-  EXPECT_EQ(recon::simulate_mttdl(arch, params).status().code(),
+  EXPECT_EQ(simulate_mttdl(arch, params).status().code(),
             ErrorCode::kInvalidArgument);
   params = mc_params();
   params.enclosure_hazard_factor = 0.5;
-  EXPECT_EQ(recon::simulate_mttdl(arch, params).status().code(),
+  EXPECT_EQ(simulate_mttdl(arch, params).status().code(),
             ErrorCode::kInvalidArgument);
   params = mc_params();
   params.enclosure_of = {0, 1};  // wrong length
-  EXPECT_EQ(recon::simulate_mttdl(arch, params).status().code(),
+  EXPECT_EQ(simulate_mttdl(arch, params).status().code(),
             ErrorCode::kInvalidArgument);
   // NaN fails every guard; an infinite enclosure factor is refused too.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  for (double recon::MonteCarloParams::*field :
-       {&recon::MonteCarloParams::disk_mttf_hours,
-        &recon::MonteCarloParams::mttr_hours}) {
+  for (double MonteCarloParams::*field :
+       {&MonteCarloParams::disk_mttf_hours,
+        &MonteCarloParams::mttr_hours}) {
     params = mc_params();
     params.*field = nan;
-    EXPECT_EQ(recon::simulate_mttdl(arch, params).status().code(),
+    EXPECT_EQ(simulate_mttdl(arch, params).status().code(),
               ErrorCode::kInvalidArgument);
   }
   params = mc_params();
   params.enclosure_of.assign(static_cast<std::size_t>(arch.total_disks()), 0);
   for (const double factor : {nan, inf}) {
     params.enclosure_hazard_factor = factor;
-    EXPECT_EQ(recon::simulate_mttdl(arch, params).status().code(),
+    EXPECT_EQ(simulate_mttdl(arch, params).status().code(),
               ErrorCode::kInvalidArgument)
         << factor;
   }
@@ -585,8 +586,8 @@ TEST(MonteCarlo, DeterministicUnderFixedSeed) {
   auto params = mc_params();
   params.trials = 50;
   const auto arch = layout::Architecture::mirror(3, false);
-  auto a = recon::simulate_mttdl(arch, params);
-  auto b = recon::simulate_mttdl(arch, params);
+  auto a = simulate_mttdl(arch, params);
+  auto b = simulate_mttdl(arch, params);
   ASSERT_TRUE(a.is_ok());
   ASSERT_TRUE(b.is_ok());
   EXPECT_EQ(a.value().mttdl_hours, b.value().mttdl_hours);

@@ -26,6 +26,7 @@
 #include "recon/sweeps.hpp"
 #include "reference_oracle.hpp"
 #include "repair/lifecycle.hpp"
+#include "repair/lifetime.hpp"
 #include "repair/orchestrator.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/degraded_read.hpp"
@@ -724,10 +725,10 @@ TEST(ThreeMirrorEntryPoints, ServeEveryCopyOrReject) {
   EXPECT_GT(fatal.avg_fatal_third, 0.0);
   recon::MttdlParams mp;
   EXPECT_GT(recon::estimate_mttdl(arch, mp).mttdl_hours, 0.0);
-  recon::MonteCarloParams mc;
+  repair::MonteCarloParams mc;
   mc.trials = 20;
   mc.disk_mttf_hours = 100;
-  EXPECT_TRUE(recon::simulate_mttdl(arch, mc).is_ok());
+  EXPECT_TRUE(repair::simulate_mttdl(arch, mc).is_ok());
   EXPECT_EQ(repair::classify(arch, {0, 4}, true, false),
             repair::ArrayState::kCritical);
   EXPECT_EQ(repair::classify(arch, {0}, true, false),

@@ -80,6 +80,7 @@
 #include "recon/plan.hpp"
 #include "recon/reliability.hpp"
 #include "recon/scrub.hpp"
+#include "repair/lifetime.hpp"
 #include "repair/orchestrator.hpp"
 #include "sim/multi_kernel.hpp"
 #include "sim/simulation.hpp"
@@ -1164,7 +1165,7 @@ int cmd_repair(const Flags& flags) {
   // the closed form it cross-checks.
   const int mc_trials = flags.get_int("mc-trials", 0);
   if (mc_trials > 0) {
-    recon::MonteCarloParams params;
+    repair::MonteCarloParams params;
     params.disk_mttf_hours = flags.get_double("mttf-h", 1.0e6);
     params.mttr_hours = flags.get_double("mttr-h", 10.0);
     if (!(params.disk_mttf_hours > 0.0)) return usage("--mttf-h must be > 0");
@@ -1195,7 +1196,7 @@ int cmd_repair(const Flags& flags) {
         return usage("--enclosure-factor must be finite and >= 1");
     }
 
-    auto mc = recon::simulate_mttdl(arch, params);
+    auto mc = repair::simulate_mttdl(arch, params);
     if (!mc.is_ok()) {
       std::fprintf(stderr, "repair: %s\n", mc.status().to_string().c_str());
       return 1;
