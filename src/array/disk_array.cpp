@@ -668,10 +668,11 @@ BatchStats DiskArray::execute(std::span<const Op> ops, double start_time) {
     if (is_write && crash_armed_) {
       const double would_start =
           std::max(start_time, physical(phys).busy_until());
-      const bool fire = (cfg_.fault.crash_after_writes >= 0 &&
-                         writes_seen_ == cfg_.fault.crash_after_writes) ||
-                        (cfg_.fault.crash_at_s >= 0.0 &&
-                         would_start >= cfg_.fault.crash_at_s);
+      const bool fire =
+          (cfg_.fault.crash_after_writes >= 0 &&
+           writes_seen_ == cfg_.fault.crash_after_writes) ||
+          (cfg_.fault.crash_at_s >= 0.0 &&
+           would_start >= cfg_.fault.crash_at_s);
       ++writes_seen_;
       if (fire) {
         apply_crash(op, would_start);

@@ -292,145 +292,151 @@ std::vector<Op> golden_batch(const DiskArray& arr, Rng& rng, GridBatch kind,
   return ops;
 }
 
+// The grid's running digest and the counts it checks.
+struct GridDigest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t runs = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t crashed_batches = 0;
+
+  void fold(std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; }
+  void fold_s(double s) { fold(std::bit_cast<std::uint64_t>(s)); }
+};
+
+// Time one batch on `arr` and fold what it left: every BatchStats field,
+// every disk's busy_until(), failed() and DiskCounters, the dirty-region
+// log, the observer's events and counters and, after a batch that
+// crashed, every element's bytes.
+void fold_batch(GridDigest& g, DiskArray& arr, Rng& rng, GridBatch kind,
+                double start, bool redirect, obs::TraceSink& sink,
+                const obs::MetricsRegistry& metrics) {
+  const auto ops = golden_batch(arr, rng, kind, redirect);
+  const BatchStats st = arr.execute(ops, start);
+  ++g.batches;
+  g.fold_s(st.start_s);
+  g.fold_s(st.end_s);
+  g.fold(static_cast<std::uint64_t>(st.max_ops_per_disk));
+  g.fold(st.logical_bytes_read);
+  g.fold(st.logical_bytes_written);
+  g.fold(st.retried_ops);
+  g.fold(st.failed_ops);
+  g.fold(st.unreadable_ops);
+  g.fold(static_cast<std::uint64_t>(st.max_retry_depth));
+  g.fold(st.lost_writes);
+  g.fold(st.crashed ? 1 : 0);
+  for (int d = 0; d < arr.physical_count(); ++d) {
+    const disk::SimDisk& sd = arr.physical(d);
+    const disk::DiskCounters& c = sd.counters();
+    g.fold_s(sd.busy_until());
+    g.fold(sd.failed() ? 1 : 0);
+    g.fold(c.reads);
+    g.fold(c.writes);
+    g.fold(c.sequential);
+    g.fold(c.logical_bytes_read);
+    g.fold(c.logical_bytes_written);
+    g.fold(c.transient_errors);
+    g.fold(c.unreadable_errors);
+    g.fold_s(c.busy_s);
+  }
+  g.fold(arr.dirty_log().marks());
+  for (const int r : arr.dirty_log().dirty_regions())
+    g.fold(static_cast<std::uint64_t>(r));
+  g.fold(sink.size());
+  for (const obs::TraceEvent& ev : sink.events()) {
+    g.fold(static_cast<std::uint64_t>(ev.kind));
+    g.fold_s(ev.t_s);
+    g.fold_s(ev.dur_s);
+    g.fold(static_cast<std::uint64_t>(ev.disk));
+    g.fold(static_cast<std::uint64_t>(ev.slot));
+    g.fold(static_cast<std::uint64_t>(ev.stripe));
+    g.fold(ev.write ? 1 : 0);
+  }
+  sink.clear();
+  for (const auto& [name, value] : metrics.counters()) g.fold(value);
+  if (!st.crashed) return;
+  ++g.crashed_batches;
+  g.fold_s(arr.crash_time_s());
+  for (int d = 0; d < arr.physical_count(); ++d) {
+    const disk::SimDisk& sd = arr.physical(d);
+    for (std::int64_t sl = 0; sl < sd.slot_count(); ++sl)
+      for (const std::uint8_t b : sd.content(sl)) g.fold(b);
+  }
+}
+
+// One array of the grid: put it in `state`, run read, write, mixed and
+// empty batches at start_time 0 and then at later starts (some still
+// queued behind earlier batches) and, after a crash, power-cycle it and
+// run one more batch.
+void fold_grid_array(GridDigest& g, const layout::Architecture& arch,
+                     GridState state, int profile, int retries, bool backoff,
+                     bool drl, GridCrash crash, bool observed) {
+  const ArrayConfig cfg =
+      golden_config(arch, state, profile, retries, backoff, drl, crash);
+  const std::pair<GridBatch, double> sequence[] = {
+      {GridBatch::kRead, 0.0},  {GridBatch::kWrite, 0.0},
+      {GridBatch::kMixed, 0.0}, {GridBatch::kEmpty, 0.0},
+      {GridBatch::kRead, 0.5},  {GridBatch::kWrite, 1.2},
+      {GridBatch::kEmpty, 2.0}, {GridBatch::kMixed, 4.0}};
+  obs::TraceSink sink;
+  obs::MetricsRegistry metrics;
+  obs::Observer ob;
+  ob.trace = &sink;
+  ob.metrics = &metrics;
+  DiskArray arr(cfg);
+  arr.initialize();
+  if (state != GridState::kHealthy) arr.fail_physical(kGridFailed);
+  if (state == GridState::kRestored) {
+    const std::vector<std::uint8_t> bytes(cfg.content_bytes, 0x5A);
+    for (int s = 0; s < arr.stripes(); ++s)
+      for (int j = 0; j < arch.rows(); ++j)
+        if ((s + j) % 2 == 0)
+          arr.restore_element(arr.logical_disk(kGridFailed, s), s, j, bytes);
+  }
+  if (observed) arr.set_observer(&ob);
+  Rng rng(++g.runs);
+  const bool redirect = state == GridState::kRedirected;
+  for (const auto& [kind, start] : sequence)
+    fold_batch(g, arr, rng, kind, start, redirect, sink, metrics);
+  if (arr.crashed()) {
+    ASSERT_TRUE(arr.power_cycle().is_ok());
+    fold_batch(g, arr, rng, GridBatch::kMixed, 0.0, redirect, sink, metrics);
+  }
+}
+
 TEST(ArrayGolden, ExecuteDigestOverBatchGrid) {
   // Every batch DiskArray::execute times over mirror, mirror+parity,
   // R = 2, RAID-5 and RAID-6 arrays x {healthy, one failed disk, half
   // its slots restored, its ops redirected to a hot spare} x {inert,
   // latent, transient-window, slow, scheduled fail-stop} x
   // io_max_retries {0, 2} x backoff {off, on} x observer {off, on} x
-  // DRL {off, on} x crash point {none, op-indexed, time-indexed}, each
-  // array running read, write, mixed and empty batches at start_time 0
-  // and > 0. After every batch it folds every BatchStats field, every
-  // disk's busy_until(), failed() and DiskCounters, the dirty-region
-  // log, the observer's events and counters and, after a batch that
-  // crashed, every element's bytes. Recorded from the executor that
-  // timed uninstrumented batches in one grouped pass per disk and
-  // everything else op by op, so it pins both.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto fold = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
-  auto fold_s = [&fold](double s) { fold(std::bit_cast<std::uint64_t>(s)); };
-
+  // DRL {off, on} x crash point {none, op-indexed, time-indexed}, folded
+  // into one value (fold_batch). Recorded from the executor that timed
+  // uninstrumented batches in one grouped pass per disk and everything
+  // else op by op, so it pins both.
   const layout::Architecture archs[] = {
       layout::Architecture::mirror(4, true),
       layout::Architecture::mirror_with_parity(4, true),
       layout::Architecture::mirror_named(4, "shifted", 2).value(),
       layout::Architecture::raid5(4), layout::Architecture::raid6(4)};
-  const std::pair<GridBatch, double> sequence[] = {
-      {GridBatch::kRead, 0.0},  {GridBatch::kWrite, 0.0},
-      {GridBatch::kMixed, 0.0}, {GridBatch::kEmpty, 0.0},
-      {GridBatch::kRead, 0.5},  {GridBatch::kWrite, 1.2},
-      {GridBatch::kEmpty, 2.0}, {GridBatch::kMixed, 4.0}};
-
-  std::uint64_t runs = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t crashed_batches = 0;
-  for (const auto& arch : archs) {
-    for (const GridState state :
-         {GridState::kHealthy, GridState::kFailed, GridState::kRestored,
-          GridState::kRedirected}) {
-      for (int profile = 0; profile < 5; ++profile) {
-        for (const int retries : {0, 2}) {
-          for (const bool backoff : {false, true}) {
-            for (const bool observed : {false, true}) {
-              for (const bool drl : {false, true}) {
-                for (const GridCrash crash :
-                     {GridCrash::kNone, GridCrash::kAfterWrites,
-                      GridCrash::kAtTime}) {
-                  DiskArray arr(golden_config(arch, state, profile, retries,
-                                              backoff, drl, crash));
-                  arr.initialize();
-                  if (state != GridState::kHealthy)
-                    arr.fail_physical(kGridFailed);
-                  if (state == GridState::kRestored) {
-                    const std::vector<std::uint8_t> bytes(8, 0x5A);
-                    for (int s = 0; s < arr.stripes(); ++s)
-                      for (int j = 0; j < arch.rows(); ++j)
-                        if ((s + j) % 2 == 0)
-                          arr.restore_element(arr.logical_disk(kGridFailed, s),
-                                              s, j, bytes);
-                  }
-                  obs::TraceSink sink;
-                  obs::MetricsRegistry metrics;
-                  obs::Observer ob;
-                  ob.trace = &sink;
-                  ob.metrics = &metrics;
-                  if (observed) arr.set_observer(&ob);
-                  Rng rng(++runs);
-
-                  const auto run_batch = [&](GridBatch kind, double start) {
-                    const auto ops = golden_batch(
-                        arr, rng, kind, state == GridState::kRedirected);
-                    const BatchStats st = arr.execute(ops, start);
-                    ++batches;
-                    fold_s(st.start_s);
-                    fold_s(st.end_s);
-                    fold(static_cast<std::uint64_t>(st.max_ops_per_disk));
-                    fold(st.logical_bytes_read);
-                    fold(st.logical_bytes_written);
-                    fold(st.retried_ops);
-                    fold(st.failed_ops);
-                    fold(st.unreadable_ops);
-                    fold(static_cast<std::uint64_t>(st.max_retry_depth));
-                    fold(st.lost_writes);
-                    fold(st.crashed ? 1 : 0);
-                    for (int d = 0; d < arr.physical_count(); ++d) {
-                      const disk::SimDisk& sd = arr.physical(d);
-                      const disk::DiskCounters& c = sd.counters();
-                      fold_s(sd.busy_until());
-                      fold(sd.failed() ? 1 : 0);
-                      fold(c.reads);
-                      fold(c.writes);
-                      fold(c.sequential);
-                      fold(c.logical_bytes_read);
-                      fold(c.logical_bytes_written);
-                      fold(c.transient_errors);
-                      fold(c.unreadable_errors);
-                      fold_s(c.busy_s);
-                    }
-                    fold(arr.dirty_log().marks());
-                    for (const int r : arr.dirty_log().dirty_regions())
-                      fold(static_cast<std::uint64_t>(r));
-                    fold(sink.size());
-                    for (const obs::TraceEvent& ev : sink.events()) {
-                      fold(static_cast<std::uint64_t>(ev.kind));
-                      fold_s(ev.t_s);
-                      fold_s(ev.dur_s);
-                      fold(static_cast<std::uint64_t>(ev.disk));
-                      fold(static_cast<std::uint64_t>(ev.slot));
-                      fold(static_cast<std::uint64_t>(ev.stripe));
-                      fold(ev.write ? 1 : 0);
-                    }
-                    sink.clear();
-                    for (const auto& [name, value] : metrics.counters())
-                      fold(value);
-                    if (!st.crashed) return;
-                    ++crashed_batches;
-                    fold_s(arr.crash_time_s());
-                    for (int d = 0; d < arr.physical_count(); ++d) {
-                      const disk::SimDisk& sd = arr.physical(d);
-                      for (std::int64_t sl = 0; sl < sd.slot_count(); ++sl)
-                        for (const std::uint8_t b : sd.content(sl)) fold(b);
-                    }
-                  };
-                  for (const auto& [kind, start] : sequence)
-                    run_batch(kind, start);
-                  if (arr.crashed()) {
-                    ASSERT_TRUE(arr.power_cycle().is_ok());
-                    run_batch(GridBatch::kMixed, 0.0);
-                  }
-                  arr.set_observer(nullptr);
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  EXPECT_EQ(runs, 4800u);
-  EXPECT_EQ(batches, 41600u);
-  EXPECT_EQ(crashed_batches, 12121u);
-  EXPECT_EQ(h, 0x390b070114f1d99full) << std::hex << h;
+  const GridState states[] = {GridState::kHealthy, GridState::kFailed,
+                              GridState::kRestored, GridState::kRedirected};
+  const GridCrash crashes[] = {GridCrash::kNone, GridCrash::kAfterWrites,
+                               GridCrash::kAtTime};
+  GridDigest g;
+  for (const auto& arch : archs)
+    for (const GridState state : states)
+      for (int profile = 0; profile < 5; ++profile)
+        for (const int retries : {0, 2})
+          for (const bool backoff : {false, true})
+            for (const bool observed : {false, true})
+              for (const bool drl : {false, true})
+                for (const GridCrash crash : crashes)
+                  fold_grid_array(g, arch, state, profile, retries, backoff,
+                                  drl, crash, observed);
+  EXPECT_EQ(g.runs, 4800u);
+  EXPECT_EQ(g.batches, 41600u);
+  EXPECT_EQ(g.crashed_batches, 12121u);
+  EXPECT_EQ(g.h, 0x390b070114f1d99full) << std::hex << g.h;
 }
 
 }  // namespace
