@@ -109,35 +109,9 @@ Architecture Architecture::raid6(int n) {
   return a;
 }
 
-int Architecture::fault_tolerance() const {
-  switch (kind_) {
-    case ArchKind::kMirror: return replicas_;
-    case ArchKind::kMirrorParity:
-    case ArchKind::kRaid6: return 2;
-    case ArchKind::kRaid5: return 1;
-  }
-  return 1;
-}
-
 double Architecture::storage_efficiency() const {
   const double data_disks = n_;
   return data_disks / total_disks_;
-}
-
-bool Architecture::is_mirror() const {
-  return kind_ == ArchKind::kMirror || kind_ == ArchKind::kMirrorParity;
-}
-
-bool Architecture::has_parity() const { return kind_ != ArchKind::kMirror; }
-
-int Architecture::parity_disks() const {
-  switch (kind_) {
-    case ArchKind::kMirror: return 0;
-    case ArchKind::kMirrorParity:
-    case ArchKind::kRaid5: return 1;
-    case ArchKind::kRaid6: return 2;
-  }
-  return 0;
 }
 
 std::string Architecture::name() const {
@@ -152,50 +126,6 @@ std::string Architecture::name() const {
     case ArchKind::kRaid6: return "raid6-shortened";
   }
   return "unknown";
-}
-
-int Architecture::data_disk(int i) const {
-  assert(i >= 0 && i < n_);
-  return i;
-}
-
-int Architecture::replica_disk(int array_r, int local) const {
-  assert(is_mirror());
-  assert(array_r >= 1 && array_r <= replicas_);
-  assert(local >= 0 && local < n_);
-  return array_r * n_ + local;
-}
-
-int Architecture::parity_disk(int which) const {
-  assert(has_parity());
-  assert(which >= 0 && which < parity_disks());
-  return (is_mirror() ? (replicas_ + 1) * n_ : n_) + which;
-}
-
-DiskRole Architecture::role_of(int disk) const {
-  assert(disk >= 0 && disk < total_disks_);
-  if (disk < n_) return DiskRole::kData;
-  if (is_mirror() && disk < (replicas_ + 1) * n_) return DiskRole::kMirror;
-  return DiskRole::kParity;
-}
-
-int Architecture::role_index(int disk) const {
-  switch (role_of(disk)) {
-    case DiskRole::kData: return disk;
-    case DiskRole::kMirror: return disk % n_;
-    case DiskRole::kParity:
-      return disk - (is_mirror() ? (replicas_ + 1) * n_ : n_);
-  }
-  return -1;
-}
-
-int Architecture::array_of(int disk) const {
-  switch (role_of(disk)) {
-    case DiskRole::kData: return 0;
-    case DiskRole::kMirror: return disk / n_;
-    case DiskRole::kParity: return -1;
-  }
-  return -1;
 }
 
 }  // namespace sma::layout

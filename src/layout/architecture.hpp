@@ -74,13 +74,31 @@ class Architecture {
   int n() const { return n_; }
   int rows() const { return rows_; }
   int total_disks() const { return total_disks_; }
-  int fault_tolerance() const;
+  int fault_tolerance() const {
+    switch (kind_) {
+      case ArchKind::kMirror: return replicas_;
+      case ArchKind::kMirrorParity:
+      case ArchKind::kRaid6: return 2;
+      case ArchKind::kRaid5: return 1;
+    }
+    return 1;
+  }
   double storage_efficiency() const;
   std::string name() const;
 
-  bool is_mirror() const;
-  bool has_parity() const;
-  int parity_disks() const;
+  bool is_mirror() const {
+    return kind_ == ArchKind::kMirror || kind_ == ArchKind::kMirrorParity;
+  }
+  bool has_parity() const { return kind_ != ArchKind::kMirror; }
+  int parity_disks() const {
+    switch (kind_) {
+      case ArchKind::kMirror: return 0;
+      case ArchKind::kMirrorParity:
+      case ArchKind::kRaid5: return 1;
+      case ArchKind::kRaid6: return 2;
+    }
+    return 0;
+  }
   /// Replica arrays R (mirror kinds; 0 for RAID-5/6).
   int replicas() const { return replicas_; }
 
@@ -95,16 +113,49 @@ class Architecture {
   }
 
   // --- global disk index helpers -------------------------------------
-  int data_disk(int i) const;
+  // Inline: the planner calls them for every copy of every lost cell.
+  int data_disk(int i) const {
+    assert(i >= 0 && i < n_);
+    return i;
+  }
   /// Global index of disk `local` of replica array r (1..R).
-  int replica_disk(int array_r, int local) const;
-  int parity_disk(int which = 0) const;
-  DiskRole role_of(int disk) const;
+  int replica_disk(int array_r, int local) const {
+    assert(is_mirror());
+    assert(array_r >= 1 && array_r <= replicas_);
+    assert(local >= 0 && local < n_);
+    return array_r * n_ + local;
+  }
+  int parity_disk(int which = 0) const {
+    assert(has_parity());
+    assert(which >= 0 && which < parity_disks());
+    return (is_mirror() ? (replicas_ + 1) * n_ : n_) + which;
+  }
+  DiskRole role_of(int disk) const {
+    assert(disk >= 0 && disk < total_disks_);
+    if (disk < n_) return DiskRole::kData;
+    if (is_mirror() && disk < (replicas_ + 1) * n_) return DiskRole::kMirror;
+    return DiskRole::kParity;
+  }
   /// Index within its array (data i, replica-array local index, or
   /// parity ordinal).
-  int role_index(int disk) const;
+  int role_index(int disk) const {
+    switch (role_of(disk)) {
+      case DiskRole::kData: return disk;
+      case DiskRole::kMirror: return disk % n_;
+      case DiskRole::kParity:
+        return disk - (is_mirror() ? (replicas_ + 1) * n_ : n_);
+    }
+    return -1;
+  }
   /// 0 for a data disk, r for a disk of replica array r, -1 for parity.
-  int array_of(int disk) const;
+  int array_of(int disk) const {
+    switch (role_of(disk)) {
+      case DiskRole::kData: return 0;
+      case DiskRole::kMirror: return disk / n_;
+      case DiskRole::kParity: return -1;
+    }
+    return -1;
+  }
 
   /// Global position of the copy of data element a(i, j) in replica
   /// array r (1..R); mirror kinds only.
