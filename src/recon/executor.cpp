@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -34,12 +33,17 @@ struct FaultCounts {
 
 /// Per-stripe recovery state: staged contents for each failed logical
 /// disk, which of those elements actually got recovered, and the exact
-/// element reads recovery consumed (the reads the rebuild times).
+/// element reads recovery consumed (the reads the rebuild times, in
+/// ascending (logical disk, row) order).
 struct StripeRecovery {
+  explicit StripeRecovery(const layout::Architecture& arch)
+      : availability_reads(arch.total_disks(), arch.rows()),
+        parity_rebuild_reads(arch.total_disks(), arch.rows()) {}
+
   std::map<int, std::vector<Buffer>> staged;
   std::map<int, std::vector<char>> staged_ok;
-  std::set<ElemPos> availability_reads;
-  std::set<ElemPos> parity_rebuild_reads;
+  ReadSet availability_reads;
+  ReadSet parity_rebuild_reads;
   std::vector<ElemPos> unrecoverable;
 };
 
@@ -137,7 +141,7 @@ Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
     }
     gf::region_xor(arr.content(pd, stripe, j), dst);
     local_reads.push_back({pd, j});
-    for (const auto& r : local_reads) rec.availability_reads.insert(r);
+    for (const auto& [d, r] : local_reads) rec.availability_reads.insert(d, r);
     fc.fallback_to_mirror += static_cast<std::uint64_t>(local_mirror);
     return true;
   };
@@ -168,7 +172,7 @@ Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
       }
       auto bytes = arr.content(copy.disk, stripe, copy.row);
       std::copy(bytes.begin(), bytes.end(), dst.begin());
-      rec.availability_reads.insert({copy.disk, copy.row});
+      rec.availability_reads.insert(copy.disk, copy.row);
       if (tried > 0) ++fc.fallback_to_mirror;
       return true;
     }
@@ -244,7 +248,8 @@ Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
       }
       if (ok) {
         rec.staged_ok.at(pd)[static_cast<std::size_t>(j)] = 1;
-        for (const auto& r : local_reads) rec.parity_rebuild_reads.insert(r);
+        for (const auto& [d, r] : local_reads)
+          rec.parity_rebuild_reads.insert(d, r);
         fc.fallback_to_mirror += static_cast<std::uint64_t>(local_mirror);
       } else {
         mark_unrecoverable(pd, j, dst);
@@ -320,7 +325,7 @@ Status recover_raid_stripe(const array::DiskArray& arr, int stripe,
       auto src = arr.content(col, stripe, j);
       auto dst = cs.element(col, j);
       std::copy(src.begin(), src.end(), dst.begin());
-      reads.insert({col, j});
+      reads.insert(col, j);
     }
   }
   SMA_RETURN_IF_ERROR(data_erased ? codec->decode(cs, erased)
@@ -511,7 +516,7 @@ Result<ReconReport> reconstruct(array::DiskArray& arr,
     // Recover contents. Still-failed disks NOT being rebuilt this
     // stripe (checkpoint-covered prior disks) act as live sources:
     // their restored contents are valid and their restored slots serve.
-    StripeRecovery rec;
+    StripeRecovery rec(arch);
     Status recovered =
         arch.is_mirror()
             ? recover_mirror_stripe(arr, s, rebuild_logical, plan.value(),
@@ -538,7 +543,7 @@ Result<ReconReport> reconstruct(array::DiskArray& arr,
     for (const auto& [d, r] : rec.availability_reads) push_read(d, r);
     if (opts.include_parity_rebuild)
       for (const auto& [d, r] : rec.parity_rebuild_reads)
-        if (rec.availability_reads.count({d, r}) == 0) push_read(d, r);
+        if (!rec.availability_reads.contains(d, r)) push_read(d, r);
 
     // Install the contents on the still-failed disks (a replacement
     // write serves only once its slot is restored), redirecting the
